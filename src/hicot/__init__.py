@@ -20,7 +20,6 @@ from .prompts import (
     PromptBundle,
     PromptStrategy,
     build_prompt,
-    strategy_marker_set,
     template_text,
 )
 from .traces import (
@@ -57,7 +56,6 @@ __all__ = [
     "judge",
     "normalize_math",
     "scan_blocks",
-    "strategy_marker_set",
     "template_text",
     "validate_format",
 ]

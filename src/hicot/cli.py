@@ -136,31 +136,25 @@ def load_run_config(path: str | Path) -> RunConfig:
     benchmarks = {}
     for name, entry in (raw.get("benchmarks") or {}).items():
         if isinstance(entry, str):
-            dataset_path = entry
-            spec = registry.get(name)
-            if spec is None:
-                spec = BenchmarkSpec(
-                    field_map=FieldMap(statement="problem", answer="answer"),
-                    kind=AnswerKind.MATH_EXPRESSION,
-                )
-        else:
-            dataset_path = entry.get("path")
-            base_spec = registry.get(name)
-            spec = BenchmarkSpec(
-                field_map=FieldMap(
-                    statement=entry.get(
-                        "statement_field",
-                        base_spec.field_map.statement if base_spec else "problem",
-                    ),
-                    answer=entry.get(
-                        "answer_field", base_spec.field_map.answer if base_spec else "answer"
-                    ),
-                    id=entry.get("id_field", base_spec.field_map.id if base_spec else None),
-                ),
-                kind=AnswerKind(
-                    entry.get("kind", (base_spec.kind if base_spec else AnswerKind.MATH_EXPRESSION).value)
-                ),
-            )
+            entry = {"path": entry}
+        if not isinstance(entry, dict):
+            raise ConfigInvalid(f"benchmark {name!r} must be a path or an object")
+        base = registry.get(name) or BenchmarkSpec(
+            FieldMap(statement="problem", answer="answer"), AnswerKind.MATH_EXPRESSION
+        )
+        try:
+            kind = AnswerKind(entry.get("kind", base.kind.value))
+        except ValueError as exc:
+            raise ConfigInvalid(f"benchmark {name!r}: {exc}") from exc
+        spec = BenchmarkSpec(
+            field_map=FieldMap(
+                statement=entry.get("statement_field", base.field_map.statement),
+                answer=entry.get("answer_field", base.field_map.answer),
+                id=entry.get("id_field", base.field_map.id),
+            ),
+            kind=kind,
+        )
+        dataset_path = entry.get("path")
         if not dataset_path:
             raise ConfigInvalid(f"benchmark {name!r} has no dataset path")
         if not Path(dataset_path).exists():
@@ -251,7 +245,7 @@ def _evaluate_one(
         completion_text=text,
         completion_tokens=tokens,
         token_source=token_source,
-        judgment=judge_completion(text, problem),
+        judgment=judge_completion(trace.boxed_answer, problem),
         format_report=report,
         compliant=compliance_mode(strategy, report),
         timestamp=now_timestamp(),
@@ -342,13 +336,6 @@ def cmd_score(records_path: str | Path) -> dict:
     }
 
 
-_TABLE_SUFFIX = {
-    TableFormat.MARKDOWN: "md",
-    TableFormat.CSV: "csv",
-    TableFormat.JSON: "json",
-}
-
-
 def cmd_report(records_path: str | Path, fmt: TableFormat, output_dir: str | Path) -> list:
     """Write the accuracy table and plot-data files; returns written paths."""
     records = read_records(records_path)
@@ -359,7 +346,7 @@ def cmd_report(records_path: str | Path, fmt: TableFormat, output_dir: str | Pat
     output_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    table_path = output_dir / f"table_accuracy.{_TABLE_SUFFIX[fmt]}"
+    table_path = output_dir / f"table_accuracy.{fmt.value}"
     table_path.write_text(emit_table(summaries, macro, fmt), encoding="utf-8")
     written.append(table_path)
 

@@ -177,7 +177,6 @@ class ChatClient:
         self._inflight = threading.BoundedSemaphore(concurrency)
         self._key_locks: dict = {}
         self._key_locks_guard = threading.Lock()
-        self._session = requests.Session()
         self._thread_local = threading.local()
 
     def _session_for_thread(self) -> requests.Session:
@@ -188,8 +187,8 @@ class ChatClient:
             self._thread_local.session = session
         return session
 
-    def _cache_path(self, req: CompletionRequest) -> Path:
-        return self.cache_dir / _sanitize_for_path(req.model_id) / f"{req.cache_key()}.json"
+    def _cache_path(self, req: CompletionRequest, key: str) -> Path:
+        return self.cache_dir / _sanitize_for_path(req.model_id) / f"{key}.json"
 
     def _read_cache(self, path: Path) -> Optional[CompletionResult]:
         try:
@@ -216,11 +215,12 @@ class ChatClient:
 
     def complete(self, req: CompletionRequest) -> CompletionResult:
         """Return the completion for ``req``, from cache when available."""
-        path = self._cache_path(req)
+        key = req.cache_key()
+        path = self._cache_path(req, key)
         cached = self._read_cache(path)
         if cached is not None:
             return cached
-        with self._lock_for(req.cache_key()):
+        with self._lock_for(key):
             cached = self._read_cache(path)
             if cached is not None:
                 return cached
@@ -284,6 +284,10 @@ class ChatClient:
             text = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise EndpointUnreachable(f"malformed completion response: {exc}") from exc
+        if not isinstance(text, str):
+            raise EndpointUnreachable(
+                f"malformed completion response: content is {type(text).__name__}"
+            )
         usage = body.get("usage") or {}
         tokens = usage.get("completion_tokens")
         if isinstance(tokens, int) and tokens >= 0:

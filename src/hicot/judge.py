@@ -190,23 +190,24 @@ def answers_equal(pred: str, gold: str, kind: AnswerKind) -> bool:
     return pr is not None and gr is not None and pr == gr
 
 
-def judge(completion: str, problem: "Problem") -> Judgment:
-    """Extract, normalize, and compare the boxed answer of a completion."""
-    predicted = extract_boxed(completion)
+def judge(predicted: Optional[str], problem: "Problem") -> Judgment:
+    """Normalize and compare an extracted boxed answer with the gold label.
+
+    ``predicted`` is the content of the completion's last balanced
+    ``\\boxed{...}`` (``ReasoningTrace.boxed_answer``); ``None`` means the
+    completion has no boxed answer.
+    """
     if predicted is None:
         return Judgment(None, None, False, JudgeReason.NO_BOXED_ANSWER)
 
     normalized = normalize_math(predicted)
+    out_of_range = False
     if problem.kind is AnswerKind.INTEGER_EXACT:
         value = _parse_int(normalized)
         if value is None:
             return Judgment(predicted, normalized, False, JudgeReason.UNPARSEABLE_INTEGER)
         out_of_range = not 0 <= value <= 999
-        gold_value = _parse_int(normalize_math(problem.gold_answer))
-        if gold_value is not None and value == gold_value:
-            return Judgment(predicted, normalized, True, JudgeReason.MATCH, out_of_range)
-        return Judgment(predicted, normalized, False, JudgeReason.MISMATCH, out_of_range)
 
-    if answers_equal(predicted, problem.gold_answer, AnswerKind.MATH_EXPRESSION):
-        return Judgment(predicted, normalized, True, JudgeReason.MATCH)
-    return Judgment(predicted, normalized, False, JudgeReason.MISMATCH)
+    if answers_equal(predicted, problem.gold_answer, problem.kind):
+        return Judgment(predicted, normalized, True, JudgeReason.MATCH, out_of_range)
+    return Judgment(predicted, normalized, False, JudgeReason.MISMATCH, out_of_range)

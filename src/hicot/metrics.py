@@ -12,6 +12,8 @@ deterministic for identical input.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
@@ -205,7 +207,9 @@ def _best_flags(summaries, macros) -> set:
     """(model, column, strategy) triples to flag; columns are benchmarks or 'avg'.
 
     Best is decided on displayed (rounded) values so flags match what the
-    table shows; all tied maxima are flagged.
+    table shows; all tied maxima are flagged. The Avg of a row that misses a
+    benchmark averages over fewer columns, so it takes no part in the Avg
+    comparison.
     """
     cells = _cell_index(summaries)
     macro_cells = _macro_index(macros)
@@ -217,7 +221,7 @@ def _best_flags(summaries, macros) -> set:
             for strategy in strategies:
                 if column == "avg":
                     macro = macro_cells.get((model, strategy))
-                    value = macro.avg_over_benchmarks if macro else None
+                    value = macro.avg_over_benchmarks if macro and not macro.missing else None
                 else:
                     cell = cells.get((model, strategy, column))
                     value = cell.pass_at_1 if cell else None
@@ -294,19 +298,27 @@ def _emit_csv(summaries, macro) -> str:
     models, benchmarks, strategies = _layout(summaries)
     flagged = _best_flags(summaries, macro)
 
-    lines = [",".join(["model", "strategy"] + benchmarks + ["avg", "best"])]
+    rows = [["model", "strategy"] + benchmarks + ["avg", "best"]]
     for model in models:
         for strategy in strategies:
             row = [model, strategy.value]
             for benchmark in benchmarks:
                 cell = cells.get((model, strategy, benchmark))
-                row.append(repr(cell.pass_at_1) if cell else "")
+                row.append(cell.pass_at_1 if cell else None)
             macro_cell = macro_cells.get((model, strategy))
-            row.append(repr(macro_cell.avg_over_benchmarks) if macro_cell else "")
+            row.append(macro_cell.avg_over_benchmarks if macro_cell else None)
             best = [c for c in benchmarks + ["avg"] if (model, c, strategy) in flagged]
             row.append(";".join(best))
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+            rows.append(row)
+    return _csv_text(rows)
+
+
+def _csv_text(rows) -> str:
+    """CSV with ``\\n`` line ends; ``None`` is written as an empty field and
+    floats at full precision (``repr``)."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _emit_json(summaries, macro) -> str:
@@ -335,7 +347,7 @@ def emit_plot_data(summaries: Sequence[MetricsSummary], kind: PlotKind) -> str:
     cells = _cell_index(summaries)
 
     if kind is PlotKind.AVG_TOKENS_BY_BENCHMARK:
-        lines = ["model,strategy,benchmark,avg_completion_tokens"]
+        rows = [["model", "strategy", "benchmark", "avg_completion_tokens"]]
         for model in models:
             for strategy in strategies:
                 present = []
@@ -344,34 +356,34 @@ def emit_plot_data(summaries: Sequence[MetricsSummary], kind: PlotKind) -> str:
                     if cell is None:
                         continue
                     present.append(cell.avg_completion_tokens)
-                    lines.append(
-                        f"{model},{strategy.value},{benchmark},{cell.avg_completion_tokens!r}"
-                    )
+                    rows.append([model, strategy.value, benchmark, cell.avg_completion_tokens])
                 if present:
                     macro_tokens = sum(present) / len(present)
-                    lines.append(f"{model},{strategy.value},macro_avg,{macro_tokens!r}")
-        return "\n".join(lines) + "\n"
+                    rows.append([model, strategy.value, "macro_avg", macro_tokens])
+        return _csv_text(rows)
 
-    lines = [
+    header = (
         "model,strategy,benchmark,n,pass_at_1,conditional_pass_at_1,"
         "avg_completion_tokens,conditional_avg_tokens,compliance_rate"
-    ]
+    )
+    rows = [header.split(",")]
     for model in models:
         for strategy in strategies:
             for benchmark in benchmarks:
                 cell = cells.get((model, strategy, benchmark))
                 if cell is None:
                     continue
-                conditional_pass = (
-                    "" if cell.conditional_pass_at_1 is None else repr(cell.conditional_pass_at_1)
+                rows.append(
+                    [
+                        model,
+                        strategy.value,
+                        benchmark,
+                        cell.n,
+                        cell.pass_at_1,
+                        cell.conditional_pass_at_1,
+                        cell.avg_completion_tokens,
+                        cell.conditional_avg_tokens,
+                        cell.compliance_rate,
+                    ]
                 )
-                conditional_tokens = (
-                    "" if cell.conditional_avg_tokens is None else repr(cell.conditional_avg_tokens)
-                )
-                lines.append(
-                    f"{model},{strategy.value},{benchmark},{cell.n},"
-                    f"{cell.pass_at_1!r},{conditional_pass},"
-                    f"{cell.avg_completion_tokens!r},{conditional_tokens},"
-                    f"{cell.compliance_rate!r}"
-                )
-    return "\n".join(lines) + "\n"
+    return _csv_text(rows)

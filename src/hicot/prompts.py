@@ -14,8 +14,6 @@ from enum import Enum
 from importlib import resources
 from typing import Union
 
-from .traces import EXECUTION_MARKER, INSTRUCTION_MARKER
-
 
 class EmptyProblem(ValueError):
     """Raised when a problem statement is empty after trimming."""
@@ -163,10 +161,3 @@ def build_prompt(strategy: PromptStrategy, problem: Union[str, "object"]) -> Pro
         problem_text=statement,
         rendered=f"{preamble}\n\n{statement}",
     )
-
-
-def strategy_marker_set(strategy: PromptStrategy) -> frozenset:
-    """Block markers a completion for ``strategy`` may legally contain."""
-    if strategy in (PromptStrategy.HICOT, PromptStrategy.HICOT_RELAXED):
-        return frozenset({INSTRUCTION_MARKER, EXECUTION_MARKER})
-    return frozenset()

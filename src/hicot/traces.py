@@ -14,12 +14,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple, TYPE_CHECKING
+from typing import Optional, Tuple
 
 from .judge import extract_boxed
-
-if TYPE_CHECKING:
-    from .prompts import PromptStrategy
+from .prompts import PromptStrategy
 
 INSTRUCTION_MARKER = "<|instruction|>"
 EXECUTION_MARKER = "<|execution|>"
@@ -216,7 +214,7 @@ def validate_format(trace: ReasoningTrace) -> FormatReport:
     )
 
 
-def compliance_mode(strategy: "PromptStrategy", report: FormatReport) -> bool:
+def compliance_mode(strategy: PromptStrategy, report: FormatReport) -> bool:
     """Strategy-specific compliance verdict used for conditional metrics.
 
     The strict hierarchical strategy requires all three dimensions. The
@@ -224,8 +222,6 @@ def compliance_mode(strategy: "PromptStrategy", report: FormatReport) -> bool:
     scaffold) and requires only that both block kinds occur plus a boxed
     answer. All other strategies require only the boxed answer.
     """
-    from .prompts import PromptStrategy
-
     if strategy is PromptStrategy.HICOT:
         return report.compliant
     if strategy is PromptStrategy.HICOT_RELAXED:

@@ -11,6 +11,7 @@ from hicot.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     ConfigInvalid,
+    cmd_run,
     load_run_config,
     main,
 )
@@ -86,6 +87,21 @@ class TestConfigValidation:
             "hicot",
         ]
         assert set(config.benchmarks) == {"toy_int", "toy_expr"}
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda entry: {**entry, "kind": "bogus"}, lambda entry: [entry["path"]]],
+        ids=["unknown_kind", "list_entry"],
+    )
+    def test_bad_benchmark_entry_is_config_error(self, tmp_path, make_stub, spoil):
+        stub = make_stub(grid_responder)
+        config_path = write_config(tmp_path, stub.base_url)
+        config = json.loads(config_path.read_text())
+        config["benchmarks"]["toy_int"] = spoil(config["benchmarks"]["toy_int"])
+        config_path.write_text(json.dumps(config))
+        with pytest.raises(ConfigInvalid):
+            load_run_config(config_path)
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
 
     def test_bad_json_config(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -189,6 +205,19 @@ class TestRunCommand:
         assert len(failed) == 1
         assert "ContextOverflow" in failed[0].client_error
         assert not failed[0].judgment.correct
+
+    def test_null_content_becomes_error_record_and_is_not_cached(self, tmp_path, make_stub):
+        stub = make_stub(lambda payload: StubReply(None, completion_tokens=5))
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
+            benchmarks=("toy_int",),
+        )
+        config = load_run_config(config_path)
+        records = read_records(cmd_run(config))
+        assert len(records) == 3
+        assert all("EndpointUnreachable" in r.client_error for r in records)
+        assert not any(r.judgment.correct for r in records)
+        assert not list(config.cache_dir.rglob("*.json"))
 
 
 class TestScoreAndReport:

@@ -164,6 +164,14 @@ class TestComplete:
             client.complete(_request())
         assert client.complete(_request()).text == "fine"
 
+    def test_null_content_is_rejected_and_not_cached(self, make_stub, tmp_path):
+        stub = make_stub(lambda payload: StubReply(None, completion_tokens=5))
+        client = _client(stub, tmp_path)
+        with pytest.raises(EndpointUnreachable, match="malformed completion response"):
+            client.complete(_request())
+        assert stub.total_requests == 1  # a malformed 200 is not retried
+        assert not list((tmp_path / "cache").rglob("*.json"))
+
     def test_token_fallback_when_usage_missing(self, make_stub, tmp_path):
         stub = make_stub(lambda payload: StubReply("4 × 3 = 12", include_usage=False))
         result = _client(stub, tmp_path).complete(_request())

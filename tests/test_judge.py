@@ -137,44 +137,46 @@ def _problem(gold, kind):
 
 class TestJudge:
     def test_worked_output_is_correct(self):
-        verdict = judge(WORKED_HICOT_OUTPUT, _problem("22", AnswerKind.MATH_EXPRESSION))
+        verdict = judge(
+            extract_boxed(WORKED_HICOT_OUTPUT), _problem("22", AnswerKind.MATH_EXPRESSION)
+        )
         assert verdict.correct
         assert verdict.reason is JudgeReason.MATCH
         assert verdict.predicted_raw == "\\$22"
         assert verdict.predicted_normalized == "22"
 
     def test_empty_completion(self):
-        verdict = judge("", _problem("7", AnswerKind.INTEGER_EXACT))
+        verdict = judge(extract_boxed(""), _problem("7", AnswerKind.INTEGER_EXACT))
         assert not verdict.correct
         assert verdict.reason is JudgeReason.NO_BOXED_ANSWER
         assert verdict.predicted_raw is None
 
     def test_unparseable_integer(self):
-        verdict = judge("\\boxed{seven}", _problem("7", AnswerKind.INTEGER_EXACT))
+        verdict = judge(extract_boxed("\\boxed{seven}"), _problem("7", AnswerKind.INTEGER_EXACT))
         assert not verdict.correct
         assert verdict.reason is JudgeReason.UNPARSEABLE_INTEGER
 
     def test_integer_mismatch(self):
-        verdict = judge("\\boxed{22}", _problem("23", AnswerKind.INTEGER_EXACT))
+        verdict = judge(extract_boxed("\\boxed{22}"), _problem("23", AnswerKind.INTEGER_EXACT))
         assert not verdict.correct
         assert verdict.reason is JudgeReason.MISMATCH
 
     def test_out_of_range_is_flagged_not_failed(self):
-        verdict = judge("\\boxed{1500}", _problem("1500", AnswerKind.INTEGER_EXACT))
+        verdict = judge(extract_boxed("\\boxed{1500}"), _problem("1500", AnswerKind.INTEGER_EXACT))
         assert verdict.correct
         assert verdict.out_of_range
-        in_range = judge("\\boxed{500}", _problem("500", AnswerKind.INTEGER_EXACT))
+        in_range = judge(extract_boxed("\\boxed{500}"), _problem("500", AnswerKind.INTEGER_EXACT))
         assert in_range.correct and not in_range.out_of_range
 
     def test_correct_implies_match(self):
         for pred, gold, kind, _ in VECTORS:
-            verdict = judge(f"\\boxed{{{pred}}}", _problem(gold, kind))
+            verdict = judge(extract_boxed(f"\\boxed{{{pred}}}"), _problem(gold, kind))
             if verdict.correct:
                 assert verdict.reason is JudgeReason.MATCH
 
     def test_never_correct_without_boxed_answer(self):
         for text in ("", "answer: 22", "\\boxed{unclosed", "the \\box{22}"):
-            verdict = judge(text, _problem("22", AnswerKind.MATH_EXPRESSION))
+            verdict = judge(extract_boxed(text), _problem("22", AnswerKind.MATH_EXPRESSION))
             assert not verdict.correct
             assert verdict.reason is JudgeReason.NO_BOXED_ANSWER
 
@@ -184,5 +186,5 @@ class TestJudge:
         for pred, gold, kind, expected in VECTORS:
             if pred.count("{") != pred.count("}"):
                 continue
-            verdict = judge(f"so \\boxed{{{pred}}} done", _problem(gold, kind))
+            verdict = judge(extract_boxed(f"so \\boxed{{{pred}}} done"), _problem(gold, kind))
             assert verdict.correct is expected, (pred, gold, kind)

@@ -1,5 +1,7 @@
 """Aggregation, macro averaging, and table/plot emission."""
 
+import csv
+import io
 import json
 import random
 from pathlib import Path
@@ -251,6 +253,23 @@ class TestEmitTable:
         # Both strategies tie in the benchmark column and in Avg.
         assert table.count("**50.0**") == 4
 
+    def test_partial_coverage_avg_is_not_compared(self):
+        # Hi-CoT runs only the easy benchmark; its 100.0 Avg must not beat the
+        # 50.0 Avg of CoT, which covers both.
+        summaries = [
+            MetricsSummary("m", PromptStrategy.COT, "easy", 10, 100.0, 1.0, 1.0, None, None),
+            MetricsSummary("m", PromptStrategy.COT, "hard", 10, 0.0, 1.0, 1.0, None, None),
+            MetricsSummary("m", PromptStrategy.HICOT, "easy", 10, 100.0, 1.0, 1.0, None, None),
+        ]
+        macro = macro_average(summaries)
+        table = emit_table(summaries, macro, TableFormat.MARKDOWN)
+        assert "| m | CoT | **100.0** | **0.0** | **50.0** |" in table
+        assert "| m | Hi-CoT | **100.0** | - | 100.0 |" in table
+        best = json.loads(emit_table(summaries, macro, TableFormat.JSON))["best"]
+        assert ["m", "avg", "hicot"] not in best and ["m", "avg", "cot"] in best
+        rows = emit_table(summaries, macro, TableFormat.CSV).splitlines()
+        assert rows[1].endswith(",easy;hard;avg") and rows[2].endswith(",easy")
+
     def test_empty_summaries_rejected(self):
         with pytest.raises(ValueError):
             emit_table([], [], TableFormat.MARKDOWN)
@@ -296,6 +315,23 @@ class TestEmitPlotData:
         assert emit_plot_data(summaries, PlotKind.AVG_TOKENS_BY_BENCHMARK) == emit_plot_data(
             list(reversed(summaries)), PlotKind.AVG_TOKENS_BY_BENCHMARK
         )
+
+
+@pytest.mark.parametrize("model", ["org,model", 'say "hi"', "two\nlines"])
+def test_csv_emissions_read_back_with_header_width(model):
+    summaries = [
+        MetricsSummary(model, strategy, benchmark, 4, 50.0, 10.0, 25.0, conditional, 8.0)
+        for strategy, conditional in ((PromptStrategy.COT, None), (PromptStrategy.HICOT, 75.0))
+        for benchmark in ("a", "b")
+    ]
+    emissions = [emit_table(summaries, macro_average(summaries), TableFormat.CSV)]
+    emissions += [emit_plot_data(summaries, kind) for kind in PlotKind]
+    for text in emissions:
+        header, *rows = csv.reader(io.StringIO(text))
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            assert row[0] == model
 
 
 class TestEndToEndDeterminism:

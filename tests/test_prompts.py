@@ -1,4 +1,4 @@
-"""Prompt construction: template fidelity, rendering, and marker sets."""
+"""Prompt construction: template fidelity and rendering."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from hicot.prompts import (
     TABLE_ORDER,
     TEMPLATES,
     build_prompt,
-    strategy_marker_set,
     template_resource,
     template_text,
 )
@@ -98,15 +97,6 @@ def test_problem_text_never_escaped():
     bundle = build_prompt(PromptStrategy.HICOT, hostile)
     assert hostile in bundle.rendered
     assert bundle.problem_text == hostile
-
-
-def test_marker_sets():
-    markers = {INSTRUCTION_MARKER, EXECUTION_MARKER}
-    assert strategy_marker_set(PromptStrategy.HICOT) == markers
-    assert strategy_marker_set(PromptStrategy.HICOT_RELAXED) == markers
-    assert strategy_marker_set(PromptStrategy.STANDARD) == frozenset()
-    assert strategy_marker_set(PromptStrategy.COT) == frozenset()
-    assert strategy_marker_set(PromptStrategy.PLAN_AND_SOLVE) == frozenset()
 
 
 def test_strategy_parse_aliases():
