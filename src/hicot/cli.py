@@ -106,6 +106,20 @@ def _sampling_from(data: dict, base: SamplingParams) -> SamplingParams:
     )
 
 
+def _section(raw: dict, name: str) -> dict:
+    value = raw.get(name) or {}
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"{name} must be an object")
+    return value
+
+
+def _string_list(raw: dict, name: str, default: list) -> list:
+    value = raw.get(name) or default
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ConfigInvalid(f"{name} must be a list of strings")
+    return value
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a run configuration file (JSON)."""
     try:
@@ -114,18 +128,20 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"config {path} is not a JSON object")
 
-    endpoint = raw.get("endpoint") or {}
+    endpoint = _section(raw, "endpoint")
     base_url = endpoint.get("base_url")
     if not base_url:
         raise ConfigInvalid("endpoint.base_url is required")
 
-    models = raw.get("models") or []
+    models = _string_list(raw, "models", [])
     if not models:
         raise ConfigInvalid("at least one model is required")
 
     try:
-        strategies = [PromptStrategy.parse(s) for s in raw.get("strategies") or []]
+        strategies = [PromptStrategy.parse(s) for s in _string_list(raw, "strategies", [])]
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
     if not strategies:
@@ -134,7 +150,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     registry = load_registry(raw["registry"]) if raw.get("registry") else load_registry()
 
     benchmarks = {}
-    for name, entry in (raw.get("benchmarks") or {}).items():
+    for name, entry in _section(raw, "benchmarks").items():
         if isinstance(entry, str):
             entry = {"path": entry}
         if not isinstance(entry, dict):
@@ -165,21 +181,24 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     output_dir = Path(raw.get("output_dir") or "run_output")
     cache_dir = Path(raw.get("cache_dir") or output_dir / "cache")
-    sampling = _sampling_from(raw.get("sampling") or {}, SamplingParams())
+    sampling = _sampling_from(_section(raw, "sampling"), SamplingParams())
 
     concurrency = raw.get("concurrency", 4)
     if not isinstance(concurrency, int) or concurrency < 1:
         raise ConfigInvalid("concurrency must be a positive integer")
 
-    think = raw.get("think_tags") or [DEFAULT_THINK_OPEN, DEFAULT_THINK_CLOSE]
+    think = _string_list(raw, "think_tags", [DEFAULT_THINK_OPEN, DEFAULT_THINK_CLOSE])
     if len(think) != 2:
         raise ConfigInvalid("think_tags must be a [open, close] pair")
 
     overrides = {}
-    for model_id, entry in (raw.get("model_overrides") or {}).items():
+    for model_id, entry in _section(raw, "model_overrides").items():
+        if not isinstance(entry, dict):
+            raise ConfigInvalid(f"model_overrides entry {model_id!r} must be an object")
+        override_sampling = _section(entry, "sampling")
         overrides[model_id] = ModelOverride(
             prompt_as_system=entry.get("prompt_as_system", False),
-            sampling=_sampling_from(entry["sampling"], sampling) if "sampling" in entry else None,
+            sampling=_sampling_from(override_sampling, sampling) if "sampling" in entry else None,
             extra_body=entry.get("extra_body"),
         )
 
@@ -266,7 +285,8 @@ def cmd_run(config: RunConfig) -> Path:
     }
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    existing = {record.key() for record in load_resumable(config.records_path)}
+    records = load_resumable(config.records_path)
+    existing = {record.key() for record in records}
 
     tasks = []
     for model_id in config.models:
@@ -305,12 +325,12 @@ def cmd_run(config: RunConfig) -> Path:
                 for future in futures:
                     record = future.result()
                     writer.append(record)
+                    records.append(record)
                     done += 1
                     if done % 10 == 0 or done == total:
                         _progress(f"progress: {done}/{total}")
 
-    all_records = read_records(config.records_path)
-    for summary in aggregate(all_records):
+    for summary in aggregate(records):
         conditional = (
             "-"
             if summary.conditional_pass_at_1 is None
@@ -344,23 +364,16 @@ def cmd_report(records_path: str | Path, fmt: TableFormat, output_dir: str | Pat
 
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
+    outputs = {
+        f"table_accuracy.{fmt.value}": emit_table(summaries, macro, fmt),
+        "plot_tokens.csv": emit_plot_data(summaries, PlotKind.AVG_TOKENS_BY_BENCHMARK),
+        "plot_format_conditional.csv": emit_plot_data(summaries, PlotKind.FORMAT_CONDITIONAL),
+    }
     written = []
-
-    table_path = output_dir / f"table_accuracy.{fmt.value}"
-    table_path.write_text(emit_table(summaries, macro, fmt), encoding="utf-8")
-    written.append(table_path)
-
-    tokens_path = output_dir / "plot_tokens.csv"
-    tokens_path.write_text(
-        emit_plot_data(summaries, PlotKind.AVG_TOKENS_BY_BENCHMARK), encoding="utf-8"
-    )
-    written.append(tokens_path)
-
-    conditional_path = output_dir / "plot_format_conditional.csv"
-    conditional_path.write_text(
-        emit_plot_data(summaries, PlotKind.FORMAT_CONDITIONAL), encoding="utf-8"
-    )
-    written.append(conditional_path)
+    for name, text in outputs.items():
+        path = output_dir / name
+        path.write_text(text, encoding="utf-8")
+        written.append(path)
     return written
 
 

@@ -121,6 +121,8 @@ class CompletionResult:
 
     @classmethod
     def from_dict(cls, data: dict, from_cache: bool = False) -> "CompletionResult":
+        if not isinstance(data["text"], str):
+            raise TypeError(f"completion text is {type(data['text']).__name__}")
         return cls(
             text=data["text"],
             completion_tokens=data["completion_tokens"],
@@ -191,10 +193,16 @@ class ChatClient:
         return self.cache_dir / _sanitize_for_path(req.model_id) / f"{key}.json"
 
     def _read_cache(self, path: Path) -> Optional[CompletionResult]:
+        """The cached result, or None on a miss.
+
+        An entry that cannot be decoded (not JSON, a missing key, a null text
+        written by an earlier version) is a miss too: the item is fetched
+        again and the atomic write replaces the entry.
+        """
         try:
             with open(path, encoding="utf-8") as fh:
                 return CompletionResult.from_dict(json.load(fh), from_cache=True)
-        except FileNotFoundError:
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
             return None
 
     def _write_cache(self, path: Path, result: CompletionResult) -> None:

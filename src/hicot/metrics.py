@@ -188,14 +188,6 @@ def macro_average(summaries: Sequence[MetricsSummary]) -> list:
     return macros
 
 
-def _cell_index(summaries: Sequence[MetricsSummary]) -> dict:
-    return {(s.model_id, s.strategy, s.benchmark): s for s in summaries}
-
-
-def _macro_index(macros: Sequence[MacroSummary]) -> dict:
-    return {(m.model_id, m.strategy): m for m in macros}
-
-
 def _layout(summaries: Sequence[MetricsSummary]):
     models = sorted({s.model_id for s in summaries})
     benchmarks = sorted({s.benchmark for s in summaries})
@@ -203,37 +195,42 @@ def _layout(summaries: Sequence[MetricsSummary]):
     return models, benchmarks, strategies
 
 
-def _best_flags(summaries, macros) -> set:
-    """(model, column, strategy) triples to flag; columns are benchmarks or 'avg'.
+def _table_rows(summaries, macros):
+    """Columns (the benchmarks, then ``"avg"``) and one row per (model, strategy).
 
-    Best is decided on displayed (rounded) values so flags match what the
-    table shows; all tied maxima are flagged. The Avg of a row that misses a
+    Each row is ``(model, strategy, values, best)``: ``values`` holds Pass@1
+    per benchmark, then the macro Avg, with ``None`` for an absent cell;
+    ``best`` lists the columns holding the model's best shown value. Best is
+    decided on displayed (rounded) values so flags match what the table
+    shows; all tied maxima are flagged. The Avg of a row that misses a
     benchmark averages over fewer columns, so it takes no part in the Avg
     comparison.
     """
-    cells = _cell_index(summaries)
-    macro_cells = _macro_index(macros)
     models, benchmarks, strategies = _layout(summaries)
-    flagged = set()
+    columns = benchmarks + ["avg"]
+    cells = {(s.model_id, s.strategy, s.benchmark): s.pass_at_1 for s in summaries}
+    macro_cells = {(m.model_id, m.strategy): m for m in macros}
+    rows = []
     for model in models:
-        for column in benchmarks + ["avg"]:
-            shown = {}
-            for strategy in strategies:
-                if column == "avg":
-                    macro = macro_cells.get((model, strategy))
-                    value = macro.avg_over_benchmarks if macro and not macro.missing else None
-                else:
-                    cell = cells.get((model, strategy, column))
-                    value = cell.pass_at_1 if cell else None
-                if value is not None:
-                    shown[strategy] = float(display_round(value))
-            if not shown:
-                continue
-            top = max(shown.values())
-            for strategy, value in shown.items():
-                if value == top:
-                    flagged.add((model, column, strategy))
-    return flagged
+        block = []
+        for strategy in strategies:
+            values = [cells.get((model, strategy, benchmark)) for benchmark in benchmarks]
+            macro = macro_cells.get((model, strategy))
+            values.append(macro.avg_over_benchmarks if macro else None)
+            shown = [None if value is None else float(display_round(value)) for value in values]
+            if macro and macro.missing:
+                shown[-1] = None
+            block.append((strategy, values, shown))
+        by_column = zip(*(shown for _, _, shown in block))
+        tops = [max((v for v in column if v is not None), default=None) for column in by_column]
+        for strategy, values, shown in block:
+            best = [
+                column
+                for column, value, top in zip(columns, shown, tops)
+                if value is not None and value == top
+            ]
+            rows.append((model, strategy, values, best))
+    return columns, rows
 
 
 def emit_table(
@@ -244,73 +241,45 @@ def emit_table(
     """Render the accuracy table: one row per strategy, grouped by model.
 
     Markdown shows one-decimal values with the best value per (model, column)
-    in bold. CSV keeps full precision and lists flagged columns in a ``best``
-    column. JSON carries the summary and macro dicts verbatim (round-trip
-    safe) plus the flagged cells.
+    in bold, and escapes ``|`` in model ids and benchmark names. CSV keeps
+    full precision and lists flagged columns in a ``best`` column. JSON
+    carries the summary and macro dicts verbatim (round-trip safe) plus the
+    flagged cells.
     """
     if not summaries:
         raise ValueError("no summaries to tabulate")
+    columns, rows = _table_rows(summaries, macro)
+
     if format is TableFormat.MARKDOWN:
-        return _emit_markdown(summaries, macro)
-    if format is TableFormat.CSV:
-        return _emit_csv(summaries, macro)
-    return _emit_json(summaries, macro)
-
-
-def _emit_markdown(summaries, macro) -> str:
-    cells = _cell_index(summaries)
-    macro_cells = _macro_index(macro)
-    models, benchmarks, strategies = _layout(summaries)
-    flagged = _best_flags(summaries, macro)
-
-    header = ["Model", "Prompting"] + benchmarks + ["Avg."]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join(["---", "---"] + ["---:"] * (len(benchmarks) + 1)) + " |",
-    ]
-    for model in models:
-        for strategy in strategies:
-            row = [model, strategy.label]
-            for benchmark in benchmarks:
-                cell = cells.get((model, strategy, benchmark))
-                if cell is None:
-                    row.append("-")
-                    continue
-                shown = display_round(cell.pass_at_1)
-                if (model, benchmark, strategy) in flagged:
-                    shown = f"**{shown}**"
-                row.append(shown)
-            macro_cell = macro_cells.get((model, strategy))
-            if macro_cell is None:
-                row.append("-")
-            else:
-                shown = display_round(macro_cell.avg_over_benchmarks)
-                if (model, "avg", strategy) in flagged:
-                    shown = f"**{shown}**"
-                row.append(shown)
+        header = ["Model", "Prompting"] + [b.replace("|", "\\|") for b in columns[:-1]] + ["Avg."]
+        lines = [
+            "| " + " | ".join(header) + " |",
+            "| " + " | ".join(["---", "---"] + ["---:"] * len(columns)) + " |",
+        ]
+        for model, strategy, values, best in rows:
+            row = [model.replace("|", "\\|"), strategy.label]
+            for column, value in zip(columns, values):
+                shown = "-" if value is None else display_round(value)
+                row.append(f"**{shown}**" if column in best else shown)
             lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n"
 
+    if format is TableFormat.CSV:
+        table = [["model", "strategy"] + columns + ["best"]]
+        for model, strategy, values, best in rows:
+            table.append([model, strategy.value] + values + [";".join(best)])
+        return _csv_text(table)
 
-def _emit_csv(summaries, macro) -> str:
-    cells = _cell_index(summaries)
-    macro_cells = _macro_index(macro)
-    models, benchmarks, strategies = _layout(summaries)
-    flagged = _best_flags(summaries, macro)
-
-    rows = [["model", "strategy"] + benchmarks + ["avg", "best"]]
-    for model in models:
-        for strategy in strategies:
-            row = [model, strategy.value]
-            for benchmark in benchmarks:
-                cell = cells.get((model, strategy, benchmark))
-                row.append(cell.pass_at_1 if cell else None)
-            macro_cell = macro_cells.get((model, strategy))
-            row.append(macro_cell.avg_over_benchmarks if macro_cell else None)
-            best = [c for c in benchmarks + ["avg"] if (model, c, strategy) in flagged]
-            row.append(";".join(best))
-            rows.append(row)
-    return _csv_text(rows)
+    payload = {
+        "summaries": [s.to_dict() for s in summaries],
+        "macro": [m.to_dict() for m in macro],
+        "best": sorted(
+            [model, column, strategy.value]
+            for model, strategy, _, best in rows
+            for column in best
+        ),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def _csv_text(rows) -> str:
@@ -319,18 +288,6 @@ def _csv_text(rows) -> str:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
-
-
-def _emit_json(summaries, macro) -> str:
-    flagged = _best_flags(summaries, macro)
-    payload = {
-        "summaries": [s.to_dict() for s in summaries],
-        "macro": [m.to_dict() for m in macro],
-        "best": sorted(
-            [model, column, strategy.value] for model, column, strategy in flagged
-        ),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def emit_plot_data(summaries: Sequence[MetricsSummary], kind: PlotKind) -> str:
@@ -344,7 +301,7 @@ def emit_plot_data(summaries: Sequence[MetricsSummary], kind: PlotKind) -> str:
     if not summaries:
         raise ValueError("no summaries to plot")
     models, benchmarks, strategies = _layout(summaries)
-    cells = _cell_index(summaries)
+    cells = {(s.model_id, s.strategy, s.benchmark): s for s in summaries}
 
     if kind is PlotKind.AVG_TOKENS_BY_BENCHMARK:
         rows = [["model", "strategy", "benchmark", "avg_completion_tokens"]]

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import hicot
 from hicot.cli import EXIT_OK, main
 from hicot.client import ChatClient, CompletionRequest
 from hicot.datasets import read_records
@@ -38,6 +39,8 @@ from trace_samples import RELAXED_OUTPUT, WORKED_HICOT_OUTPUT
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
+# The directory the package was imported from, for child processes.
+PACKAGE_ROOT = str(Path(hicot.__file__).resolve().parent.parent)
 
 
 def announce(criterion: str, detail: str = ""):
@@ -232,10 +235,13 @@ def test_c6_end_to_end_stub_run(tmp_path, make_stub, capsys):
     kill_config = write_config(kill_root, paced.base_url, concurrency=2)
     kill_records = kill_root / "out" / "records.jsonl"
 
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     process = subprocess.Popen(
         [sys.executable, "-m", "hicot", "run", "--config", str(kill_config)],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        env=env,
     )
     try:
         deadline = time.monotonic() + 20

@@ -103,6 +103,47 @@ class TestConfigValidation:
             load_run_config(config_path)
         assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda config: [config],
+            lambda config: {**config, "endpoint": config["endpoint"]["base_url"]},
+            lambda config: {**config, "benchmarks": list(config["benchmarks"])},
+            lambda config: {**config, "sampling": [0.0]},
+            lambda config: {**config, "model_overrides": ["sim-alpha"]},
+            lambda config: {**config, "model_overrides": {"sim-alpha": "system"}},
+            lambda config: {**config, "model_overrides": {"sim-alpha": {"sampling": 0.5}}},
+            lambda config: {**config, "models": "gpt-x"},
+            lambda config: {**config, "models": ["gpt-x", 7]},
+            lambda config: {**config, "strategies": "cot"},
+            lambda config: {**config, "think_tags": "ab"},
+            lambda config: {**config, "think_tags": ["<think>", None]},
+            lambda config: {**config, "think_tags": ["a", "b", "c"]},
+        ],
+        ids=[
+            "config_list",
+            "endpoint_string",
+            "benchmarks_list",
+            "sampling_list",
+            "overrides_list",
+            "override_entry_string",
+            "override_sampling_number",
+            "models_string",
+            "models_non_string_item",
+            "strategies_string",
+            "think_tags_string",
+            "think_tags_non_string_item",
+            "think_tags_three",
+        ],
+    )
+    def test_wrong_json_type_is_config_error(self, tmp_path, make_stub, spoil):
+        stub = make_stub(grid_responder)
+        config_path = write_config(tmp_path, stub.base_url)
+        config_path.write_text(json.dumps(spoil(json.loads(config_path.read_text()))))
+        with pytest.raises(ConfigInvalid):
+            load_run_config(config_path)
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+
     def test_bad_json_config(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -172,6 +172,28 @@ class TestComplete:
         assert stub.total_requests == 1  # a malformed 200 is not retried
         assert not list((tmp_path / "cache").rglob("*.json"))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"text": null, "completion_tokens": 5, "token_source": "api_usage", "latency_ms": 1}',
+            '{"text": "torn',
+            '{"completion_tokens": 5, "token_source": "api_usage", "latency_ms": 1}',
+        ],
+        ids=["null_text", "broken_json", "missing_key"],
+    )
+    def test_unreadable_cache_entry_is_fetched_again(self, make_stub, tmp_path, entry):
+        stub = make_stub(lambda payload: StubReply("fresh"))
+        client = _client(stub, tmp_path)
+        request = _request()
+        path = tmp_path / "cache" / "stub-model" / f"{request.cache_key()}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(entry, encoding="utf-8")
+        assert client.complete(request).text == "fresh"
+        assert stub.total_requests == 1
+        assert json.loads(path.read_text(encoding="utf-8"))["text"] == "fresh"
+        assert client.complete(request).from_cache
+        assert stub.total_requests == 1
+
     def test_token_fallback_when_usage_missing(self, make_stub, tmp_path):
         stub = make_stub(lambda payload: StubReply("4 × 3 = 12", include_usage=False))
         result = _client(stub, tmp_path).complete(_request())

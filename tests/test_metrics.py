@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,37 @@ class TestEmitTable:
         rows = emit_table(summaries, macro, TableFormat.CSV).splitlines()
         assert rows[1].endswith(",easy;hard;avg") and rows[2].endswith(",easy")
 
+    def test_sparse_grid_row_is_empty_in_every_format(self):
+        # m2 lacks the Hi-CoT strategy that m1 has; its Hi-CoT row is shown
+        # but holds no value and no flag.
+        summaries = [
+            MetricsSummary("m1", strategy, benchmark, 4, value, 1.0, 1.0, None, None)
+            for strategy, value in ((PromptStrategy.COT, 25.0), (PromptStrategy.HICOT, 75.0))
+            for benchmark in ("a", "b")
+        ] + [
+            MetricsSummary("m2", PromptStrategy.COT, benchmark, 4, 50.0, 1.0, 1.0, None, None)
+            for benchmark in ("a", "b")
+        ]
+        macro = macro_average(summaries)
+        table = emit_table(summaries, macro, TableFormat.MARKDOWN)
+        assert "| m2 | Hi-CoT | - | - | - |" in table.splitlines()
+        rows = list(csv.reader(io.StringIO(emit_table(summaries, macro, TableFormat.CSV))))
+        assert ["m2", "hicot", "", "", "", ""] in rows
+        best = json.loads(emit_table(summaries, macro, TableFormat.JSON))["best"]
+        assert not [entry for entry in best if entry[0] == "m2" and entry[2] == "hicot"]
+        assert ["m2", "avg", "cot"] in best
+
+    def test_markdown_escapes_pipes_in_names(self):
+        summaries = [
+            MetricsSummary(model, PromptStrategy.COT, benchmark, 4, 50.0, 1.0, 1.0, None, None)
+            for model in ("org|m", "plain")
+            for benchmark in ("a|b", "c")
+        ]
+        table = emit_table(summaries, macro_average(summaries), TableFormat.MARKDOWN)
+        # Model, Prompting, two benchmarks and Avg. on every line.
+        assert {len(re.findall(r"(?<!\\)\|", line)) for line in table.splitlines()} == {6}
+        assert "| org\\|m | CoT |" in table
+
     def test_empty_summaries_rejected(self):
         with pytest.raises(ValueError):
             emit_table([], [], TableFormat.MARKDOWN)
@@ -334,24 +366,51 @@ def test_csv_emissions_read_back_with_header_width(model):
             assert row[0] == model
 
 
+def seeded_records():
+    rng = random.Random(11)
+    return [
+        record(
+            i,
+            correct=rng.random() < 0.5,
+            compliant=rng.random() < 0.7,
+            tokens=rng.randrange(10, 500),
+            benchmark=rng.choice(["a", "b"]),
+            model=rng.choice(["m1", "m2"]),
+            strategy=rng.choice(list(PromptStrategy)),
+        )
+        for i in range(60)
+    ]
+
+
 class TestEndToEndDeterminism:
     def test_same_records_same_bytes(self):
-        rng = random.Random(11)
-        records = [
-            record(
-                i,
-                correct=rng.random() < 0.5,
-                compliant=rng.random() < 0.7,
-                tokens=rng.randrange(10, 500),
-                benchmark=rng.choice(["a", "b"]),
-                model=rng.choice(["m1", "m2"]),
-                strategy=rng.choice(list(PromptStrategy)),
-            )
-            for i in range(60)
-        ]
+        records = seeded_records()
         summaries = aggregate(records)
         macro = macro_average(summaries)
         for fmt in TableFormat:
             assert emit_table(summaries, macro, fmt) == emit_table(
                 aggregate(list(records)), macro_average(aggregate(list(records))), fmt
             )
+
+    def test_formats_flag_the_same_cells(self):
+        summaries = aggregate(seeded_records())
+        macro = macro_average(summaries)
+        strategy_of = {s.label: s.value for s in PromptStrategy}
+
+        header, _, *lines = emit_table(summaries, macro, TableFormat.MARKDOWN).splitlines()
+        columns = header.strip("| ").split(" | ")[2:-1] + ["avg"]
+        md_best = set()
+        for line in lines:
+            model, label, *shown = line.strip("| ").split(" | ")
+            for column, cell in zip(columns, shown):
+                if cell.startswith("**"):
+                    md_best.add((model, column, strategy_of[label]))
+
+        _, *rows = csv.reader(io.StringIO(emit_table(summaries, macro, TableFormat.CSV)))
+        csv_best = {
+            (row[0], column, row[1]) for row in rows for column in row[-1].split(";") if column
+        }
+
+        payload = json.loads(emit_table(summaries, macro, TableFormat.JSON))
+        json_best = {tuple(entry) for entry in payload["best"]}
+        assert md_best and md_best == csv_best == json_best
