@@ -25,19 +25,18 @@ from .client import (
     TokenSource,
 )
 from .datasets import (
-    BenchmarkSpec,
     DatasetError,
     EvalRecord,
-    FieldMap,
     Problem,
     RecordWriter,
+    benchmark_spec,
     load_dataset,
     load_registry,
     load_resumable,
     now_timestamp,
     read_records,
 )
-from .judge import AnswerKind, judge as judge_completion
+from .judge import judge as judge_completion
 from .metrics import (
     DuplicateKey,
     PlotKind,
@@ -97,12 +96,31 @@ class RunConfig:
         return self.output_dir / "records.jsonl"
 
 
-def _sampling_from(data: dict, base: SamplingParams) -> SamplingParams:
+_CHECKS = {
+    "a positive integer": lambda value: isinstance(value, int) and value > 0,
+    "a positive number": lambda value: isinstance(value, (int, float)) and value > 0,
+    "a non-negative number": lambda value: isinstance(value, (int, float)) and value >= 0,
+    "a number": lambda value: isinstance(value, (int, float)),
+    "an integer or null": lambda value: value is None or isinstance(value, int),
+    "a string or null": lambda value: value is None or isinstance(value, str),
+}
+
+
+def _value(section: dict, key: str, default, what: str, where: str = ""):
+    """``section[key]``, or ``default`` when absent, checked against ``what``
+    (a key of ``_CHECKS``); a JSON boolean is never a number."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not _CHECKS[what](value):
+        raise ConfigInvalid(f"{where}{key} must be {what}")
+    return value
+
+
+def _sampling_from(data: dict, base: SamplingParams, where: str) -> SamplingParams:
     return SamplingParams(
-        temperature=data.get("temperature", base.temperature),
-        top_p=data.get("top_p", base.top_p),
-        max_tokens=data.get("max_tokens", base.max_tokens),
-        seed=data.get("seed", base.seed),
+        temperature=_value(data, "temperature", base.temperature, "a number", where),
+        top_p=_value(data, "top_p", base.top_p, "a number", where),
+        max_tokens=_value(data, "max_tokens", base.max_tokens, "a positive integer", where),
+        seed=_value(data, "seed", base.seed, "an integer or null", where),
     )
 
 
@@ -132,7 +150,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigInvalid(f"config {path} is not a JSON object")
 
     endpoint = _section(raw, "endpoint")
-    base_url = endpoint.get("base_url")
+    base_url = _value(endpoint, "base_url", None, "a string or null", "endpoint.")
     if not base_url:
         raise ConfigInvalid("endpoint.base_url is required")
 
@@ -147,31 +165,22 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not strategies:
         raise ConfigInvalid("at least one strategy is required")
 
-    registry = load_registry(raw["registry"]) if raw.get("registry") else load_registry()
+    registry_path = _value(raw, "registry", None, "a string or null")
+    try:
+        registry = load_registry(registry_path or None)
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalid(f"registry {registry_path}: {exc}") from exc
 
     benchmarks = {}
     for name, entry in _section(raw, "benchmarks").items():
         if isinstance(entry, str):
             entry = {"path": entry}
-        if not isinstance(entry, dict):
-            raise ConfigInvalid(f"benchmark {name!r} must be a path or an object")
-        base = registry.get(name) or BenchmarkSpec(
-            FieldMap(statement="problem", answer="answer"), AnswerKind.MATH_EXPRESSION
-        )
         try:
-            kind = AnswerKind(entry.get("kind", base.kind.value))
+            spec = benchmark_spec(name, entry, registry.get(name))
         except ValueError as exc:
-            raise ConfigInvalid(f"benchmark {name!r}: {exc}") from exc
-        spec = BenchmarkSpec(
-            field_map=FieldMap(
-                statement=entry.get("statement_field", base.field_map.statement),
-                answer=entry.get("answer_field", base.field_map.answer),
-                id=entry.get("id_field", base.field_map.id),
-            ),
-            kind=kind,
-        )
+            raise ConfigInvalid(str(exc)) from exc
         dataset_path = entry.get("path")
-        if not dataset_path:
+        if not dataset_path or not isinstance(dataset_path, str):
             raise ConfigInvalid(f"benchmark {name!r} has no dataset path")
         if not Path(dataset_path).exists():
             raise ConfigInvalid(f"dataset for benchmark {name!r} not found: {dataset_path}")
@@ -181,11 +190,7 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     output_dir = Path(raw.get("output_dir") or "run_output")
     cache_dir = Path(raw.get("cache_dir") or output_dir / "cache")
-    sampling = _sampling_from(_section(raw, "sampling"), SamplingParams())
-
-    concurrency = raw.get("concurrency", 4)
-    if not isinstance(concurrency, int) or concurrency < 1:
-        raise ConfigInvalid("concurrency must be a positive integer")
+    sampling = _sampling_from(_section(raw, "sampling"), SamplingParams(), "sampling.")
 
     think = _string_list(raw, "think_tags", [DEFAULT_THINK_OPEN, DEFAULT_THINK_CLOSE])
     if len(think) != 2:
@@ -198,7 +203,11 @@ def load_run_config(path: str | Path) -> RunConfig:
         override_sampling = _section(entry, "sampling")
         overrides[model_id] = ModelOverride(
             prompt_as_system=entry.get("prompt_as_system", False),
-            sampling=_sampling_from(override_sampling, sampling) if "sampling" in entry else None,
+            sampling=(
+                _sampling_from(override_sampling, sampling, f"model_overrides.{model_id}.sampling.")
+                if "sampling" in entry
+                else None
+            ),
             extra_body=entry.get("extra_body"),
         )
 
@@ -210,11 +219,13 @@ def load_run_config(path: str | Path) -> RunConfig:
         output_dir=output_dir,
         cache_dir=cache_dir,
         sampling=sampling,
-        concurrency=concurrency,
-        api_key_env=endpoint.get("api_key_env"),
-        timeout_s=endpoint.get("timeout_s", 120.0),
-        max_attempts=endpoint.get("max_attempts", 4),
-        backoff_base_s=endpoint.get("backoff_base_s", 0.5),
+        concurrency=_value(raw, "concurrency", 4, "a positive integer"),
+        api_key_env=_value(endpoint, "api_key_env", None, "a string or null", "endpoint."),
+        timeout_s=_value(endpoint, "timeout_s", 120.0, "a positive number", "endpoint."),
+        max_attempts=_value(endpoint, "max_attempts", 4, "a positive integer", "endpoint."),
+        backoff_base_s=_value(
+            endpoint, "backoff_base_s", 0.5, "a non-negative number", "endpoint."
+        ),
         think_open=think[0],
         think_close=think[1],
         model_overrides=overrides,

@@ -30,6 +30,14 @@ DEFAULT_MAX_TOKENS = 16384
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
 
 _TRANSIENT_STATUSES = frozenset({429}) | frozenset(range(500, 600))
+# A body cut off or garbled in transit is retried like a lost connection;
+# requests does not derive these two from ConnectionError.
+_RETRIABLE_ERRORS = (
+    requests.Timeout,
+    requests.ConnectionError,
+    requests.exceptions.ChunkedEncodingError,
+    requests.exceptions.ContentDecodingError,
+)
 _CONTEXT_OVERFLOW_HINTS = ("context_length", "maximum context length", "prompt is too long")
 
 
@@ -263,7 +271,7 @@ class ChatClient:
                     response = self._session_for_thread().post(
                         self.url, json=payload, headers=headers, timeout=self.timeout_s
                     )
-            except (requests.Timeout, requests.ConnectionError) as exc:
+            except _RETRIABLE_ERRORS as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
                 continue
 

@@ -12,13 +12,14 @@ import io
 import json
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
+from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .judge import AnswerKind, Judgment
+from .judge import AnswerKind, JudgeReason, Judgment
 from .prompts import PromptStrategy
 from .traces import FormatReport
 
@@ -74,35 +75,56 @@ class Problem:
 class FieldMap:
     """Names of the source keys carrying the statement and gold answer."""
 
-    statement: str
-    answer: str
+    statement: str = "problem"
+    answer: str = "answer"
     id: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    field_map: FieldMap
-    kind: AnswerKind
+    field_map: FieldMap = FieldMap()
+    kind: AnswerKind = AnswerKind.MATH_EXPRESSION
+
+
+def benchmark_spec(name: str, entry, base: Optional[BenchmarkSpec] = None) -> BenchmarkSpec:
+    """BenchmarkSpec from one registry or run-config benchmark entry.
+
+    The keys are ``statement_field``, ``answer_field``, ``id_field`` and
+    ``kind``; each one the entry lacks comes from ``base``, else from the
+    ``BenchmarkSpec`` defaults. Raises ValueError naming the benchmark when
+    the entry is not an object or a key has the wrong type or value.
+    """
+    if not isinstance(entry, dict):
+        raise ValueError(f"benchmark {name!r} must be an object")
+    base = base or BenchmarkSpec()
+    statement = entry.get("statement_field", base.field_map.statement)
+    answer = entry.get("answer_field", base.field_map.answer)
+    id_field = entry.get("id_field", base.field_map.id)
+    if not isinstance(statement, str) or not isinstance(answer, str):
+        raise ValueError(f"benchmark {name!r}: statement_field and answer_field must be strings")
+    if id_field is not None and not isinstance(id_field, str):
+        raise ValueError(f"benchmark {name!r}: id_field must be a string")
+    try:
+        kind = AnswerKind(entry.get("kind", base.kind.value))
+    except ValueError as exc:
+        raise ValueError(f"benchmark {name!r}: {exc}") from None
+    return BenchmarkSpec(FieldMap(statement, answer, id_field), kind)
 
 
 def load_registry(path: Optional[str | Path] = None) -> dict:
-    """Benchmark name -> BenchmarkSpec, from ``path`` or the packaged default."""
+    """Benchmark name -> BenchmarkSpec, from ``path`` or the packaged default.
+
+    Each entry is read by ``benchmark_spec``. Raises ValueError when the file
+    is not a JSON object or an entry is bad, OSError when it cannot be read.
+    """
     if path is None:
         text = resources.files("hicot").joinpath("data", "benchmarks.json").read_text("utf-8")
     else:
         text = Path(path).read_text("utf-8")
     raw = json.loads(text)
-    registry = {}
-    for name, entry in raw.items():
-        registry[name] = BenchmarkSpec(
-            field_map=FieldMap(
-                statement=entry["statement_field"],
-                answer=entry["answer_field"],
-                id=entry.get("id_field"),
-            ),
-            kind=AnswerKind(entry.get("kind", "math_expression")),
-        )
-    return registry
+    if not isinstance(raw, dict):
+        raise ValueError("a benchmark registry must be a JSON object")
+    return {name: benchmark_spec(name, entry) for name, entry in raw.items()}
 
 
 def load_dataset(
@@ -193,54 +215,46 @@ class EvalRecord:
         return (self.problem_id, self.benchmark, self.model_id, self.strategy.value)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "problem_id": self.problem_id,
-            "benchmark": self.benchmark,
-            "model_id": self.model_id,
-            "strategy": self.strategy.value,
-            "completion_text": self.completion_text,
-            "completion_tokens": self.completion_tokens,
-            "token_source": self.token_source,
-            "judgment": self.judgment.to_dict(),
-            "format_report": {
-                "alternation_ok": self.format_report.alternation_ok,
-                "step_alignment_ok": self.format_report.step_alignment_ok,
-                "boxed_present": self.format_report.boxed_present,
-                "compliant": self.format_report.compliant,
-                "instruction_count": self.format_report.instruction_count,
-                "execution_count": self.format_report.execution_count,
-            },
-            "compliant": self.compliant,
-            "timestamp": self.timestamp,
-            "client_error": self.client_error,
-        }
+        return to_json_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalRecord":
-        report = data["format_report"]
+        """Inverse of ``to_dict``; absent keys take the field defaults, and an
+        unknown key or a wrongly typed nested object raises TypeError."""
+        judgment = data["judgment"]
         return cls(
-            problem_id=data["problem_id"],
-            benchmark=data["benchmark"],
-            model_id=data["model_id"],
-            strategy=PromptStrategy(data["strategy"]),
-            completion_text=data["completion_text"],
-            completion_tokens=data["completion_tokens"],
-            token_source=data["token_source"],
-            judgment=Judgment.from_dict(data["judgment"]),
-            format_report=FormatReport(
-                alternation_ok=report["alternation_ok"],
-                step_alignment_ok=report["step_alignment_ok"],
-                boxed_present=report["boxed_present"],
-                compliant=report["compliant"],
-                instruction_count=report.get("instruction_count", 0),
-                execution_count=report.get("execution_count", 0),
-            ),
-            compliant=data["compliant"],
-            timestamp=data.get("timestamp", ""),
-            client_error=data.get("client_error"),
-            schema_version=data["schema_version"],
+            **{
+                **data,
+                "strategy": PromptStrategy(data["strategy"]),
+                "judgment": Judgment(**{**judgment, "reason": JudgeReason(judgment["reason"])}),
+                "format_report": FormatReport(**data["format_report"]),
+            }
         )
+
+
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def to_json_dict(obj) -> dict:
+    """The JSON form of a record dataclass: its fields in declaration order.
+
+    Enums become their values, nested dataclasses dicts and tuples lists.
+    Unlike ``dataclasses.asdict`` it copies no value, which keeps encoding a
+    record line several times cheaper; plain scalars, most fields, skip the
+    type checks.
+    """
+    data = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if type(value) not in _JSON_SCALARS:
+            if isinstance(value, Enum):
+                value = value.value
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif is_dataclass(value):
+                value = to_json_dict(value)
+        data[f.name] = value
+    return data
 
 
 def now_timestamp() -> str:
@@ -263,7 +277,7 @@ def _parse_record_line(line: str, path, line_no: int) -> EvalRecord:
         raise SchemaMismatch(path, line_no, f"unknown record version {version!r}")
     try:
         return EvalRecord.from_dict(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise SchemaMismatch(path, line_no, f"bad record: {exc}") from exc
 
 

@@ -46,25 +46,6 @@ class Judgment:
     reason: JudgeReason
     out_of_range: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "predicted_raw": self.predicted_raw,
-            "predicted_normalized": self.predicted_normalized,
-            "correct": self.correct,
-            "reason": self.reason.value,
-            "out_of_range": self.out_of_range,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Judgment":
-        return cls(
-            predicted_raw=data["predicted_raw"],
-            predicted_normalized=data["predicted_normalized"],
-            correct=data["correct"],
-            reason=JudgeReason(data["reason"]),
-            out_of_range=data.get("out_of_range", False),
-        )
-
 
 def extract_boxed(raw: str) -> Optional[str]:
     """Content of the last balanced ``\\boxed{...}`` in ``raw``, if any.

@@ -20,7 +20,7 @@ from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
-from .datasets import EvalRecord
+from .datasets import EvalRecord, to_json_dict
 from .prompts import TABLE_ORDER, PromptStrategy
 
 
@@ -54,31 +54,11 @@ class MetricsSummary:
     conditional_avg_tokens: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "strategy": self.strategy.value,
-            "benchmark": self.benchmark,
-            "n": self.n,
-            "pass_at_1": self.pass_at_1,
-            "avg_completion_tokens": self.avg_completion_tokens,
-            "compliance_rate": self.compliance_rate,
-            "conditional_pass_at_1": self.conditional_pass_at_1,
-            "conditional_avg_tokens": self.conditional_avg_tokens,
-        }
+        return to_json_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsSummary":
-        return cls(
-            model_id=data["model_id"],
-            strategy=PromptStrategy(data["strategy"]),
-            benchmark=data["benchmark"],
-            n=data["n"],
-            pass_at_1=data["pass_at_1"],
-            avg_completion_tokens=data["avg_completion_tokens"],
-            compliance_rate=data["compliance_rate"],
-            conditional_pass_at_1=data["conditional_pass_at_1"],
-            conditional_avg_tokens=data["conditional_avg_tokens"],
-        )
+        return cls(**{**data, "strategy": PromptStrategy(data["strategy"])})
 
 
 @dataclass(frozen=True)
@@ -96,13 +76,7 @@ class MacroSummary:
     missing: Tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "strategy": self.strategy.value,
-            "avg_over_benchmarks": self.avg_over_benchmarks,
-            "benchmarks": list(self.benchmarks),
-            "missing": list(self.missing),
-        }
+        return to_json_dict(self)
 
 
 def display_round(value: float) -> str:

@@ -4,6 +4,7 @@ import io
 import json
 
 import pytest
+import requests
 
 from hicot.cli import (
     EXIT_CONFIG,
@@ -119,6 +120,24 @@ class TestConfigValidation:
             lambda config: {**config, "think_tags": "ab"},
             lambda config: {**config, "think_tags": ["<think>", None]},
             lambda config: {**config, "think_tags": ["a", "b", "c"]},
+            lambda config: {**config, "endpoint": {**config["endpoint"], "max_attempts": "3"}},
+            lambda config: {**config, "endpoint": {**config["endpoint"], "max_attempts": 0}},
+            lambda config: {**config, "endpoint": {**config["endpoint"], "max_attempts": True}},
+            lambda config: {**config, "endpoint": {**config["endpoint"], "timeout_s": "5"}},
+            lambda config: {**config, "endpoint": {**config["endpoint"], "timeout_s": 0}},
+            lambda config: {**config, "endpoint": {**config["endpoint"], "backoff_base_s": -1}},
+            lambda config: {**config, "endpoint": {**config["endpoint"], "api_key_env": 7}},
+            lambda config: {**config, "endpoint": {**config["endpoint"], "base_url": 5}},
+            lambda config: {**config, "sampling": {"temperature": "0.7"}},
+            lambda config: {**config, "sampling": {"top_p": None}},
+            lambda config: {**config, "sampling": {"max_tokens": 1.5}},
+            lambda config: {**config, "sampling": {"seed": True}},
+            lambda config: {
+                **config,
+                "model_overrides": {"sim-alpha": {"sampling": {"seed": "1"}}},
+            },
+            lambda config: {**config, "concurrency": True},
+            lambda config: {**config, "registry": 7},
         ],
         ids=[
             "config_list",
@@ -134,6 +153,21 @@ class TestConfigValidation:
             "think_tags_string",
             "think_tags_non_string_item",
             "think_tags_three",
+            "max_attempts_string",
+            "max_attempts_zero",
+            "max_attempts_bool",
+            "timeout_string",
+            "timeout_zero",
+            "backoff_negative",
+            "api_key_env_number",
+            "base_url_number",
+            "temperature_string",
+            "top_p_null",
+            "max_tokens_float",
+            "seed_bool",
+            "override_seed_string",
+            "concurrency_bool",
+            "registry_number",
         ],
     )
     def test_wrong_json_type_is_config_error(self, tmp_path, make_stub, spoil):
@@ -143,6 +177,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             load_run_config(config_path)
         assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "registry, reported",
+        [
+            ('{"toy_int": ["problem", "answer"]}', "'toy_int'"),
+            ('{"toy_int": {"kind": "bogus"}}', "'toy_int'"),
+            ("[]", "JSON object"),
+            ("{oops", "registry.json"),
+        ],
+        ids=["list_entry", "unknown_kind", "not_an_object", "not_json"],
+    )
+    def test_bad_registry_is_config_error(self, tmp_path, make_stub, capsys, registry, reported):
+        stub = make_stub(grid_responder)
+        config_path = write_config(tmp_path, stub.base_url)
+        registry_path = tmp_path / "registry.json"
+        registry_path.write_text(registry)
+        config = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**config, "registry": str(registry_path)}))
+        with pytest.raises(ConfigInvalid):
+            load_run_config(config_path)
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+        assert reported in capsys.readouterr().err
 
     def test_bad_json_config(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -259,6 +315,22 @@ class TestRunCommand:
         assert all("EndpointUnreachable" in r.client_error for r in records)
         assert not any(r.judgment.correct for r in records)
         assert not list(config.cache_dir.rglob("*.json"))
+
+    def test_broken_response_bodies_become_error_records(self, tmp_path, make_stub, monkeypatch):
+        stub = make_stub(grid_responder)
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
+            benchmarks=("toy_int",),
+        )
+
+        def broken_body(self, url, **kwargs):
+            raise requests.exceptions.ChunkedEncodingError("connection broken mid-body")
+
+        monkeypatch.setattr(requests.Session, "post", broken_body)
+        records = read_records(cmd_run(load_run_config(config_path)))
+        assert len(records) == 3
+        assert all("EndpointUnreachable" in r.client_error for r in records)
+        assert all("ChunkedEncodingError" in r.client_error for r in records)
 
 
 class TestScoreAndReport:

@@ -5,6 +5,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import requests
 
 from hicot.client import (
     AuthFailure,
@@ -110,6 +111,27 @@ class TestComplete:
         )
         assert _client(stub, tmp_path).complete(_request()).text == "ok"
         assert stub.total_requests == 2
+
+    @pytest.mark.parametrize(
+        "failure",
+        [requests.exceptions.ChunkedEncodingError, requests.exceptions.ContentDecodingError],
+    )
+    def test_retries_broken_response_bodies(self, make_stub, tmp_path, failure):
+        class BrokenOnceSession(requests.Session):
+            failures = [failure("body cut off")]
+
+            def post(self, *args, **kwargs):
+                if self.failures:
+                    raise self.failures.pop()
+                return super().post(*args, **kwargs)
+
+        stub = make_stub(lambda payload: StubReply("recovered"))
+        client = _client(stub, tmp_path)
+        with BrokenOnceSession() as session:
+            client._session_for_thread = lambda: session
+            assert client.complete(_request()).text == "recovered"
+        assert stub.total_requests == 1
+        assert not session.failures
 
     def test_exhausted_retries_raise(self, make_stub, tmp_path):
         stub = make_stub(lambda payload: StubReply(status=429))

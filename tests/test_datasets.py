@@ -5,7 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hicot.cli import EXIT_IO, main
 from hicot.datasets import (
+    BenchmarkSpec,
     DuplicateId,
     EvalRecord,
     FieldMap,
@@ -116,6 +118,24 @@ class TestRegistry:
         assert registry["toy"].field_map.statement == "q"
         assert registry["toy"].kind is AnswerKind.INTEGER_EXACT
 
+    def test_registry_entry_takes_config_defaults(self, tmp_path):
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps({"toy": {"answer_field": "a"}}))
+        assert load_registry(path)["toy"] == BenchmarkSpec(
+            FieldMap(statement="problem", answer="a"), AnswerKind.MATH_EXPRESSION
+        )
+
+    @pytest.mark.parametrize(
+        "entry",
+        [["q", "a"], {"kind": "bogus"}, {"statement_field": 3}, {"id_field": ["id"]}],
+        ids=["list", "unknown_kind", "number_field", "list_id_field"],
+    )
+    def test_bad_registry_entry_names_the_benchmark(self, tmp_path, entry):
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps({"toy": entry}))
+        with pytest.raises(ValueError, match="'toy'"):
+            load_registry(path)
+
 
 def make_record(i=0, **overrides):
     fields = dict(
@@ -194,6 +214,71 @@ class TestRecordsRoundTrip:
         with pytest.raises(SchemaMismatch) as excinfo:
             read_records(path)
         assert excinfo.value.line_no == 2
+
+    def test_record_line_is_pinned(self, tmp_path):
+        # The v1 on-disk form: keys are the field names, sorted, non-ASCII kept.
+        golden = (
+            '{"benchmark": "toy", "client_error": "EndpointUnreachable: é", '
+            '"completion_text": "x = 7 → \\\\boxed{7}", "completion_tokens": 10, '
+            '"compliant": true, "format_report": {"alternation_ok": true, '
+            '"boxed_present": true, "compliant": true, "execution_count": 2, '
+            '"instruction_count": 2, "step_alignment_ok": true}, "judgment": '
+            '{"correct": false, "out_of_range": true, "predicted_normalized": "7", '
+            '"predicted_raw": "7", "reason": "mismatch"}, "model_id": "m1", '
+            '"problem_id": "1", "schema_version": 1, "strategy": "hicot", '
+            '"timestamp": "2026-08-08T00:00:00+00:00", "token_source": "api_usage"}\n'
+        )
+        record = make_record(
+            0,
+            completion_text="x = 7 → \\boxed{7}",
+            judgment=Judgment("7", "7", False, JudgeReason.MISMATCH, out_of_range=True),
+            client_error="EndpointUnreachable: é",
+        )
+        path = tmp_path / "records.jsonl"
+        write_records([record], path)
+        assert path.read_text(encoding="utf-8") == golden
+        assert read_records(path) == [record]
+
+    def test_minimal_v1_line_reads_with_defaults(self, tmp_path):
+        row = make_record(0).to_dict()
+        for key in ("timestamp", "client_error"):
+            del row[key]
+        del row["judgment"]["out_of_range"]
+        del row["format_report"]["instruction_count"]
+        del row["format_report"]["execution_count"]
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        assert read_records(path) == [
+            make_record(
+                0,
+                timestamp="",
+                client_error=None,
+                judgment=Judgment("0", "0", True, JudgeReason.MATCH, out_of_range=False),
+                format_report=FormatReport(True, True, True, True, 0, 0),
+            )
+        ]
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda row: {**row, "judgment": None},
+            lambda row: {**row, "format_report": [1]},
+            lambda row: {**row, "judgment": {**row["judgment"], "reason": "close"}},
+            lambda row: {**row, "grade": "A"},
+            lambda row: {**row, "format_report": {**row["format_report"], "depth": 2}},
+        ],
+        ids=["null_judgment", "list_format_report", "unknown_reason", "unknown_key",
+             "unknown_nested_key"],
+    )
+    def test_bad_record_is_schema_mismatch(self, tmp_path, capsys, spoil):
+        path = tmp_path / "records.jsonl"
+        lines = [json.dumps(make_record(0).to_dict()), json.dumps(spoil(make_record(1).to_dict()))]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaMismatch) as excinfo:
+            read_records(path)
+        assert excinfo.value.line_no == 2
+        assert main(["score", str(path)]) == EXIT_IO
+        assert f"{path}:2:" in capsys.readouterr().err
 
     def test_unknown_version_raises_schema_mismatch(self, tmp_path):
         path = tmp_path / "records.jsonl"
