@@ -9,18 +9,18 @@ usage, 3 file/schema errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from .client import (
     ChatClient,
     ClientError,
     CompletionRequest,
+    Endpoint,
     SamplingParams,
     TokenSource,
 )
@@ -66,69 +66,75 @@ class ConfigInvalid(Exception):
     """Run configuration is missing, malformed, or inconsistent."""
 
 
-@dataclass
+@dataclasses.dataclass
 class ModelOverride:
     prompt_as_system: bool = False
     sampling: Optional[SamplingParams] = None
     extra_body: Optional[dict] = None
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
-    base_url: str
+    endpoint: Endpoint
     models: list
     strategies: list
     benchmarks: dict  # name -> (path, BenchmarkSpec)
     output_dir: Path
     cache_dir: Path
-    sampling: SamplingParams = field(default_factory=SamplingParams)
-    concurrency: int = 4
-    api_key_env: Optional[str] = None
-    timeout_s: float = 120.0
-    max_attempts: int = 4
-    backoff_base_s: float = 0.5
-    think_open: str = DEFAULT_THINK_OPEN
-    think_close: str = DEFAULT_THINK_CLOSE
-    model_overrides: dict = field(default_factory=dict)
+    sampling: SamplingParams
+    concurrency: int
+    think_open: str
+    think_close: str
+    model_overrides: dict  # model id -> ModelOverride
 
     @property
     def records_path(self) -> Path:
         return self.output_dir / "records.jsonl"
 
 
-_CHECKS = {
-    "a positive integer": lambda value: isinstance(value, int) and value > 0,
-    "a positive number": lambda value: isinstance(value, (int, float)) and value > 0,
-    "a non-negative number": lambda value: isinstance(value, (int, float)) and value >= 0,
-    "a number": lambda value: isinstance(value, (int, float)),
-    "an integer or null": lambda value: value is None or isinstance(value, int),
-    "a string or null": lambda value: value is None or isinstance(value, str),
+_JSON_TYPES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    dict: "an object",
 }
 
 
-def _value(section: dict, key: str, default, what: str, where: str = ""):
-    """``section[key]``, or ``default`` when absent, checked against ``what``
-    (a key of ``_CHECKS``); a JSON boolean is never a number."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not _CHECKS[what](value):
-        raise ConfigInvalid(f"{where}{key} must be {what}")
+def _typed(value, annotation, where: str, base=None):
+    """``value`` checked against the type ``annotation``; a dataclass type is
+    loaded from its JSON object by ``_load``. A JSON boolean is never a number."""
+    args = get_args(annotation)
+    if type(None) in args:  # Optional[X]
+        if value is None:
+            return None
+        annotation = args[0]
+    if dataclasses.is_dataclass(annotation):
+        return _load(annotation, value, where, base)
+    accepted = (int, float) if annotation is float else annotation
+    if isinstance(value, bool) is not (annotation is bool) or not isinstance(value, accepted):
+        raise ConfigInvalid(f"{where} must be {_JSON_TYPES[annotation]}")
     return value
 
 
-def _sampling_from(data: dict, base: SamplingParams, where: str) -> SamplingParams:
-    return SamplingParams(
-        temperature=_value(data, "temperature", base.temperature, "a number", where),
-        top_p=_value(data, "top_p", base.top_p, "a number", where),
-        max_tokens=_value(data, "max_tokens", base.max_tokens, "a positive integer", where),
-        seed=_value(data, "seed", base.seed, "an integer or null", where),
-    )
+def _load(cls, data, where: str, base=None):
+    """The dataclass ``cls`` from the JSON object ``data``, keyed by its field names.
 
-
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name) or {}
-    if not isinstance(value, dict):
-        raise ConfigInvalid(f"{name} must be an object")
-    return value
+    A missing key takes its value from ``base``, else the field default. An unknown
+    key, a wrong type or a value ``cls`` refuses is ``ConfigInvalid`` naming the key.
+    """
+    if not isinstance(data, dict):
+        raise ConfigInvalid(f"{where} must be an object")
+    hints = get_type_hints(cls)
+    values = {}
+    for key, value in data.items():
+        if key not in hints:
+            raise ConfigInvalid(f"{where}.{key} is not a known key")
+        values[key] = _typed(value, hints[key], f"{where}.{key}", getattr(base, key, None))
+    try:
+        return dataclasses.replace(base, **values) if base is not None else cls(**values)
+    except (TypeError, ValueError) as exc:  # TypeError: a required key is missing
+        raise ConfigInvalid(f"{where}: {exc}") from exc
 
 
 def _string_list(raw: dict, name: str, default: list) -> list:
@@ -149,10 +155,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigInvalid(f"config {path} is not a JSON object")
 
-    endpoint = _section(raw, "endpoint")
-    base_url = _value(endpoint, "base_url", None, "a string or null", "endpoint.")
-    if not base_url:
-        raise ConfigInvalid("endpoint.base_url is required")
+    endpoint = _load(Endpoint, raw.get("endpoint") or {}, "endpoint")
 
     models = _string_list(raw, "models", [])
     if not models:
@@ -165,14 +168,14 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not strategies:
         raise ConfigInvalid("at least one strategy is required")
 
-    registry_path = _value(raw, "registry", None, "a string or null")
+    registry_path = _typed(raw.get("registry"), Optional[str], "registry")
     try:
         registry = load_registry(registry_path or None)
     except (OSError, ValueError) as exc:
         raise ConfigInvalid(f"registry {registry_path}: {exc}") from exc
 
     benchmarks = {}
-    for name, entry in _section(raw, "benchmarks").items():
+    for name, entry in _typed(raw.get("benchmarks") or {}, dict, "benchmarks").items():
         if isinstance(entry, str):
             entry = {"path": entry}
         try:
@@ -188,47 +191,35 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not benchmarks:
         raise ConfigInvalid("at least one benchmark is required")
 
-    output_dir = Path(raw.get("output_dir") or "run_output")
-    cache_dir = Path(raw.get("cache_dir") or output_dir / "cache")
-    sampling = _sampling_from(_section(raw, "sampling"), SamplingParams(), "sampling.")
+    output_dir = Path(_typed(raw.get("output_dir") or "run_output", str, "output_dir"))
+    cache_dir = Path(_typed(raw.get("cache_dir") or str(output_dir / "cache"), str, "cache_dir"))
+    sampling = _load(SamplingParams, raw.get("sampling") or {}, "sampling")
+    concurrency = _typed(raw.get("concurrency", 4), int, "concurrency")
+    if concurrency < 1:
+        raise ConfigInvalid("concurrency must be a positive integer")
 
     think = _string_list(raw, "think_tags", [DEFAULT_THINK_OPEN, DEFAULT_THINK_CLOSE])
     if len(think) != 2:
         raise ConfigInvalid("think_tags must be a [open, close] pair")
 
-    overrides = {}
-    for model_id, entry in _section(raw, "model_overrides").items():
-        if not isinstance(entry, dict):
-            raise ConfigInvalid(f"model_overrides entry {model_id!r} must be an object")
-        override_sampling = _section(entry, "sampling")
-        overrides[model_id] = ModelOverride(
-            prompt_as_system=entry.get("prompt_as_system", False),
-            sampling=(
-                _sampling_from(override_sampling, sampling, f"model_overrides.{model_id}.sampling.")
-                if "sampling" in entry
-                else None
-            ),
-            extra_body=entry.get("extra_body"),
-        )
+    overrides = _typed(raw.get("model_overrides") or {}, dict, "model_overrides")
+    inherited = ModelOverride(sampling=sampling)
 
     return RunConfig(
-        base_url=base_url,
+        endpoint=endpoint,
         models=list(models),
         strategies=strategies,
         benchmarks=benchmarks,
         output_dir=output_dir,
         cache_dir=cache_dir,
         sampling=sampling,
-        concurrency=_value(raw, "concurrency", 4, "a positive integer"),
-        api_key_env=_value(endpoint, "api_key_env", None, "a string or null", "endpoint."),
-        timeout_s=_value(endpoint, "timeout_s", 120.0, "a positive number", "endpoint."),
-        max_attempts=_value(endpoint, "max_attempts", 4, "a positive integer", "endpoint."),
-        backoff_base_s=_value(
-            endpoint, "backoff_base_s", 0.5, "a non-negative number", "endpoint."
-        ),
+        concurrency=concurrency,
         think_open=think[0],
         think_close=think[1],
-        model_overrides=overrides,
+        model_overrides={
+            model_id: _load(ModelOverride, entry, f"model_overrides.{model_id}", inherited)
+            for model_id, entry in overrides.items()
+        },
     )
 
 
@@ -315,15 +306,7 @@ def cmd_run(config: RunConfig) -> Path:
         f"{len(existing)} records resumed, {total} to do"
     )
 
-    client = ChatClient(
-        base_url=config.base_url,
-        cache_dir=config.cache_dir,
-        api_key=os.environ.get(config.api_key_env) if config.api_key_env else None,
-        concurrency=config.concurrency,
-        max_attempts=config.max_attempts,
-        backoff_base_s=config.backoff_base_s,
-        timeout_s=config.timeout_s,
-    )
+    client = ChatClient(config.endpoint, config.cache_dir, config.concurrency)
 
     done = 0
     with RecordWriter(config.records_path) as writer:

@@ -14,6 +14,7 @@ import os
 import re
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -22,10 +23,6 @@ from typing import Mapping, Optional
 import requests
 
 from .prompts import PromptBundle
-
-DEFAULT_TEMPERATURE = 0.0
-DEFAULT_TOP_P = 1.0
-DEFAULT_MAX_TOKENS = 16384
 
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
 
@@ -63,11 +60,36 @@ class TokenSource(Enum):
 
 
 @dataclass(frozen=True)
+class Endpoint:
+    """The chat-completions endpoint; the API key comes from the variable ``api_key_env``."""
+
+    base_url: str
+    api_key_env: Optional[str] = None
+    timeout_s: float = 120.0
+    max_attempts: int = 4
+    backoff_base_s: float = 0.5
+
+    def __post_init__(self):
+        if not self.base_url:
+            raise ValueError("base_url is required")
+        if self.timeout_s <= 0:
+            raise ValueError("timeout_s must be a positive number")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be a positive integer")
+        if self.backoff_base_s < 0:
+            raise ValueError("backoff_base_s must be a non-negative number")
+
+
+@dataclass(frozen=True)
 class SamplingParams:
-    temperature: float = DEFAULT_TEMPERATURE
-    top_p: float = DEFAULT_TOP_P
-    max_tokens: int = DEFAULT_MAX_TOKENS
+    temperature: float = 0.0
+    top_p: float = 1.0
+    max_tokens: int = 16384
     seed: Optional[int] = None
+
+    def __post_init__(self):
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -164,28 +186,16 @@ class ChatClient:
     concurrent misses on one key perform one network call.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        cache_dir: str | Path,
-        api_key: Optional[str] = None,
-        concurrency: int = 4,
-        max_attempts: int = 4,
-        backoff_base_s: float = 0.5,
-        timeout_s: float = 120.0,
-    ):
+    def __init__(self, endpoint: Endpoint, cache_dir: str | Path, concurrency: int):
         if concurrency < 1:
             raise ValueError("concurrency bound must be >= 1")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self.url = base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
+        self.endpoint = endpoint
+        self.url = endpoint.base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
         self.cache_dir = Path(cache_dir)
-        self.api_key = api_key
-        self.max_attempts = max_attempts
-        self.backoff_base_s = backoff_base_s
-        self.timeout_s = timeout_s
+        api_key = endpoint.api_key_env and os.environ.get(endpoint.api_key_env)
+        self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         self._inflight = threading.BoundedSemaphore(concurrency)
-        self._key_locks: dict = {}
+        self._key_locks: dict = {}  # key -> [lock, callers holding or waiting on it]
         self._key_locks_guard = threading.Lock()
         self._thread_local = threading.local()
 
@@ -221,13 +231,21 @@ class ChatClient:
         )
         os.replace(tmp, path)
 
-    def _lock_for(self, key: str) -> threading.Lock:
+    @contextmanager
+    def _single_flight(self, key: str):
+        """Hold the lock for ``key``; its entry is dropped once no caller holds or
+        waits on it, so ``_key_locks`` keeps only the keys in flight."""
         with self._key_locks_guard:
-            lock = self._key_locks.get(key)
-            if lock is None:
-                lock = threading.Lock()
-                self._key_locks[key] = lock
-            return lock
+            entry = self._key_locks.setdefault(key, [threading.Lock(), 0])
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._key_locks_guard:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._key_locks[key]
 
     def complete(self, req: CompletionRequest) -> CompletionResult:
         """Return the completion for ``req``, from cache when available."""
@@ -236,7 +254,7 @@ class ChatClient:
         cached = self._read_cache(path)
         if cached is not None:
             return cached
-        with self._lock_for(key):
+        with self._single_flight(key):
             cached = self._read_cache(path)
             if cached is not None:
                 return cached
@@ -257,40 +275,37 @@ class ChatClient:
         if req.extra_body:
             payload.update(req.extra_body)
 
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-
         started = time.monotonic()
         last_failure = "no attempt made"
-        for attempt in range(self.max_attempts):
+        for attempt in range(self.endpoint.max_attempts):
             if attempt:
-                time.sleep(self.backoff_base_s * 2 ** (attempt - 1))
+                time.sleep(self.endpoint.backoff_base_s * 2 ** (attempt - 1))
             try:
                 with self._inflight:
                     response = self._session_for_thread().post(
-                        self.url, json=payload, headers=headers, timeout=self.timeout_s
+                        self.url, json=payload, headers=self._headers, timeout=self.endpoint.timeout_s
                     )
             except _RETRIABLE_ERRORS as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
                 continue
 
-            if response.status_code in (401, 403):
-                raise AuthFailure(f"endpoint returned {response.status_code}")
-            if response.status_code == 400 and _looks_like_context_overflow(response):
-                raise ContextOverflow(_error_message(response))
-            if response.status_code in _TRANSIENT_STATUSES:
-                last_failure = f"HTTP {response.status_code}"
+            status = response.status_code
+            if status in (401, 403):
+                raise AuthFailure(f"endpoint returned {status}")
+            if status in _TRANSIENT_STATUSES:
+                last_failure = f"HTTP {status}"
                 continue
-            if response.status_code != 200:
-                raise EndpointUnreachable(
-                    f"HTTP {response.status_code}: {_error_message(response)}"
-                )
+            if status != 200:
+                code, message = _error_detail(response)
+                probe = f"{code} {message}".lower()
+                if status == 400 and any(hint in probe for hint in _CONTEXT_OVERFLOW_HINTS):
+                    raise ContextOverflow(message)
+                raise EndpointUnreachable(f"HTTP {status}: {message}")
 
             return self._parse_success(response, started)
 
         raise EndpointUnreachable(
-            f"gave up after {self.max_attempts} attempts ({last_failure})"
+            f"gave up after {self.endpoint.max_attempts} attempts ({last_failure})"
         )
 
     def _parse_success(self, response, started: float) -> CompletionResult:
@@ -313,18 +328,12 @@ class ChatClient:
         )
 
 
-def _error_message(response) -> str:
+def _error_detail(response) -> tuple:
+    """``(code, message)`` of an error response; its body may be any JSON, or none."""
     try:
-        error = response.json().get("error") or {}
-        return str(error.get("message") or response.text[:200])
-    except ValueError:
-        return response.text[:200]
-
-
-def _looks_like_context_overflow(response) -> bool:
-    try:
-        error = response.json().get("error") or {}
-    except ValueError:
-        return False
-    probe = (str(error.get("code", "")) + " " + str(error.get("message", ""))).lower()
-    return any(hint in probe for hint in _CONTEXT_OVERFLOW_HINTS)
+        error = response.json()["error"]
+    except (ValueError, KeyError, TypeError):  # not JSON, or no "error" member
+        error = None
+    if isinstance(error, dict):
+        return str(error.get("code") or ""), str(error.get("message") or response.text[:200])
+    return "", str(error or response.text[:200])

@@ -22,7 +22,7 @@ class StubReply:
     completion_tokens: Optional[int] = None
     include_usage: bool = True
     status: int = 200
-    error_body: Optional[dict] = None
+    error_body: object = None  # any JSON value; a str is sent as the raw body
 
 
 class StubChatServer:
@@ -73,7 +73,9 @@ class StubChatServer:
                         stub.active -= 1
 
                 if reply.status != 200:
-                    body = json.dumps(reply.error_body or {"error": {"message": "stub error"}})
+                    body = reply.error_body or {"error": {"message": "stub error"}}
+                    if not isinstance(body, str):
+                        body = json.dumps(body)
                     data = body.encode("utf-8")
                     self.send_response(reply.status)
                     self.send_header("Content-Type", "application/json")

@@ -19,7 +19,7 @@ import pytest
 
 import hicot
 from hicot.cli import EXIT_OK, main
-from hicot.client import ChatClient, CompletionRequest
+from hicot.client import ChatClient, CompletionRequest, Endpoint
 from hicot.datasets import read_records
 from hicot.judge import answers_equal, extract_boxed, normalize_math
 from hicot.metrics import MetricsSummary, display_round, macro_average
@@ -277,10 +277,9 @@ def test_c6_end_to_end_stub_run(tmp_path, make_stub, capsys):
 def test_c7_concurrency_bound(tmp_path, make_stub):
     stub = make_stub(lambda payload: StubReply("\\boxed{42}"), delay_s=0.002)
     client = ChatClient(
-        base_url=stub.base_url,
+        Endpoint(stub.base_url, backoff_base_s=0.001),
         cache_dir=tmp_path / "cache",
         concurrency=4,
-        backoff_base_s=0.001,
     )
     from concurrent.futures import ThreadPoolExecutor
 

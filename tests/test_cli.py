@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 import requests
@@ -12,10 +13,12 @@ from hicot.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     ConfigInvalid,
+    ModelOverride,
     cmd_run,
     load_run_config,
     main,
 )
+from hicot.client import Endpoint, SamplingParams
 from hicot.datasets import read_records
 from hicot.prompts import PromptStrategy
 
@@ -56,6 +59,33 @@ class TestValidateCommand:
         )
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["compliant"] is True
+
+
+# Config faults that must be refused with a message naming the offending key.
+_KEYED_FAULTS = {
+    "extra_body_string": (
+        lambda config: {**config, "model_overrides": {"sim-alpha": {"extra_body": "x"}}},
+        "model_overrides.sim-alpha.extra_body",
+    ),
+    "prompt_as_system_string": (
+        lambda config: {**config, "model_overrides": {"sim-alpha": {"prompt_as_system": "no"}}},
+        "model_overrides.sim-alpha.prompt_as_system",
+    ),
+    "output_dir_number": (lambda config: {**config, "output_dir": 5}, "output_dir"),
+    "cache_dir_number": (lambda config: {**config, "cache_dir": 5}, "cache_dir"),
+    "sampling_unknown_key": (
+        lambda config: {**config, "sampling": {"max_token": 100}},
+        "sampling.max_token",
+    ),
+    "endpoint_unknown_key": (
+        lambda config: {**config, "endpoint": {**config["endpoint"], "timeout": 5}},
+        "endpoint.timeout",
+    ),
+    "override_unknown_key": (
+        lambda config: {**config, "model_overrides": {"sim-alpha": {"temprature": 0.5}}},
+        "model_overrides.sim-alpha.temprature",
+    ),
+}
 
 
 class TestConfigValidation:
@@ -138,6 +168,7 @@ class TestConfigValidation:
             },
             lambda config: {**config, "concurrency": True},
             lambda config: {**config, "registry": 7},
+            *(spoil for spoil, _ in _KEYED_FAULTS.values()),
         ],
         ids=[
             "config_list",
@@ -168,6 +199,7 @@ class TestConfigValidation:
             "override_seed_string",
             "concurrency_bool",
             "registry_number",
+            *_KEYED_FAULTS,
         ],
     )
     def test_wrong_json_type_is_config_error(self, tmp_path, make_stub, spoil):
@@ -177,6 +209,40 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             load_run_config(config_path)
         assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("spoil, key", list(_KEYED_FAULTS.values()), ids=list(_KEYED_FAULTS))
+    def test_config_error_names_the_key(self, tmp_path, make_stub, capsys, spoil, key):
+        stub = make_stub(grid_responder)
+        config_path = write_config(tmp_path, stub.base_url)
+        config_path.write_text(json.dumps(spoil(json.loads(config_path.read_text()))))
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Run configuration", 1)[1]
+        config = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        for name, entry in config["benchmarks"].items():
+            if isinstance(entry, str):
+                entry = config["benchmarks"][name] = {"path": entry}
+            dataset = tmp_path / entry["path"]
+            dataset.parent.mkdir(parents=True, exist_ok=True)
+            dataset.write_text(json.dumps({"problem": "1 + 1?", "answer": "2"}) + "\n")
+            entry["path"] = str(dataset)
+        config["output_dir"] = str(tmp_path / config["output_dir"])
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        loaded = load_run_config(config_path)
+        assert set(loaded.benchmarks) == set(config["benchmarks"])
+        assert loaded.models == config["models"]
+        # The example shows the defaults of every key but these.
+        endpoint = config["endpoint"]
+        assert loaded.endpoint == Endpoint(endpoint["base_url"], endpoint["api_key_env"])
+        assert loaded.sampling == SamplingParams()
+        for model_id, override in config["model_overrides"].items():
+            assert loaded.model_overrides[model_id] == ModelOverride(
+                sampling=loaded.sampling, extra_body=override["extra_body"]
+            )
 
     @pytest.mark.parametrize(
         "registry, reported",
@@ -245,6 +311,39 @@ class TestRunCommand:
         records = read_records(capsys.readouterr().out.strip())
         assert records and all(r.compliant and r.judgment.correct for r in records)
 
+    def test_model_override_is_applied(self, tmp_path, make_stub):
+        seen = []
+
+        def responder(payload):
+            seen.append(payload)
+            return StubReply("The answer is \\boxed{42}.")
+
+        stub = make_stub(responder)
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
+            benchmarks=("toy_int",),
+        )
+        config = json.loads(config_path.read_text())
+        config["sampling"] = {"temperature": 0.7, "max_tokens": 100}
+        config["model_overrides"] = {
+            "sim-alpha": {
+                "sampling": {"seed": 3},
+                "prompt_as_system": True,
+                "extra_body": {"enable_thinking": False},
+            }
+        }
+        config_path.write_text(json.dumps(config))
+        loaded = load_run_config(config_path)
+        assert loaded.model_overrides["sim-alpha"].sampling == SamplingParams(0.7, 1.0, 100, 3)
+        assert len(read_records(cmd_run(loaded))) == 3
+        assert len(seen) == 3
+        for payload in seen:
+            assert [m["role"] for m in payload["messages"]] == ["system", "user"]
+            assert payload["enable_thinking"] is False
+            assert payload["temperature"] == 0.7
+            assert payload["max_tokens"] == 100
+            assert payload["seed"] == 3
+
     def test_rerun_is_fully_resumed(self, tmp_path, make_stub, capsys):
         stub = make_stub(grid_responder)
         config_path = write_config(tmp_path, stub.base_url, models=("sim-alpha",))
@@ -302,6 +401,20 @@ class TestRunCommand:
         assert len(failed) == 1
         assert "ContextOverflow" in failed[0].client_error
         assert not failed[0].judgment.correct
+
+    def test_unknown_model_becomes_error_records(self, tmp_path, make_stub, capsys):
+        stub = make_stub(
+            lambda payload: StubReply(status=404, error_body={"error": "model not found"})
+        )
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
+            benchmarks=("toy_int",),
+        )
+        assert main(["run", "--config", str(config_path)]) == EXIT_OK
+        records = read_records(capsys.readouterr().out.strip())
+        assert len(records) == 3
+        assert all("HTTP 404: model not found" in r.client_error for r in records)
+        assert stub.total_requests == 3
 
     def test_null_content_becomes_error_record_and_is_not_cached(self, tmp_path, make_stub):
         stub = make_stub(lambda payload: StubReply(None, completion_tokens=5))

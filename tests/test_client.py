@@ -1,6 +1,7 @@
 """Chat client: caching, retries, token accounting, concurrency bound."""
 
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,6 +13,7 @@ from hicot.client import (
     ChatClient,
     CompletionRequest,
     ContextOverflow,
+    Endpoint,
     EndpointUnreachable,
     SamplingParams,
     TokenSource,
@@ -31,9 +33,9 @@ def _request(model="stub-model", problem=APPLES_PROBLEM, **sampling):
     )
 
 
-def _client(stub, tmp_path, **kwargs):
-    kwargs.setdefault("backoff_base_s", 0.001)
-    return ChatClient(base_url=stub.base_url, cache_dir=tmp_path / "cache", **kwargs)
+def _client(stub, tmp_path, concurrency=4, **endpoint):
+    endpoint.setdefault("backoff_base_s", 0.001)
+    return ChatClient(Endpoint(stub.base_url, **endpoint), tmp_path / "cache", concurrency)
 
 
 class TestApproximateTokens:
@@ -171,6 +173,18 @@ class TestComplete:
             _client(stub, tmp_path).complete(_request())
         assert stub.total_requests == 1
 
+    @pytest.mark.parametrize("status", [400, 404])
+    @pytest.mark.parametrize(
+        "body",
+        [{"error": "model not found"}, ["x"], "<html>not found</html>"],
+        ids=["string_error", "list", "not_json"],
+    )
+    def test_error_body_of_any_shape_is_endpoint_error(self, make_stub, tmp_path, status, body):
+        stub = make_stub(lambda payload: StubReply(status=status, error_body=body))
+        with pytest.raises(EndpointUnreachable, match=f"HTTP {status}"):
+            _client(stub, tmp_path).complete(_request())
+        assert stub.total_requests == 1
+
     def test_failed_requests_are_not_cached(self, make_stub, tmp_path):
         calls = {"n": 0}
 
@@ -254,6 +268,22 @@ class TestComplete:
         assert seen["messages"][0]["content"] == bundle.instruction_text
         assert seen["messages"][1]["content"] == bundle.problem_text
 
+    def test_api_key_comes_from_the_named_variable(self, make_stub, tmp_path, monkeypatch):
+        sent = []
+
+        class RecordingSession(requests.Session):
+            def post(self, *args, **kwargs):
+                sent.append(kwargs["headers"])
+                return super().post(*args, **kwargs)
+
+        monkeypatch.setenv("HICOT_TEST_KEY", "sk-test")
+        stub = make_stub(lambda payload: StubReply("ok"))
+        client = _client(stub, tmp_path, api_key_env="HICOT_TEST_KEY")
+        with RecordingSession() as session:
+            client._session_for_thread = lambda: session
+            assert client.complete(_request()).text == "ok"
+        assert sent[0]["Authorization"] == "Bearer sk-test"
+
     def test_extra_body_passthrough(self, make_stub, tmp_path):
         seen = {}
 
@@ -318,6 +348,22 @@ class TestConcurrency:
             results = list(pool.map(client.complete, [request] * 8))
         assert stub.total_requests == 1
         assert all(r.text == "ok" for r in results)
+
+    def test_key_locks_are_dropped_once_released(self, make_stub, tmp_path):
+        stub = make_stub(lambda payload: StubReply("ok"), delay_s=0.002)
+        client = _client(stub, tmp_path, concurrency=4)
+        shared = [_request(problem=f"shared {i % 4}?") for i in range(64)]
+        distinct = [_request(problem=f"distinct {i}?") for i in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                results = list(pool.map(client.complete, shared + distinct, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.text == "ok" for r in results)
+        assert stub.total_requests == 4 + 64  # still one request per key
+        assert client._key_locks == {}
 
     def test_partial_cache_entries_never_observable(self, make_stub, tmp_path):
         stub = make_stub(lambda payload: StubReply("x" * 50_000))
