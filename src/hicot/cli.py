@@ -14,7 +14,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional, get_args, get_type_hints
+from typing import List, Optional, Tuple, get_args, get_origin, get_type_hints
 
 from .client import (
     ChatClient,
@@ -75,17 +75,29 @@ class ModelOverride:
 
 @dataclasses.dataclass
 class RunConfig:
+    """The run config; its fields are the config file's keys."""
+
     endpoint: Endpoint
-    models: list
-    strategies: list
-    benchmarks: dict  # name -> (path, BenchmarkSpec)
-    output_dir: Path
-    cache_dir: Path
-    sampling: SamplingParams
-    concurrency: int
-    think_open: str
-    think_close: str
-    model_overrides: dict  # model id -> ModelOverride
+    models: List[str]
+    strategies: List[PromptStrategy]
+    benchmarks: dict  # name -> (path, BenchmarkSpec) once loaded
+    registry: Optional[Path] = None
+    output_dir: Path = Path("run_output")
+    cache_dir: Optional[Path] = None
+    sampling: SamplingParams = SamplingParams()
+    concurrency: int = 4
+    think_tags: Tuple[str, str] = (DEFAULT_THINK_OPEN, DEFAULT_THINK_CLOSE)
+    model_overrides: dict = dataclasses.field(default_factory=dict)  # model id -> ModelOverride
+
+    def __post_init__(self):
+        for name in ("models", "strategies", "benchmarks"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        if self.concurrency < 1:
+            raise ValueError("concurrency must be a positive integer")
+        unknown = self.model_overrides.keys() - set(self.models)
+        if unknown:
+            raise ValueError(f"model_overrides.{min(unknown)} is not one of the models")
 
     @property
     def records_path(self) -> Path:
@@ -100,21 +112,41 @@ _JSON_TYPES = {
     dict: "an object",
 }
 
+# Types read from a non-empty JSON string.
+_FROM_STRING = {Path: Path, PromptStrategy: PromptStrategy.parse}
+
 
 def _typed(value, annotation, where: str, base=None):
     """``value`` checked against the type ``annotation``; a dataclass type is
-    loaded from its JSON object by ``_load``. A JSON boolean is never a number."""
-    args = get_args(annotation)
-    if type(None) in args:  # Optional[X]
+    loaded from its JSON object by ``_load``, a list or fixed-length tuple item
+    by item. A JSON boolean is never a number, and a float field holds a float."""
+    if type(None) in get_args(annotation):  # Optional[X]
         if value is None:
             return None
-        annotation = args[0]
+        annotation = get_args(annotation)[0]
+    origin, args = get_origin(annotation), get_args(annotation)
     if dataclasses.is_dataclass(annotation):
         return _load(annotation, value, where, base)
+    if origin in (list, tuple):
+        if not isinstance(value, list) or (origin is tuple and len(value) != len(args)):
+            count = f" of {len(args)} values" if origin is tuple else ""
+            raise ConfigInvalid(f"{where} must be a list{count}")
+        items = zip(value, args if origin is tuple else args * len(value))
+        return origin(_typed(item, arg, f"{where}[{i}]") for i, (item, arg) in enumerate(items))
+    if annotation in _FROM_STRING:
+        if not isinstance(value, str) or not value:
+            raise ConfigInvalid(f"{where} must be a non-empty string")
+        try:
+            return _FROM_STRING[annotation](value)
+        except ValueError as exc:
+            raise ConfigInvalid(f"{where}: {exc}") from exc
     accepted = (int, float) if annotation is float else annotation
     if isinstance(value, bool) is not (annotation is bool) or not isinstance(value, accepted):
         raise ConfigInvalid(f"{where} must be {_JSON_TYPES[annotation]}")
-    return value
+    try:
+        return float(value) if annotation is float else value
+    except OverflowError as exc:
+        raise ConfigInvalid(f"{where} is too large") from exc
 
 
 def _load(cls, data, where: str, base=None):
@@ -137,13 +169,6 @@ def _load(cls, data, where: str, base=None):
         raise ConfigInvalid(f"{where}: {exc}") from exc
 
 
-def _string_list(raw: dict, name: str, default: list) -> list:
-    value = raw.get(name) or default
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ConfigInvalid(f"{name} must be a list of strings")
-    return value
-
-
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a run configuration file (JSON)."""
     try:
@@ -152,30 +177,15 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigInvalid(f"config {path} is not a JSON object")
-
-    endpoint = _load(Endpoint, raw.get("endpoint") or {}, "endpoint")
-
-    models = _string_list(raw, "models", [])
-    if not models:
-        raise ConfigInvalid("at least one model is required")
+    config = _load(RunConfig, raw, "config")
 
     try:
-        strategies = [PromptStrategy.parse(s) for s in _string_list(raw, "strategies", [])]
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
-    if not strategies:
-        raise ConfigInvalid("at least one strategy is required")
-
-    registry_path = _typed(raw.get("registry"), Optional[str], "registry")
-    try:
-        registry = load_registry(registry_path or None)
+        registry = load_registry(config.registry)
     except (OSError, ValueError) as exc:
-        raise ConfigInvalid(f"registry {registry_path}: {exc}") from exc
+        raise ConfigInvalid(f"registry {config.registry}: {exc}") from exc
 
     benchmarks = {}
-    for name, entry in _typed(raw.get("benchmarks") or {}, dict, "benchmarks").items():
+    for name, entry in config.benchmarks.items():
         if isinstance(entry, str):
             entry = {"path": entry}
         try:
@@ -188,37 +198,15 @@ def load_run_config(path: str | Path) -> RunConfig:
         if not Path(dataset_path).exists():
             raise ConfigInvalid(f"dataset for benchmark {name!r} not found: {dataset_path}")
         benchmarks[name] = (Path(dataset_path), spec)
-    if not benchmarks:
-        raise ConfigInvalid("at least one benchmark is required")
 
-    output_dir = Path(_typed(raw.get("output_dir") or "run_output", str, "output_dir"))
-    cache_dir = Path(_typed(raw.get("cache_dir") or str(output_dir / "cache"), str, "cache_dir"))
-    sampling = _load(SamplingParams, raw.get("sampling") or {}, "sampling")
-    concurrency = _typed(raw.get("concurrency", 4), int, "concurrency")
-    if concurrency < 1:
-        raise ConfigInvalid("concurrency must be a positive integer")
-
-    think = _string_list(raw, "think_tags", [DEFAULT_THINK_OPEN, DEFAULT_THINK_CLOSE])
-    if len(think) != 2:
-        raise ConfigInvalid("think_tags must be a [open, close] pair")
-
-    overrides = _typed(raw.get("model_overrides") or {}, dict, "model_overrides")
-    inherited = ModelOverride(sampling=sampling)
-
-    return RunConfig(
-        endpoint=endpoint,
-        models=list(models),
-        strategies=strategies,
+    inherited = ModelOverride(sampling=config.sampling)
+    return dataclasses.replace(
+        config,
         benchmarks=benchmarks,
-        output_dir=output_dir,
-        cache_dir=cache_dir,
-        sampling=sampling,
-        concurrency=concurrency,
-        think_open=think[0],
-        think_close=think[1],
+        cache_dir=config.cache_dir or config.output_dir / "cache",
         model_overrides={
-            model_id: _load(ModelOverride, entry, f"model_overrides.{model_id}", inherited)
-            for model_id, entry in overrides.items()
+            model_id: _load(ModelOverride, entry, f"config.model_overrides.{model_id}", inherited)
+            for model_id, entry in config.model_overrides.items()
         },
     )
 
@@ -256,7 +244,7 @@ def _evaluate_one(
         tokens = 0
         token_source = TokenSource.APPROXIMATE.value
 
-    trace = scan_blocks(text, config.think_open, config.think_close)
+    trace = scan_blocks(text, *config.think_tags)
     report = validate_format(trace)
     return EvalRecord(
         problem_id=problem.id,

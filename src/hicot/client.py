@@ -22,6 +22,7 @@ from typing import Mapping, Optional
 
 import requests
 
+from .datasets import to_json_dict
 from .prompts import PromptBundle
 
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
@@ -141,25 +142,13 @@ class CompletionResult:
     latency_ms: int
     from_cache: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "completion_tokens": self.completion_tokens,
-            "token_source": self.token_source.value,
-            "latency_ms": self.latency_ms,
-        }
-
     @classmethod
     def from_dict(cls, data: dict, from_cache: bool = False) -> "CompletionResult":
+        """Inverse of ``to_json_dict``; ``from_cache`` replaces the stored flag."""
         if not isinstance(data["text"], str):
             raise TypeError(f"completion text is {type(data['text']).__name__}")
-        return cls(
-            text=data["text"],
-            completion_tokens=data["completion_tokens"],
-            token_source=TokenSource(data["token_source"]),
-            latency_ms=data["latency_ms"],
-            from_cache=from_cache,
-        )
+        token_source = TokenSource(data["token_source"])
+        return cls(**{**data, "token_source": token_source, "from_cache": from_cache})
 
 
 def approximate_tokens(text: str) -> int:
@@ -226,9 +215,7 @@ class ChatClient:
     def _write_cache(self, path: Path, result: CompletionResult) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(
-            json.dumps(result.to_dict(), ensure_ascii=False), encoding="utf-8"
-        )
+        tmp.write_text(json.dumps(to_json_dict(result), ensure_ascii=False), encoding="utf-8")
         os.replace(tmp, path)
 
     @contextmanager

@@ -158,8 +158,11 @@ def answers_equal(pred: str, gold: str, kind: AnswerKind) -> bool:
     normalization and be equal. Math-expression: normalized strings equal,
     or both parse as exact rationals with equal value.
     """
-    p = normalize_math(pred)
-    g = normalize_math(gold)
+    return _normalized_equal(normalize_math(pred), normalize_math(gold), kind)
+
+
+def _normalized_equal(p: str, g: str, kind: AnswerKind) -> bool:
+    """``answers_equal`` on already normalized answers."""
     if kind is AnswerKind.INTEGER_EXACT:
         pi = _parse_int(p)
         gi = _parse_int(g)
@@ -189,6 +192,6 @@ def judge(predicted: Optional[str], problem: "Problem") -> Judgment:
             return Judgment(predicted, normalized, False, JudgeReason.UNPARSEABLE_INTEGER)
         out_of_range = not 0 <= value <= 999
 
-    if answers_equal(predicted, problem.gold_answer, problem.kind):
+    if _normalized_equal(normalized, normalize_math(problem.gold_answer), problem.kind):
         return Judgment(predicted, normalized, True, JudgeReason.MATCH, out_of_range)
     return Judgment(predicted, normalized, False, JudgeReason.MISMATCH, out_of_range)

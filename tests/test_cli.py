@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, run/resume semantics."""
 
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -14,13 +15,14 @@ from hicot.cli import (
     EXIT_VALIDATION,
     ConfigInvalid,
     ModelOverride,
+    RunConfig,
     cmd_run,
     load_run_config,
     main,
 )
-from hicot.client import Endpoint, SamplingParams
+from hicot.client import CompletionRequest, Endpoint, SamplingParams
 from hicot.datasets import read_records
-from hicot.prompts import PromptStrategy
+from hicot.prompts import PromptStrategy, build_prompt
 
 from grid_fixture import grid_responder, write_config
 from stub_server import StubReply
@@ -84,6 +86,11 @@ _KEYED_FAULTS = {
     "override_unknown_key": (
         lambda config: {**config, "model_overrides": {"sim-alpha": {"temprature": 0.5}}},
         "model_overrides.sim-alpha.temprature",
+    ),
+    "top_level_unknown_key": (lambda config: {**config, "concurency": 8}, "concurency"),
+    "override_unknown_model": (
+        lambda config: {**config, "model_overrides": {"sim-Alpha": {"prompt_as_system": True}}},
+        "model_overrides.sim-Alpha",
     ),
 }
 
@@ -168,6 +175,10 @@ class TestConfigValidation:
             },
             lambda config: {**config, "concurrency": True},
             lambda config: {**config, "registry": 7},
+            lambda config: {**config, "sampling": None},
+            lambda config: {**config, "think_tags": None},
+            lambda config: {**config, "output_dir": ""},
+            lambda config: {**config, "sampling": {"temperature": 10**400}},
             *(spoil for spoil, _ in _KEYED_FAULTS.values()),
         ],
         ids=[
@@ -199,6 +210,10 @@ class TestConfigValidation:
             "override_seed_string",
             "concurrency_bool",
             "registry_number",
+            "sampling_null",
+            "think_tags_null",
+            "output_dir_empty",
+            "temperature_too_large",
             *_KEYED_FAULTS,
         ],
     )
@@ -222,6 +237,7 @@ class TestConfigValidation:
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("### Run configuration", 1)[1]
         config = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        assert list(config) == [f.name for f in dataclasses.fields(RunConfig)]
         for name, entry in config["benchmarks"].items():
             if isinstance(entry, str):
                 entry = config["benchmarks"][name] = {"path": entry}
@@ -265,6 +281,33 @@ class TestConfigValidation:
             load_run_config(config_path)
         assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
         assert reported in capsys.readouterr().err
+
+    def test_keys_load_as_their_field_types(self, tmp_path, make_stub):
+        stub = make_stub(grid_responder)
+        config_path = write_config(tmp_path, stub.base_url)
+        config = json.loads(config_path.read_text())
+        del config["cache_dir"]
+        config.update(strategies=["Plan-and-Solve"], think_tags=["[[r]]", "[[/r]]"], registry=None)
+        config_path.write_text(json.dumps(config))
+        loaded = load_run_config(config_path)
+        assert loaded.strategies == [PromptStrategy.PLAN_AND_SOLVE]
+        assert loaded.think_tags == ("[[r]]", "[[/r]]")
+        assert loaded.output_dir == tmp_path / "out"
+        assert loaded.cache_dir == tmp_path / "out" / "cache"
+        assert loaded.endpoint.timeout_s == 30.0 and type(loaded.endpoint.timeout_s) is float
+
+    def test_integer_and_float_spellings_share_a_cache_key(self, tmp_path, make_stub):
+        stub = make_stub(grid_responder)
+        config_path = write_config(tmp_path, stub.base_url)
+        config = json.loads(config_path.read_text())
+        keys = set()
+        for temperature in (1, 1.0):
+            config["sampling"] = {"temperature": temperature, "top_p": 1}
+            config_path.write_text(json.dumps(config))
+            sampling = load_run_config(config_path).sampling
+            prompt = build_prompt(PromptStrategy.COT, "What is 2 + 2?")
+            keys.add(CompletionRequest("sim-alpha", prompt, sampling).cache_key())
+        assert len(keys) == 1
 
     def test_bad_json_config(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -230,6 +230,21 @@ class TestComplete:
         assert client.complete(request).from_cache
         assert stub.total_requests == 1
 
+    def test_entry_without_from_cache_key_is_a_hit(self, make_stub, tmp_path):
+        stub = make_stub(lambda payload: StubReply("fresh"))
+        request = _request()
+        path = tmp_path / "cache" / "stub-model" / f"{request.cache_key()}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            '{"text": "cached", "completion_tokens": 5, "token_source": "api_usage", '
+            '"latency_ms": 1}',
+            encoding="utf-8",
+        )
+        result = _client(stub, tmp_path).complete(request)
+        assert (result.text, result.completion_tokens, result.from_cache) == ("cached", 5, True)
+        assert result.token_source is TokenSource.API_USAGE
+        assert stub.total_requests == 0
+
     def test_token_fallback_when_usage_missing(self, make_stub, tmp_path):
         stub = make_stub(lambda payload: StubReply("4 × 3 = 12", include_usage=False))
         result = _client(stub, tmp_path).complete(_request())
