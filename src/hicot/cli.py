@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -119,7 +120,7 @@ _FROM_STRING = {Path: Path, PromptStrategy: PromptStrategy.parse}
 def _typed(value, annotation, where: str, base=None):
     """``value`` checked against the type ``annotation``; a dataclass type is
     loaded from its JSON object by ``_load``, a list or fixed-length tuple item
-    by item. A JSON boolean is never a number, and a float field holds a float."""
+    by item. A JSON boolean is never a number, and a float field holds a finite float."""
     if type(None) in get_args(annotation):  # Optional[X]
         if value is None:
             return None
@@ -143,10 +144,15 @@ def _typed(value, annotation, where: str, base=None):
     accepted = (int, float) if annotation is float else annotation
     if isinstance(value, bool) is not (annotation is bool) or not isinstance(value, accepted):
         raise ConfigInvalid(f"{where} must be {_JSON_TYPES[annotation]}")
+    if annotation is not float:
+        return value
     try:
-        return float(value) if annotation is float else value
+        value = float(value)
     except OverflowError as exc:
         raise ConfigInvalid(f"{where} is too large") from exc
+    if not math.isfinite(value):  # JSON NaN, Infinity, or a literal like 1e400
+        raise ConfigInvalid(f"{where} must be a finite number")
+    return value
 
 
 def _load(cls, data, where: str, base=None):

@@ -18,6 +18,7 @@ if TYPE_CHECKING:
     from .datasets import Problem
 
 _BOX = "\\boxed{"
+_BRACES = re.compile(r"[{}]")
 
 
 class AnswerKind(Enum):
@@ -53,14 +54,25 @@ def extract_boxed(raw: str) -> Optional[str]:
     Braces are matched by depth counting so nested groups stay intact; an
     occurrence whose braces never balance before end of text is skipped in
     favor of the nearest earlier balanced one.
+
+    Occurrences are visited from the last one back, and each folds in only
+    the braces between it and the later one, so the cost is linear in the text
+    after the answer. ``surplus`` is the largest amount by which ``}``
+    outnumbers ``{`` in any prefix of the text after the current occurrence;
+    the occurrence closes exactly when it is positive.
     """
     if not raw:
         return None
+    surplus = 0
+    folded = len(raw)
     pos = raw.rfind(_BOX)
     while pos >= 0:
-        content = _balanced_content(raw, pos + len(_BOX))
-        if content is not None:
-            return content
+        start = pos + len(_BOX)
+        for brace in reversed(_BRACES.findall(raw, start, folded)):
+            surplus = surplus + 1 if brace == "}" else max(surplus - 1, 0)
+        if surplus > 0:
+            return _balanced_content(raw, start)
+        folded = start
         pos = raw.rfind(_BOX, 0, pos)
     return None
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import hicot
-from hicot.cli import EXIT_OK, main
+from hicot.cli import EXIT_OK, cmd_validate, main
 from hicot.client import ChatClient, CompletionRequest, Endpoint
 from hicot.datasets import read_records
 from hicot.judge import answers_equal, extract_boxed, normalize_math
@@ -302,3 +302,60 @@ def test_c8_desk_scale_limits_stated():
     assert "not reproducible at desk scale" in text
     assert "recomputable deterministically" in text
     announce("C8", "scope statement present in README")
+
+
+# Growth gates: 4x the input must cost under 8x the time, best of 3 timings
+# each, so the gates hold on a noisy machine and fail on quadratic work.
+GROWTH_LIMIT = 8.0
+
+
+def _best_of_3(work, arg) -> float:
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        work(arg)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def _growth(work, small, large) -> float:
+    return _best_of_3(work, large) / _best_of_3(work, small)
+
+
+def _hicot_trace(pairs: int) -> str:
+    steps = [k for k in range(1, pairs + 1) for _ in "IE"]
+    return mk("IE" * pairs, steps=steps, boxed=True)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [lambda n: "\\boxed{ x " * n, lambda n: "\\boxed{" * n + "{}" * n],
+    ids=["unbalanced_openings", "openings_then_pairs"],
+)
+def test_c9_extract_boxed_growth(tail):
+    small, large = ("\\boxed{42} " + tail(n) for n in (5_000, 20_000))
+    assert extract_boxed(small) == extract_boxed(large) == "42"
+    growth = _growth(extract_boxed, small, large)
+    assert growth < GROWTH_LIMIT
+    announce("C9", f"extract_boxed x{growth:.1f} for 4x the openings")
+
+
+def test_c9_scan_and_validate_growth():
+    def scan_and_validate(raw):
+        return validate_format(scan_blocks(raw))
+
+    small, large = _hicot_trace(1_000), _hicot_trace(4_000)
+    assert scan_and_validate(small).compliant and scan_and_validate(large).compliant
+    growth = _growth(scan_and_validate, small, large)
+    assert growth < GROWTH_LIMIT
+    announce("C9", f"scan_blocks + validate_format x{growth:.1f} for a 4x trace")
+
+
+def test_c9_validate_repetition_loop():
+    raw = WORKED_HICOT_OUTPUT + " Let me verify that once more: \\boxed{" * 20_000
+    started = time.perf_counter()
+    report = cmd_validate(raw, "<think>", "</think>")
+    elapsed = time.perf_counter() - started
+    assert report.compliant
+    assert elapsed < 1.0
+    announce("C9", f"20000-opening loop validated in {elapsed:.3f}s")

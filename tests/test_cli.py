@@ -88,6 +88,18 @@ _KEYED_FAULTS = {
         "model_overrides.sim-alpha.temprature",
     ),
     "top_level_unknown_key": (lambda config: {**config, "concurency": 8}, "concurency"),
+    "temperature_nan": (
+        lambda config: {**config, "sampling": {"temperature": float("nan")}},
+        "sampling.temperature",
+    ),
+    "temperature_infinity": (
+        lambda config: {**config, "sampling": {"temperature": float("inf")}},
+        "sampling.temperature",
+    ),
+    "timeout_inf": (
+        lambda config: {**config, "endpoint": {**config["endpoint"], "timeout_s": float("inf")}},
+        "endpoint.timeout_s",
+    ),
     "override_unknown_model": (
         lambda config: {**config, "model_overrides": {"sim-Alpha": {"prompt_as_system": True}}},
         "model_overrides.sim-Alpha",

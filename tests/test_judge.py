@@ -71,6 +71,15 @@ class TestExtractBoxed:
             text = "".join(rng.choice(atoms) for _ in range(rng.randrange(0, 14)))
             assert extract_boxed(text) == oracle_extract_boxed(text), repr(text)
 
+    def test_agrees_with_oracle_on_opening_dense_strings(self):
+        # Dense in openings and stray braces: exercises a stray "}" before a
+        # box, nested boxes and surpluses that drop back to zero.
+        rng = random.Random(4321)
+        atoms = ["\\boxed{", "{", "}", "\\boxed", "x}", "x"]
+        for _ in range(10_000):
+            text = "".join(rng.choice(atoms) for _ in range(rng.randrange(0, 20)))
+            assert extract_boxed(text) == oracle_extract_boxed(text), repr(text)
+
 
 class TestNormalizeMath:
     @pytest.mark.parametrize(
