@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Tuple, get_args, get_origin, get_type_hints
@@ -72,6 +73,12 @@ class ModelOverride:
     prompt_as_system: bool = False
     sampling: Optional[SamplingParams] = None
     extra_body: Optional[dict] = None
+
+    def __post_init__(self):
+        try:  # the request body cannot carry NaN or Infinity
+            json.dumps(self.extra_body, allow_nan=False)
+        except ValueError:
+            raise ValueError("extra_body must hold only finite numbers") from None
 
 
 @dataclasses.dataclass
@@ -159,7 +166,8 @@ def _load(cls, data, where: str, base=None):
     """The dataclass ``cls`` from the JSON object ``data``, keyed by its field names.
 
     A missing key takes its value from ``base``, else the field default. An unknown
-    key, a wrong type or a value ``cls`` refuses is ``ConfigInvalid`` naming the key.
+    key, a wrong type or a value ``cls`` refuses is ``ConfigInvalid`` naming the key;
+    the ``ValueError`` of a ``__post_init__`` check begins with the field it refuses.
     """
     if not isinstance(data, dict):
         raise ConfigInvalid(f"{where} must be an object")
@@ -171,8 +179,10 @@ def _load(cls, data, where: str, base=None):
         values[key] = _typed(value, hints[key], f"{where}.{key}", getattr(base, key, None))
     try:
         return dataclasses.replace(base, **values) if base is not None else cls(**values)
-    except (TypeError, ValueError) as exc:  # TypeError: a required key is missing
+    except TypeError as exc:  # a required key is missing
         raise ConfigInvalid(f"{where}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigInvalid(f"{where}.{exc}") from exc
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -228,30 +238,41 @@ def _evaluate_one(
     strategy: PromptStrategy,
     problem: Problem,
 ) -> EvalRecord:
+    """The item's record. An exception while completing or scoring it (a
+    ``ClientError``, or a fault such as a judge bug) makes it an error record
+    scored as an empty completion, so one item never ends the grid. An
+    ``OSError`` still ends it: the cache cannot be read or written, and the
+    record would throw away a completion that a resumed run can fetch again."""
     override = config.model_overrides.get(model_id, ModelOverride())
-    bundle = build_prompt(strategy, problem)
-    request = CompletionRequest(
-        model_id=model_id,
-        prompt=bundle,
-        sampling=override.sampling or config.sampling,
-        as_system=override.prompt_as_system,
-        extra_body=override.extra_body,
-    )
-
     client_error = None
     try:
+        request = CompletionRequest(
+            model_id=model_id,
+            prompt=build_prompt(strategy, problem),
+            sampling=override.sampling or config.sampling,
+            as_system=override.prompt_as_system,
+            extra_body=override.extra_body,
+        )
         result = client.complete(request)
-        text = result.text
-        tokens = result.completion_tokens
-        token_source = result.token_source.value
-    except ClientError as exc:
+        text, tokens, token_source = result.text, result.completion_tokens, result.token_source
+        trace = scan_blocks(text, *config.think_tags)
+        report = validate_format(trace)
+        judgment = judge_completion(trace.boxed_answer, problem)
+        compliant = compliance_mode(strategy, report)
+    except OSError:
+        raise
+    except Exception as exc:
+        if not isinstance(exc, ClientError):  # a fault in the harness: show where it arose
+            _progress(
+                f"item {problem.benchmark}/{problem.id} of {model_id}/{strategy.value} failed:\n"
+                + traceback.format_exc().rstrip()
+            )
         client_error = f"{type(exc).__name__}: {exc}"
-        text = ""
-        tokens = 0
-        token_source = TokenSource.APPROXIMATE.value
+        text, tokens, token_source = "", 0, TokenSource.APPROXIMATE
+        report = validate_format(scan_blocks(text, *config.think_tags))
+        judgment = judge_completion(None, problem)
+        compliant = compliance_mode(strategy, report)
 
-    trace = scan_blocks(text, *config.think_tags)
-    report = validate_format(trace)
     return EvalRecord(
         problem_id=problem.id,
         benchmark=problem.benchmark,
@@ -259,10 +280,10 @@ def _evaluate_one(
         strategy=strategy,
         completion_text=text,
         completion_tokens=tokens,
-        token_source=token_source,
-        judgment=judge_completion(trace.boxed_answer, problem),
+        token_source=token_source.value,
+        judgment=judgment,
         format_report=report,
-        compliant=compliance_mode(strategy, report),
+        compliant=compliant,
         timestamp=now_timestamp(),
         client_error=client_error,
     )
@@ -272,8 +293,9 @@ def cmd_run(config: RunConfig) -> Path:
     """Run the (model x strategy x benchmark x problem) grid, resume-safe.
 
     Existing records (matched by their uniqueness key) are skipped, so an
-    interrupted run picks up where it stopped. Per-item client failures are
-    recorded as incorrect rather than aborting the grid.
+    interrupted run picks up where it stopped. Per-item failures are
+    recorded as incorrect rather than aborting the grid; a cache that cannot
+    be read or written aborts it with the ``OSError``.
     """
     problems = {
         name: load_dataset(path, name, spec.field_map, spec.kind)
@@ -303,7 +325,7 @@ def cmd_run(config: RunConfig) -> Path:
     client = ChatClient(config.endpoint, config.cache_dir, config.concurrency)
 
     done = 0
-    with RecordWriter(config.records_path) as writer:
+    with client, RecordWriter(config.records_path) as writer:
         if tasks:
             with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
                 futures = [

@@ -1,17 +1,22 @@
 """Chat-completions client with caching, retries, and a concurrency bound.
 
-Speaks the OpenAI-compatible ``POST /v1/chat/completions`` wire protocol and
-persists one JSON file per request hash so interrupted runs resume without
-re-querying the endpoint. Cache writes go through a temp-file + atomic
-rename, so a partially written entry is never observable.
+Speaks the OpenAI-compatible ``POST /v1/chat/completions`` wire protocol
+through the standard library's ``http.client``, and persists one JSON file
+per request hash so interrupted runs resume without re-querying the endpoint.
+Cache writes go through a temp-file + atomic rename, so a partially written
+entry is never observable.
 """
 
 from __future__ import annotations
 
+import base64
+import collections
 import hashlib
+import http.client
 import json
 import os
 import re
+import ssl
 import threading
 import time
 from contextlib import contextmanager
@@ -19,23 +24,22 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional
+from urllib.parse import unquote, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
-import requests
-
+from . import __version__
 from .datasets import to_json_dict
 from .prompts import PromptBundle
 
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
+# Some API fronts refuse a request with no agent or a library's default one.
+USER_AGENT = f"hicot-eval/{__version__}"
 
 _TRANSIENT_STATUSES = frozenset({429}) | frozenset(range(500, 600))
-# A body cut off or garbled in transit is retried like a lost connection;
-# requests does not derive these two from ConnectionError.
-_RETRIABLE_ERRORS = (
-    requests.Timeout,
-    requests.ConnectionError,
-    requests.exceptions.ChunkedEncodingError,
-    requests.exceptions.ContentDecodingError,
-)
+# A refused or dropped connection, a timeout, and a body cut off in transit
+# (``IncompleteRead``). An error status is never one of these: ``_post``
+# returns it.
+_RETRIABLE_ERRORS = (OSError, http.client.HTTPException)
 _CONTEXT_OVERFLOW_HINTS = ("context_length", "maximum context length", "prompt is too long")
 
 
@@ -71,8 +75,13 @@ class Endpoint:
     backoff_base_s: float = 0.5
 
     def __post_init__(self):
-        if not self.base_url:
-            raise ValueError("base_url is required")
+        try:
+            parts = urlsplit(self.base_url)
+            parts.port  # a port that is not a number from 0 to 65535 is a ValueError
+        except ValueError:
+            parts = None
+        if not parts or parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError("base_url must be an absolute http:// or https:// URL with a host")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be a positive number")
         if self.max_attempts < 1:
@@ -182,19 +191,90 @@ class ChatClient:
         self.url = endpoint.base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
         self.cache_dir = Path(cache_dir)
         api_key = endpoint.api_key_env and os.environ.get(endpoint.api_key_env)
-        self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
+        self._headers = {"Content-Type": "application/json", "User-Agent": USER_AGENT}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        target = urlsplit(self.url)
+        self._https = target.scheme == "https"
+        # One TLS context for every connection: a new context loads the CA store
+        # again, which takes tens of milliseconds of CPU.
+        self._tls = ssl.create_default_context() if self._https else None
+        self._address = (target.hostname, target.port)
+        self._request_target = target.path
+        self._tunnel = None
+        # The proxy urllib would use: HTTP(S)_PROXY, unless NO_PROXY names the host.
+        proxy = getproxies().get(target.scheme)
+        if proxy and not proxy_bypass(target.netloc):
+            via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            proxy_headers = {}
+            if via.username:
+                login = f"{unquote(via.username)}:{unquote(via.password or '')}"
+                proxy_headers["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(login.encode("utf-8")).decode("ascii")
+                )
+            if self._https:  # a CONNECT tunnel through the proxy, TLS inside it
+                self._tunnel = (target.hostname, target.port, proxy_headers)
+            else:  # the proxy forwards the request, which names the whole URL
+                self._request_target = self.url
+                self._headers.update(proxy_headers)
+            self._address = (via.hostname, via.port)
+        self._idle = collections.deque()  # open connections that no request is using
         self._inflight = threading.BoundedSemaphore(concurrency)
         self._key_locks: dict = {}  # key -> [lock, callers holding or waiting on it]
         self._key_locks_guard = threading.Lock()
-        self._thread_local = threading.local()
 
-    def _session_for_thread(self) -> requests.Session:
-        # requests.Session is not thread-safe for concurrent use; one per worker.
-        session = getattr(self._thread_local, "session", None)
-        if session is None:
-            session = requests.Session()
-            self._thread_local.session = session
-        return session
+    def close(self) -> None:
+        """Close the connections kept open for later requests; call it once no
+        request is in flight."""
+        while self._idle:
+            self._idle.pop().close()
+
+    def __enter__(self) -> "ChatClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _connect(self) -> http.client.HTTPConnection:
+        host, port = self._address
+        if not self._https:
+            return http.client.HTTPConnection(host, port, timeout=self.endpoint.timeout_s)
+        conn = http.client.HTTPSConnection(
+            host, port, timeout=self.endpoint.timeout_s, context=self._tls
+        )
+        if self._tunnel:
+            tunnel_host, tunnel_port, proxy_headers = self._tunnel
+            conn.set_tunnel(tunnel_host, tunnel_port, proxy_headers)
+        return conn
+
+    def _post(self, body: bytes) -> tuple:
+        """``(status, response body)`` of one POST to the endpoint; an error status is
+        returned like a success, not raised.
+
+        The connection stays open for a later request unless the server closes it.
+        A request that finds a kept-open connection closed by the server since is
+        sent again on another connection: that is not a failed attempt.
+        """
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                conn = self._connect()
+            reused = conn.sock is not None
+            try:
+                conn.request("POST", self._request_target, body, self._headers)
+                with conn.getresponse() as response:
+                    reply = response.status, response.read()
+            except ConnectionError:
+                conn.close()
+                if reused:
+                    continue
+                raise
+            except BaseException:
+                conn.close()
+                raise
+            self._idle.append(conn)
+            return reply
 
     def _cache_path(self, req: CompletionRequest, key: str) -> Path:
         return self.cache_dir / _sanitize_for_path(req.model_id) / f"{key}.json"
@@ -261,6 +341,7 @@ class ChatClient:
             payload["seed"] = req.sampling.seed
         if req.extra_body:
             payload.update(req.extra_body)
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
 
         started = time.monotonic()
         last_failure = "no attempt made"
@@ -269,36 +350,33 @@ class ChatClient:
                 time.sleep(self.endpoint.backoff_base_s * 2 ** (attempt - 1))
             try:
                 with self._inflight:
-                    response = self._session_for_thread().post(
-                        self.url, json=payload, headers=self._headers, timeout=self.endpoint.timeout_s
-                    )
+                    status, reply = self._post(body)
             except _RETRIABLE_ERRORS as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
                 continue
 
-            status = response.status_code
             if status in (401, 403):
                 raise AuthFailure(f"endpoint returned {status}")
             if status in _TRANSIENT_STATUSES:
                 last_failure = f"HTTP {status}"
                 continue
             if status != 200:
-                code, message = _error_detail(response)
+                code, message = _error_detail(reply)
                 probe = f"{code} {message}".lower()
                 if status == 400 and any(hint in probe for hint in _CONTEXT_OVERFLOW_HINTS):
                     raise ContextOverflow(message)
                 raise EndpointUnreachable(f"HTTP {status}: {message}")
 
-            return self._parse_success(response, started)
+            return self._parse_success(reply, started)
 
         raise EndpointUnreachable(
             f"gave up after {self.endpoint.max_attempts} attempts ({last_failure})"
         )
 
-    def _parse_success(self, response, started: float) -> CompletionResult:
+    def _parse_success(self, reply: bytes, started: float) -> CompletionResult:
         latency_ms = int((time.monotonic() - started) * 1000)
         try:
-            body = response.json()
+            body = json.loads(reply)
             text = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise EndpointUnreachable(f"malformed completion response: {exc}") from exc
@@ -315,12 +393,13 @@ class ChatClient:
         )
 
 
-def _error_detail(response) -> tuple:
-    """``(code, message)`` of an error response; its body may be any JSON, or none."""
+def _error_detail(reply: bytes) -> tuple:
+    """``(code, message)`` of an error response body; it may be any JSON, or none."""
     try:
-        error = response.json()["error"]
+        error = json.loads(reply)["error"]
     except (ValueError, KeyError, TypeError):  # not JSON, or no "error" member
         error = None
+    code = ""
     if isinstance(error, dict):
-        return str(error.get("code") or ""), str(error.get("message") or response.text[:200])
-    return "", str(error or response.text[:200])
+        code, error = str(error.get("code") or ""), error.get("message")
+    return code, str(error or reply.decode("utf-8", "replace")[:200])

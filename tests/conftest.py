@@ -13,8 +13,8 @@ def make_stub():
     """Factory for stub chat-completions servers; stops them on teardown."""
     servers = []
 
-    def _make(responder, delay_s=0.0):
-        server = StubChatServer(responder, delay_s=delay_s).start()
+    def _make(responder, delay_s=0.0, **options):
+        server = StubChatServer(responder, delay_s=delay_s, **options).start()
         servers.append(server)
         return server
 

@@ -1,13 +1,14 @@
 """Command-line behavior: subcommands, exit codes, run/resume semantics."""
 
 import dataclasses
+import errno
 import io
 import json
 from pathlib import Path
 
 import pytest
-import requests
 
+from hicot import cli
 from hicot.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -20,9 +21,10 @@ from hicot.cli import (
     load_run_config,
     main,
 )
-from hicot.client import CompletionRequest, Endpoint, SamplingParams
+from hicot.client import ChatClient, CompletionRequest, Endpoint, SamplingParams
 from hicot.datasets import read_records
 from hicot.prompts import PromptStrategy, build_prompt
+from hicot.traces import scan_blocks, validate_format
 
 from grid_fixture import grid_responder, write_config
 from stub_server import StubReply
@@ -103,6 +105,24 @@ _KEYED_FAULTS = {
     "override_unknown_model": (
         lambda config: {**config, "model_overrides": {"sim-Alpha": {"prompt_as_system": True}}},
         "model_overrides.sim-Alpha",
+    ),
+    "extra_body_nan": (
+        lambda config: {
+            **config, "model_overrides": {"sim-alpha": {"extra_body": {"x": [float("nan")]}}}
+        },
+        "config.model_overrides.sim-alpha.extra_body",
+    ),
+    "base_url_no_scheme": (
+        lambda config: {**config, "endpoint": {**config["endpoint"], "base_url": "localhost:1"}},
+        "config.endpoint.base_url",
+    ),
+    "base_url_ftp": (
+        lambda config: {**config, "endpoint": {**config["endpoint"], "base_url": "ftp://x"}},
+        "config.endpoint.base_url",
+    ),
+    "base_url_bad_port": (
+        lambda config: {**config, "endpoint": {**config["endpoint"], "base_url": "http://h:x"}},
+        "config.endpoint.base_url",
     ),
 }
 
@@ -484,21 +504,75 @@ class TestRunCommand:
         assert not any(r.judgment.correct for r in records)
         assert not list(config.cache_dir.rglob("*.json"))
 
-    def test_broken_response_bodies_become_error_records(self, tmp_path, make_stub, monkeypatch):
+    def test_broken_response_bodies_become_error_records(self, tmp_path, make_stub):
+        stub = make_stub(lambda payload: StubReply("cut short", cut_body=True))
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
+            benchmarks=("toy_int",),
+        )
+        records = read_records(cmd_run(load_run_config(config_path)))
+        assert len(records) == 3
+        assert all("EndpointUnreachable" in r.client_error for r in records)
+        assert all("IncompleteRead" in r.client_error for r in records)
+        assert stub.total_requests == 3 * 3  # every attempt of every item
+
+    def test_item_that_raises_becomes_its_error_record(
+        self, tmp_path, make_stub, monkeypatch, capsys
+    ):
         stub = make_stub(grid_responder)
         config_path = write_config(
             tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
             benchmarks=("toy_int",),
         )
+        config = load_run_config(config_path)
+        fault_free = read_records(
+            cmd_run(dataclasses.replace(config, output_dir=tmp_path / "fault_free"))
+        )
+        judge = cli.judge_completion
 
-        def broken_body(self, url, **kwargs):
-            raise requests.exceptions.ChunkedEncodingError("connection broken mid-body")
+        def faulty_judge(predicted, problem):
+            if predicted is not None and problem.id == fault_free[0].problem_id:
+                raise RuntimeError("judge bug")
+            return judge(predicted, problem)
 
-        monkeypatch.setattr(requests.Session, "post", broken_body)
-        records = read_records(cmd_run(load_run_config(config_path)))
+        monkeypatch.setattr(cli, "judge_completion", faulty_judge)
+        capsys.readouterr()
+        records = read_records(cmd_run(config))
         assert len(records) == 3
-        assert all("EndpointUnreachable" in r.client_error for r in records)
-        assert all("ChunkedEncodingError" in r.client_error for r in records)
+        assert "in faulty_judge" in capsys.readouterr().err  # the traceback is shown
+        failed = [r for r in records if r.client_error]
+        assert [r.client_error for r in failed] == ["RuntimeError: judge bug"]
+        assert failed[0].problem_id == fault_free[0].problem_id
+        assert failed[0].format_report == validate_format(scan_blocks(""))
+        assert not failed[0].judgment.correct and not failed[0].compliant
+        strip = lambda r: {**r.to_dict(), "timestamp": ""}
+        judged = {r.problem_id: strip(r) for r in records if not r.client_error}
+        assert judged == {r.problem_id: strip(r) for r in fault_free[1:]}
+
+        requests_sent = stub.total_requests
+        assert read_records(cmd_run(config)) == records  # resuming adds nothing
+        assert stub.total_requests == requests_sent
+
+    @pytest.mark.parametrize("fault", ["write", "read"])
+    def test_cache_io_error_ends_the_grid(self, tmp_path, make_stub, monkeypatch, fault):
+        stub = make_stub(grid_responder)
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
+            benchmarks=("toy_int",),
+        )
+        config = load_run_config(config_path)
+        if fault == "write":
+
+            def disk_full(self, path, result):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(ChatClient, "_write_cache", disk_full)
+        else:  # the model's cache directory is a file: every read is NotADirectoryError
+            config.cache_dir.mkdir(parents=True)
+            (config.cache_dir / "sim-alpha").write_text("")
+        assert main(["run", "--config", str(config_path)]) == EXIT_IO
+        assert not read_records(config.records_path)
+        assert not list(config.cache_dir.rglob("*.json"))
 
 
 class TestScoreAndReport:

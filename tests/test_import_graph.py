@@ -2,9 +2,13 @@
 
 No function body imports a package module, and the package's runtime imports
 form no cycle. Imports under ``if TYPE_CHECKING:`` never run and do not count.
+Importing the command line loads the standard library only.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -86,3 +90,21 @@ def test_scanner_sees_the_import_forms_in_use():
     top, nested = _package_imports()["__init__"]
     assert {"judge", "prompts", "traces"} <= top
     assert not nested
+
+
+def test_cli_imports_only_the_standard_library():
+    # A fresh interpreter, so modules loaded by the test run do not hide any.
+    probe = (
+        "import sys; before = set(sys.modules); import hicot.cli; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "hicot.client" in loaded
+    third_party = {
+        name for name in loaded
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"hicot"}
+    }
+    assert not third_party
