@@ -326,19 +326,14 @@ def cmd_run(config: RunConfig) -> Path:
 
     done = 0
     with client, RecordWriter(config.records_path) as writer:
-        if tasks:
-            with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-                futures = [
-                    pool.submit(_evaluate_one, config, client, model_id, strategy, problem)
-                    for model_id, strategy, problem in tasks
-                ]
-                for future in futures:
-                    record = future.result()
-                    writer.append(record)
-                    records.append(record)
-                    done += 1
-                    if done % 10 == 0 or done == total:
-                        _progress(f"progress: {done}/{total}")
+        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+            # Leaving the loop early (an error, Ctrl-C) cancels the queued items.
+            for record in pool.map(lambda task: _evaluate_one(config, client, *task), tasks):
+                writer.append(record)
+                records.append(record)
+                done += 1
+                if done % 10 == 0 or done == total:
+                    _progress(f"progress: {done}/{total}")
 
     for summary in aggregate(records):
         conditional = (
@@ -467,9 +462,6 @@ def main(argv: Optional[list] = None) -> int:
         # e.g. reporting over an empty records file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

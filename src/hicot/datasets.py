@@ -8,7 +8,6 @@ benchmark names to their source field names and answer kind.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import threading
@@ -142,11 +141,15 @@ def load_dataset(
     problems = []
     seen_ids = set()
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise IoFailure(f"cannot open dataset {path}: {exc}") from exc
     with fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedLine(path, line_no, f"not UTF-8: {exc}") from exc
             if not line.strip():
                 continue
             try:
@@ -307,39 +310,26 @@ def read_records(path: str | Path) -> list:
 
 
 def load_resumable(path: str | Path) -> list:
-    """Read records for resume, repairing a torn final line.
+    """Read records for resume, first cutting off a torn tail.
 
-    A run killed mid-append can leave one incomplete line at the end of the
-    file; that record was not durably written, so it is dropped and the file
-    is truncated back to the last complete line. Corruption anywhere else
-    still raises SchemaMismatch.
+    A record is committed once its newline is on disk, as ``RecordWriter.append``
+    writes it. A run killed mid-append can leave bytes after the last newline:
+    part of a record, perhaps cut inside a UTF-8 character, or a whole record
+    whose newline never landed. Those bytes are truncated away; a file that ends
+    in a newline is left untouched. The rest is read by ``read_records``, so
+    corruption anywhere else still raises SchemaMismatch.
     """
-    path = Path(path)
-    if not path.exists():
-        return []
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, "rb") as fh:
+            keep = fh.read().rfind(b"\n") + 1
+            size = fh.tell()
+        if keep < size:
+            os.truncate(path, keep)
+    except FileNotFoundError:
+        return []
     except OSError as exc:
         raise IoFailure(f"cannot read records from {path}: {exc}") from exc
-
-    records = []
-    offset = 0
-    for line_no, line in enumerate(io.StringIO(text), start=1):
-        stripped = line.strip()
-        if stripped:
-            try:
-                records.append(_parse_record_line(stripped, path, line_no))
-            except SchemaMismatch:
-                if offset + len(line) >= len(text) and not line.endswith("\n"):
-                    # Torn tail from an interrupted append: truncate it away.
-                    with open(path, "r+", encoding="utf-8") as fh:
-                        fh.seek(0)
-                        fh.write(text[:offset])
-                        fh.truncate()
-                    return records
-                raise
-        offset += len(line)
-    return records
+    return read_records(path)
 
 
 class RecordWriter:

@@ -58,8 +58,8 @@ class ReasoningTrace:
     """A completion plus its parsed block structure.
 
     ``think_segment`` holds one leading tag-delimited think span (stripped
-    before block scanning, kept for token accounting); ``preamble`` is the
-    text between the think segment and the first marker.
+    before block scanning, kept so ``reconstruct`` is lossless); ``preamble``
+    is the text between the think segment and the first marker.
     """
 
     raw: str

@@ -153,7 +153,10 @@ class StubChatServer:
             context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
             context.load_cert_chain(self.certfile)
             self._httpd.socket = context.wrap_socket(self._httpd.socket, server_side=True)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # A short poll lets stop() return quickly: shutdown() waits for the next poll.
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
         return self
 

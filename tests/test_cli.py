@@ -22,7 +22,7 @@ from hicot.cli import (
     main,
 )
 from hicot.client import ChatClient, CompletionRequest, Endpoint, SamplingParams
-from hicot.datasets import read_records
+from hicot.datasets import RecordWriter, read_records
 from hicot.prompts import PromptStrategy, build_prompt
 from hicot.traces import scan_blocks, validate_format
 
@@ -556,10 +556,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("fault", ["write", "read"])
     def test_cache_io_error_ends_the_grid(self, tmp_path, make_stub, monkeypatch, fault):
         stub = make_stub(grid_responder)
-        config_path = write_config(
-            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
-            benchmarks=("toy_int",),
-        )
+        config_path = write_config(tmp_path, stub.base_url, concurrency=2)  # 60 items
         config = load_run_config(config_path)
         if fault == "write":
 
@@ -573,6 +570,21 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == EXIT_IO
         assert not read_records(config.records_path)
         assert not list(config.cache_dir.rglob("*.json"))
+        # The queued items are cancelled: only those already started send a request.
+        assert stub.total_requests <= 2 * config.concurrency
+
+    def test_interrupt_sends_no_queued_request(self, tmp_path, make_stub, monkeypatch):
+        stub = make_stub(grid_responder)
+        config = load_run_config(write_config(tmp_path, stub.base_url, concurrency=2))
+
+        def interrupted(self, record):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(RecordWriter, "append", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cmd_run(config)
+        assert not read_records(config.records_path)
+        assert stub.total_requests <= 2 * config.concurrency
 
 
 class TestScoreAndReport:

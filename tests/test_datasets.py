@@ -1,6 +1,7 @@
 """Dataset loading and evaluation-record persistence."""
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,8 @@ from hicot.datasets import (
 from hicot.judge import AnswerKind, JudgeReason, Judgment
 from hicot.prompts import PromptStrategy
 from hicot.traces import FormatReport
+
+from grid_fixture import write_config
 
 FIELDS = FieldMap(statement="problem", answer="answer")
 
@@ -93,6 +96,16 @@ class TestLoadDataset:
         path = _write_jsonl(tmp_path / "num.jsonl", rows)
         problems = load_dataset(path, "b", FIELDS, AnswerKind.INTEGER_EXACT)
         assert problems[0].gold_answer == "204"
+
+    def test_line_not_utf8_reports_line(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, "http://127.0.0.1:1", benchmarks=("toy_int",))
+        path = tmp_path / "toy_int.jsonl"
+        path.write_bytes(b'{"problem": "p", "answer": "1"}\n{"problem": "caf\xe9", "answer": "2"}\n')
+        with pytest.raises(MalformedLine) as excinfo:
+            load_dataset(path, "b", FIELDS, AnswerKind.MATH_EXPRESSION)
+        assert excinfo.value.line_no == 2
+        assert main(["run", "--config", str(config_path)]) == EXIT_IO
+        assert f"{path}:2: malformed line: not UTF-8" in capsys.readouterr().err
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
@@ -303,16 +316,28 @@ class TestResume:
     def test_missing_file_is_empty(self, tmp_path):
         assert load_resumable(tmp_path / "absent.jsonl") == []
 
-    def test_torn_tail_is_repaired(self, tmp_path):
+    @pytest.mark.parametrize("tail", ["half_record", "cut_character", "no_newline"])
+    def test_torn_tail_is_repaired(self, tmp_path, tail):
         path = tmp_path / "records.jsonl"
         write_records([make_record(0), make_record(1)], path)
-        whole = path.read_text()
-        torn = whole + json.dumps(make_record(2).to_dict())[:40]  # no newline, half a record
-        path.write_text(torn)
+        whole = path.read_bytes()
+        # The next record's line, as an append writes it: non-ASCII text stays UTF-8.
+        write_records([make_record(2, completion_text="π = \\boxed{3}")], tmp_path / "next")
+        line = (tmp_path / "next").read_bytes()
+        torn = {
+            "half_record": line[:40],  # ASCII, up to the completion text
+            "cut_character": line[: line.index("π".encode()) + 1],
+            "no_newline": line[:-1],  # a whole record; only its newline is missing
+        }[tail]
+        path.write_bytes(whole + torn)
         records = load_resumable(path)
         assert [r.problem_id for r in records] == ["1", "2"]
         # File was truncated back to the durable prefix.
-        assert path.read_text() == whole
+        assert path.read_bytes() == whole
+        # A file that ends in a newline is left as it is.
+        os.utime(path, ns=(0, 0))
+        assert load_resumable(path) == records
+        assert path.stat().st_mtime_ns == 0
         # Appending after repair yields a clean, strictly readable file.
         with RecordWriter(path) as writer:
             writer.append(make_record(2))
