@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -295,7 +296,8 @@ def cmd_run(config: RunConfig) -> Path:
     Existing records (matched by their uniqueness key) are skipped, so an
     interrupted run picks up where it stopped. Per-item failures are
     recorded as incorrect rather than aborting the grid; a cache that cannot
-    be read or written aborts it with the ``OSError``.
+    be read or written aborts it with the ``OSError``. Records are fsynced in
+    groups, whenever the next item is not finished yet, and once at the end.
     """
     problems = {
         name: load_dataset(path, name, spec.field_map, spec.kind)
@@ -324,16 +326,35 @@ def cmd_run(config: RunConfig) -> Path:
 
     client = ChatClient(config.endpoint, config.cache_dir, config.concurrency)
 
+    ending = threading.Event()  # set by the first item that ends the grid
+
+    def evaluate(task) -> Optional[EvalRecord]:
+        # An item that ends the grid keeps the items queued behind it from
+        # starting; the loop below never takes their results.
+        if ending.is_set():
+            return None
+        try:
+            return _evaluate_one(config, client, *task)
+        except BaseException:
+            ending.set()
+            raise
+
     done = 0
     with client, RecordWriter(config.records_path) as writer:
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            # Leaving the loop early (an error, Ctrl-C) cancels the queued items.
-            for record in pool.map(lambda task: _evaluate_one(config, client, *task), tasks):
+        pool = ThreadPoolExecutor(max_workers=config.concurrency)
+        try:
+            futures = [pool.submit(evaluate, task) for task in tasks]
+            for future in futures:
+                if not future.done():  # idle until it is: make the records so far durable
+                    writer.sync()
+                record = future.result()
                 writer.append(record)
                 records.append(record)
                 done += 1
                 if done % 10 == 0 or done == total:
                     _progress(f"progress: {done}/{total}")
+        finally:  # an early end (an error, Ctrl-C) cancels the queued items
+            pool.shutdown(cancel_futures=True)
 
     for summary in aggregate(records):
         conditional = (

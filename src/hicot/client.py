@@ -15,6 +15,7 @@ import hashlib
 import http.client
 import json
 import os
+import random
 import re
 import ssl
 import threading
@@ -36,6 +37,11 @@ CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
 USER_AGENT = f"hicot-eval/{__version__}"
 
 _TRANSIENT_STATUSES = frozenset({429}) | frozenset(range(500, 600))
+# The statuses whose delta-seconds ``Retry-After`` header sets the wait before the
+# next attempt, and the longest wait it may ask for.
+_RETRY_AFTER_STATUSES = frozenset({429, 503})
+RETRY_AFTER_CAP_S = 60.0
+_DELTA_SECONDS = re.compile(r"[0-9]+")
 # A refused or dropped connection, a timeout, and a body cut off in transit
 # (``IncompleteRead``). An error status is never one of these: ``_post``
 # returns it.
@@ -248,8 +254,8 @@ class ChatClient:
         return conn
 
     def _post(self, body: bytes) -> tuple:
-        """``(status, response body)`` of one POST to the endpoint; an error status is
-        returned like a success, not raised.
+        """``(status, response body, Retry-After header or None)`` of one POST to the
+        endpoint; an error status is returned like a success, not raised.
 
         The connection stays open for a later request unless the server closes it.
         A request that finds a kept-open connection closed by the server since is
@@ -264,7 +270,7 @@ class ChatClient:
             try:
                 conn.request("POST", self._request_target, body, self._headers)
                 with conn.getresponse() as response:
-                    reply = response.status, response.read()
+                    reply = response.status, response.read(), response.getheader("Retry-After")
             except ConnectionError:
                 conn.close()
                 if reused:
@@ -345,12 +351,16 @@ class ChatClient:
 
         started = time.monotonic()
         last_failure = "no attempt made"
+        wait_s = None  # the wait the server asked for before the next attempt
         for attempt in range(self.endpoint.max_attempts):
             if attempt:
-                time.sleep(self.endpoint.backoff_base_s * 2 ** (attempt - 1))
+                if wait_s is None:  # full jitter: workers that failed together spread out
+                    wait_s = random.uniform(0, self.endpoint.backoff_base_s * 2 ** (attempt - 1))
+                time.sleep(wait_s)
+            wait_s = None
             try:
                 with self._inflight:
-                    status, reply = self._post(body)
+                    status, reply, retry_after = self._post(body)
             except _RETRIABLE_ERRORS as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
                 continue
@@ -359,6 +369,8 @@ class ChatClient:
                 raise AuthFailure(f"endpoint returned {status}")
             if status in _TRANSIENT_STATUSES:
                 last_failure = f"HTTP {status}"
+                if status in _RETRY_AFTER_STATUSES:
+                    wait_s = _retry_after_s(retry_after)
                 continue
             if status != 200:
                 code, message = _error_detail(reply)
@@ -391,6 +403,14 @@ class ChatClient:
         return CompletionResult(
             text, approximate_tokens(text), TokenSource.APPROXIMATE, latency_ms
         )
+
+
+def _retry_after_s(value: Optional[str]) -> Optional[float]:
+    """The wait a delta-seconds ``Retry-After`` value asks for, at most
+    ``RETRY_AFTER_CAP_S``; None when there is no such value (an HTTP date is not read)."""
+    if value is None or not _DELTA_SECONDS.fullmatch(value.strip()):
+        return None
+    return min(float(value), RETRY_AFTER_CAP_S)
 
 
 def _error_detail(reply: bytes) -> tuple:

@@ -302,22 +302,38 @@ def read_records(path: str | Path) -> list:
     except OSError as exc:
         raise IoFailure(f"cannot read records from {path}: {exc}") from exc
     with fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            records.append(_parse_record_line(line, path, line_no))
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                records.append(_parse_record_line(line, path, line_no))
+        except UnicodeDecodeError:  # the decoder reads ahead of the lines: find the one
+            _raise_at_line_not_utf8(path)
+            raise
     return records
+
+
+def _raise_at_line_not_utf8(path) -> None:
+    """Raise SchemaMismatch at the first line of ``path`` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaMismatch(path, line_no, f"not UTF-8: {exc}") from None
 
 
 def load_resumable(path: str | Path) -> list:
     """Read records for resume, first cutting off a torn tail.
 
-    A record is committed once its newline is on disk, as ``RecordWriter.append``
-    writes it. A run killed mid-append can leave bytes after the last newline:
-    part of a record, perhaps cut inside a UTF-8 character, or a whole record
-    whose newline never landed. Those bytes are truncated away; a file that ends
-    in a newline is left untouched. The rest is read by ``read_records``, so
-    corruption anywhere else still raises SchemaMismatch.
+    A record survives a killed process once ``RecordWriter.append`` has written
+    it with its newline, and a power loss once the run next waits or ends
+    (``RecordWriter.sync``). A run killed mid-append can leave bytes after the
+    last newline: part of a record, perhaps cut inside a UTF-8 character, or a
+    whole record whose newline never landed. Those bytes are truncated away; a
+    file that ends in a newline is left untouched. The rest is read by
+    ``read_records``, so corruption anywhere else still raises SchemaMismatch.
+    A record lost this way is scored again from its cached completion.
     """
     try:
         with open(path, "rb") as fh:
@@ -333,11 +349,18 @@ def load_resumable(path: str | Path) -> list:
 
 
 class RecordWriter:
-    """Append-only records writer; safe for use from many worker threads."""
+    """Append-only records writer; safe for use from many worker threads.
+
+    ``append`` writes and flushes each line, so a killed process loses at most
+    a torn last line. Durability across a power loss is a separate step:
+    ``sync`` makes every line appended so far durable with one ``os.fsync``
+    (a group commit), and ``close`` syncs before it closes the file.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._unsynced = False
         try:
             self._fh = open(self.path, "a", encoding="utf-8")
         except OSError as exc:
@@ -348,11 +371,21 @@ class RecordWriter:
         with self._lock:
             self._fh.write(line)
             self._fh.flush()
-            os.fsync(self._fh.fileno())
+            self._unsynced = True
+
+    def sync(self) -> None:
+        """fsync the lines appended since the last sync; a no-op if there are none."""
+        with self._lock:
+            if self._unsynced:
+                os.fsync(self._fh.fileno())
+                self._unsynced = False
 
     def close(self) -> None:
-        with self._lock:
-            self._fh.close()
+        try:
+            self.sync()
+        finally:
+            with self._lock:
+                self._fh.close()
 
     def __enter__(self) -> "RecordWriter":
         return self

@@ -23,6 +23,9 @@ from typing import Optional, Sequence, Tuple
 from .datasets import EvalRecord, to_json_dict
 from .prompts import TABLE_ORDER, PromptStrategy
 
+# Marks, in the Markdown table, the Avg. of a row that misses a benchmark.
+PARTIAL_MARK = "†"
+
 
 class DuplicateKey(Exception):
     """A (problem, benchmark, model, strategy) tuple appeared twice."""
@@ -215,7 +218,8 @@ def emit_table(
     """Render the accuracy table: one row per strategy, grouped by model.
 
     Markdown shows one-decimal values with the best value per (model, column)
-    in bold, and escapes ``|`` in model ids and benchmark names. CSV keeps
+    in bold, and escapes ``|`` in model ids and benchmark names; the Avg of a
+    row that misses a benchmark carries ``PARTIAL_MARK``. CSV keeps
     full precision and lists flagged columns in a ``best`` column. JSON
     carries the summary and macro dicts verbatim (round-trip safe) plus the
     flagged cells.
@@ -225,6 +229,7 @@ def emit_table(
     columns, rows = _table_rows(summaries, macro)
 
     if format is TableFormat.MARKDOWN:
+        partial = {(m.model_id, m.strategy) for m in macro if m.missing}
         header = ["Model", "Prompting"] + [b.replace("|", "\\|") for b in columns[:-1]] + ["Avg."]
         lines = [
             "| " + " | ".join(header) + " |",
@@ -235,6 +240,8 @@ def emit_table(
             for column, value in zip(columns, values):
                 shown = "-" if value is None else display_round(value)
                 row.append(f"**{shown}**" if column in best else shown)
+            if (model, strategy) in partial:
+                row[-1] += PARTIAL_MARK
             lines.append("| " + " | ".join(row) + " |")
         return "\n".join(lines) + "\n"
 

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from hicot import datasets  # noqa: E402
 from stub_server import StubChatServer  # noqa: E402
 
 
@@ -21,3 +23,17 @@ def make_stub():
     yield _make
     for server in servers:
         server.stop()
+
+
+@pytest.fixture
+def fsync_sizes(monkeypatch):
+    """The size of the synced file at each ``os.fsync`` that ``hicot.datasets`` runs."""
+    sizes = []
+    fsync = os.fsync
+
+    def counted(fd):
+        fsync(fd)
+        sizes.append(os.fstat(fd).st_size)
+
+    monkeypatch.setattr(datasets.os, "fsync", counted)
+    return sizes

@@ -25,6 +25,7 @@ class StubReply:
     include_usage: bool = True
     status: int = 200
     error_body: object = None  # any JSON value; a str is sent as the raw body
+    retry_after: Optional[str] = None  # an error reply's Retry-After header, sent when set
     # Opt-in faults and probes of a 200 reply:
     cut_body: bool = False  # send half the body under its full Content-Length, then close
     chunked: bool = False  # send the body as one chunk; with cut_body, close inside it
@@ -106,6 +107,8 @@ class StubChatServer:
                     self.send_response(reply.status)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(data)))
+                    if reply.retry_after is not None:
+                        self.send_header("Retry-After", reply.retry_after)
                     self.end_headers()
                     self.wfile.write(data)
                     return

@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -573,6 +574,25 @@ class TestRunCommand:
         # The queued items are cancelled: only those already started send a request.
         assert stub.total_requests <= 2 * config.concurrency
 
+    def test_item_that_ends_the_grid_starts_no_later_item(self, tmp_path, monkeypatch):
+        # Every sim-alpha item fails, as with an unreadable cache directory; the
+        # first one to start takes a while. Once one has failed, the other worker
+        # must not race on through the queue into the sim-beta items.
+        config = load_run_config(write_config(tmp_path, "http://127.0.0.1:1", concurrency=2))
+        started = []
+
+        def evaluate(config, client, model_id, strategy, problem):
+            started.append(model_id)
+            if len(started) == 1:
+                time.sleep(0.05)
+            if model_id == "sim-alpha":
+                raise OSError(errno.ENOTDIR, "Not a directory")
+
+        monkeypatch.setattr(cli, "_evaluate_one", evaluate)
+        with pytest.raises(OSError):
+            cmd_run(config)
+        assert started and set(started) == {"sim-alpha"}
+
     def test_interrupt_sends_no_queued_request(self, tmp_path, make_stub, monkeypatch):
         stub = make_stub(grid_responder)
         config = load_run_config(write_config(tmp_path, stub.base_url, concurrency=2))
@@ -585,6 +605,36 @@ class TestRunCommand:
             cmd_run(config)
         assert not read_records(config.records_path)
         assert stub.total_requests <= 2 * config.concurrency
+
+    def test_group_commit_leaves_every_record_fsynced(self, tmp_path, make_stub, fsync_sizes):
+        # Paced replies: the run waits on the endpoint, and syncs while it waits.
+        stub = make_stub(grid_responder, delay_s=0.005)
+        config = load_run_config(write_config(tmp_path, stub.base_url, concurrency=2))
+        records = read_records(cmd_run(config))
+        assert len(records) == 60
+        assert 1 < len(fsync_sizes) <= len(records)
+        assert fsync_sizes == sorted(set(fsync_sizes))  # each fsync covers new records
+        assert fsync_sizes[-1] == config.records_path.stat().st_size
+
+    def test_interrupt_fsyncs_the_records_written(
+        self, tmp_path, make_stub, monkeypatch, fsync_sizes
+    ):
+        stub = make_stub(grid_responder)
+        config = load_run_config(write_config(tmp_path, stub.base_url, concurrency=2))
+        append = RecordWriter.append
+        appended = []
+
+        def interrupted(self, record):
+            if len(appended) == 5:
+                raise KeyboardInterrupt
+            append(self, record)
+            appended.append(record)
+
+        monkeypatch.setattr(RecordWriter, "append", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cmd_run(config)
+        assert read_records(config.records_path) == appended
+        assert fsync_sizes[-1] == config.records_path.stat().st_size
 
 
 class TestScoreAndReport:

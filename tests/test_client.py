@@ -2,6 +2,7 @@
 
 import base64
 import json
+import random
 import socket
 import socketserver
 import ssl
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import hicot
+from hicot import client as client_module
 from hicot.client import (
+    RETRY_AFTER_CAP_S,
     AuthFailure,
     ChatClient,
     CompletionRequest,
@@ -175,6 +178,60 @@ class TestComplete:
         with pytest.raises(EndpointUnreachable):
             client.complete(_request())
         assert stub.total_requests == 3
+
+    def test_backoff_is_full_jitter(self, make_stub, tmp_path, monkeypatch):
+        draws, slept = [], []
+
+        def uniform(low, high):
+            value = random.Random(len(draws)).uniform(low, high)
+            draws.append((low, high, value))
+            return value
+
+        monkeypatch.setattr(client_module.random, "uniform", uniform)
+        monkeypatch.setattr(client_module.time, "sleep", slept.append)
+        stub = make_stub(lambda payload: StubReply(status=503))
+        client = _client(stub, tmp_path, max_attempts=4, backoff_base_s=0.5)
+        with pytest.raises(EndpointUnreachable):
+            client.complete(_request())
+        # Each wait is drawn from [0, base * 2**(retry - 1)], and that draw is slept.
+        assert [(low, high) for low, high, _ in draws] == [(0, 0.5), (0, 1.0), (0, 2.0)]
+        assert slept == [value for _, _, value in draws]
+        assert all(0 <= value <= high for _, high, value in draws)
+
+    @pytest.mark.parametrize(
+        "status,retry_after,wait_s",
+        [
+            (429, "2", 2.0),
+            (503, " 2 ", 2.0),
+            (429, "86400", RETRY_AFTER_CAP_S),
+            (503, "9" * 5000, RETRY_AFTER_CAP_S),
+        ],
+        ids=["429", "503", "huge_clamped", "thousands_of_digits_clamped"],
+    )
+    def test_retry_after_sets_the_wait(
+        self, make_stub, tmp_path, monkeypatch, status, retry_after, wait_s
+    ):
+        slept = []
+        monkeypatch.setattr(client_module.time, "sleep", slept.append)
+        replies = [StubReply(status=status, retry_after=retry_after), StubReply("ok")]
+        stub = make_stub(lambda payload: replies.pop(0))
+        assert _client(stub, tmp_path).complete(_request()).text == "ok"
+        assert slept == [wait_s]
+
+    @pytest.mark.parametrize(
+        "status,retry_after",
+        [(500, "2"), (429, "Wed, 21 Oct 2015 07:28:00 GMT"), (429, "-1")],
+        ids=["other_status", "http_date", "negative"],
+    )
+    def test_retry_after_not_honoured_falls_back_to_jitter(
+        self, make_stub, tmp_path, monkeypatch, status, retry_after
+    ):
+        slept = []
+        monkeypatch.setattr(client_module.time, "sleep", slept.append)
+        replies = [StubReply(status=status, retry_after=retry_after), StubReply("ok")]
+        stub = make_stub(lambda payload: replies.pop(0))
+        assert _client(stub, tmp_path, backoff_base_s=0.5).complete(_request()).text == "ok"
+        assert len(slept) == 1 and 0 <= slept[0] <= 0.5
 
     @pytest.mark.parametrize("status", [401, 403])
     def test_auth_failure_is_not_retried(self, make_stub, tmp_path, status):

@@ -293,6 +293,19 @@ class TestRecordsRoundTrip:
         assert main(["score", str(path)]) == EXIT_IO
         assert f"{path}:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count,bad", [(2, 2), (300, 257)], ids=["line_2", "past_first_chunk"])
+    def test_line_not_utf8_is_schema_mismatch(self, tmp_path, capsys, count, bad):
+        path = tmp_path / "records.jsonl"
+        records = [make_record(i) for i in range(count)]
+        records[bad - 1] = make_record(bad - 1, completion_text="café = \\boxed{1}")
+        write_records(records, path)
+        path.write_bytes(path.read_bytes().replace("é".encode(), b"\xe9"))  # Latin-1
+        with pytest.raises(SchemaMismatch) as excinfo:
+            read_records(path)
+        assert excinfo.value.line_no == bad
+        assert main(["score", str(path)]) == EXIT_IO
+        assert f"{path}:{bad}: not UTF-8" in capsys.readouterr().err
+
     def test_unknown_version_raises_schema_mismatch(self, tmp_path):
         path = tmp_path / "records.jsonl"
         row = make_record(0).to_dict()
@@ -355,3 +368,47 @@ class TestResume:
     def test_problem_dataclass_fields(self):
         problem = Problem("1", "toy", "what?", "42", AnswerKind.MATH_EXPRESSION)
         assert problem.id and problem.statement and problem.gold_answer
+
+
+class TestGroupCommit:
+    def test_append_flushes_but_never_fsyncs(self, tmp_path, fsync_sizes):
+        path = tmp_path / "records.jsonl"
+        with RecordWriter(path) as writer:
+            for i in range(3):
+                writer.append(make_record(i))
+            assert len(read_records(path)) == 3  # each line is flushed as it is appended
+            assert fsync_sizes == []
+
+    def test_sync_fsyncs_once_then_is_a_no_op(self, tmp_path, fsync_sizes):
+        path = tmp_path / "records.jsonl"
+        with RecordWriter(path) as writer:
+            writer.append(make_record(0))
+            writer.append(make_record(1))
+            writer.sync()
+            assert fsync_sizes == [path.stat().st_size]
+            writer.sync()
+            assert len(fsync_sizes) == 1
+            writer.append(make_record(2))
+            writer.sync()
+            assert fsync_sizes[1:] == [path.stat().st_size]
+
+    def test_close_syncs_only_what_is_unsynced(self, tmp_path, fsync_sizes):
+        path = tmp_path / "records.jsonl"
+        RecordWriter(path).close()
+        assert fsync_sizes == []
+        writer = RecordWriter(path)
+        writer.append(make_record(0))
+        writer.sync()
+        writer.close()
+        assert len(fsync_sizes) == 1
+        with RecordWriter(path) as writer:
+            writer.append(make_record(1))
+        assert fsync_sizes[1:] == [path.stat().st_size]
+
+    def test_exit_on_interrupt_syncs(self, tmp_path, fsync_sizes):
+        path = tmp_path / "records.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            with RecordWriter(path) as writer:
+                writer.append(make_record(0))
+                raise KeyboardInterrupt
+        assert fsync_sizes == [path.stat().st_size] and len(read_records(path)) == 1

@@ -265,7 +265,7 @@ class TestEmitTable:
         macro = macro_average(summaries)
         table = emit_table(summaries, macro, TableFormat.MARKDOWN)
         assert "| m | CoT | **100.0** | **0.0** | **50.0** |" in table
-        assert "| m | Hi-CoT | **100.0** | - | 100.0 |" in table
+        assert "| m | Hi-CoT | **100.0** | - | 100.0† |" in table
         best = json.loads(emit_table(summaries, macro, TableFormat.JSON))["best"]
         assert ["m", "avg", "hicot"] not in best and ["m", "avg", "cot"] in best
         rows = emit_table(summaries, macro, TableFormat.CSV).splitlines()
