@@ -15,7 +15,7 @@ import math
 import sys
 import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Tuple, get_args, get_origin, get_type_hints
 
@@ -23,6 +23,7 @@ from .client import (
     ChatClient,
     ClientError,
     CompletionRequest,
+    CompletionResult,
     Endpoint,
     SamplingParams,
     TokenSource,
@@ -39,7 +40,7 @@ from .datasets import (
     now_timestamp,
     read_records,
 )
-from .judge import judge as judge_completion
+from .judge import Judgment, judge as judge_completion
 from .metrics import (
     DuplicateKey,
     PlotKind,
@@ -232,47 +233,58 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
+def _request(
+    config: RunConfig, model_id: str, strategy: PromptStrategy, problem: Problem
+) -> CompletionRequest:
+    override = config.model_overrides.get(model_id, ModelOverride())
+    return CompletionRequest(
+        model_id=model_id,
+        prompt=build_prompt(strategy, problem),
+        sampling=override.sampling or config.sampling,
+        as_system=override.prompt_as_system,
+        extra_body=override.extra_body,
+    )
+
+
+def score_completion(
+    text: str, problem: Problem, strategy: PromptStrategy, think_tags: Tuple[str, str]
+) -> Tuple[Judgment, FormatReport, bool]:
+    """The judgment, the format report and the compliance flag of one completion."""
+    trace = scan_blocks(text, *think_tags)
+    report = validate_format(trace)
+    return judge_completion(trace.boxed_answer, problem), report, compliance_mode(strategy, report)
+
+
 def _evaluate_one(
     config: RunConfig,
-    client: ChatClient,
+    completion: CompletionResult | Exception,
     model_id: str,
     strategy: PromptStrategy,
     problem: Problem,
 ) -> EvalRecord:
-    """The item's record. An exception while completing or scoring it (a
-    ``ClientError``, or a fault such as a judge bug) makes it an error record
-    scored as an empty completion, so one item never ends the grid. An
-    ``OSError`` still ends it: the cache cannot be read or written, and the
-    record would throw away a completion that a resumed run can fetch again."""
-    override = config.model_overrides.get(model_id, ModelOverride())
-    client_error = None
-    try:
-        request = CompletionRequest(
-            model_id=model_id,
-            prompt=build_prompt(strategy, problem),
-            sampling=override.sampling or config.sampling,
-            as_system=override.prompt_as_system,
-            extra_body=override.extra_body,
+    """The item's record, scored from its completion or from the exception that
+    building or fetching its request raised. That exception (a ``ClientError``,
+    or a fault such as a prompt bug), or one raised while scoring (a judge
+    bug), makes it an error record scored as an empty completion, so one item
+    never ends the grid."""
+    error = completion if isinstance(completion, Exception) else None
+    if error is None:
+        text, tokens, token_source = (
+            completion.text, completion.completion_tokens, completion.token_source
         )
-        result = client.complete(request)
-        text, tokens, token_source = result.text, result.completion_tokens, result.token_source
-        trace = scan_blocks(text, *config.think_tags)
-        report = validate_format(trace)
-        judgment = judge_completion(trace.boxed_answer, problem)
-        compliant = compliance_mode(strategy, report)
-    except OSError:
-        raise
-    except Exception as exc:
-        if not isinstance(exc, ClientError):  # a fault in the harness: show where it arose
+        try:
+            scored = score_completion(text, problem, strategy, config.think_tags)
+        except Exception as exc:
+            error = exc
+    if error is not None:
+        if not isinstance(error, ClientError):  # a fault in the harness: show where it arose
             _progress(
                 f"item {problem.benchmark}/{problem.id} of {model_id}/{strategy.value} failed:\n"
-                + traceback.format_exc().rstrip()
+                + "".join(traceback.format_exception(error)).rstrip()
             )
-        client_error = f"{type(exc).__name__}: {exc}"
         text, tokens, token_source = "", 0, TokenSource.APPROXIMATE
-        report = validate_format(scan_blocks(text, *config.think_tags))
-        judgment = judge_completion(None, problem)
-        compliant = compliance_mode(strategy, report)
+        scored = score_completion(text, problem, strategy, config.think_tags)
+    judgment, report, compliant = scored
 
     return EvalRecord(
         problem_id=problem.id,
@@ -286,7 +298,7 @@ def _evaluate_one(
         format_report=report,
         compliant=compliant,
         timestamp=now_timestamp(),
-        client_error=client_error,
+        client_error=None if error is None else f"{type(error).__name__}: {error}",
     )
 
 
@@ -294,10 +306,17 @@ def cmd_run(config: RunConfig) -> Path:
     """Run the (model x strategy x benchmark x problem) grid, resume-safe.
 
     Existing records (matched by their uniqueness key) are skipped, so an
-    interrupted run picks up where it stopped. Per-item failures are
-    recorded as incorrect rather than aborting the grid; a cache that cannot
-    be read or written aborts it with the ``OSError``. Records are fsynced in
-    groups, whenever the next item is not finished yet, and once at the end.
+    interrupted run picks up where it stopped. The main thread looks every
+    item up in the completion cache, in task order, and hands each miss to a
+    pool of ``config.concurrency`` workers, which only send requests. It then
+    scores the items and appends their records, in task order. A hit is pure
+    Python work, which threads would not run in parallel, so it never goes
+    through the pool.
+
+    Per-item failures are recorded as incorrect rather than aborting the
+    grid; a cache that cannot be read or written aborts it with the
+    ``OSError``. Records are fsynced in groups, whenever the next miss is not
+    fetched yet, and once at the end.
     """
     problems = {
         name: load_dataset(path, name, spec.field_map, spec.kind)
@@ -326,16 +345,14 @@ def cmd_run(config: RunConfig) -> Path:
 
     client = ChatClient(config.endpoint, config.cache_dir, config.concurrency)
 
-    ending = threading.Event()  # set by the first item that ends the grid
+    ending = threading.Event()  # set once the grid ends: a fetch not yet started sends nothing
 
-    def evaluate(task) -> Optional[EvalRecord]:
-        # An item that ends the grid keeps the items queued behind it from
-        # starting; the loop below never takes their results.
+    def fetch(request: CompletionRequest, key: str) -> CompletionResult:
         if ending.is_set():
-            return None
+            raise CancelledError  # the loop below skips it, then raises the failure at its item
         try:
-            return _evaluate_one(config, client, *task)
-        except BaseException:
+            return client.fetch(request, key)
+        except OSError:
             ending.set()
             raise
 
@@ -343,17 +360,39 @@ def cmd_run(config: RunConfig) -> Path:
     with client, RecordWriter(config.records_path) as writer:
         pool = ThreadPoolExecutor(max_workers=config.concurrency)
         try:
-            futures = [pool.submit(evaluate, task) for task in tasks]
-            for future in futures:
-                if not future.done():  # idle until it is: make the records so far durable
-                    writer.sync()
-                record = future.result()
+            # Per task: its cached completion, the future of its fetch, or the
+            # exception that building its request raised.
+            outcomes = []
+            for task in tasks:
+                try:
+                    request = _request(config, *task)
+                    key = request.cache_key()
+                except Exception as exc:
+                    outcomes.append(exc)
+                    continue
+                cached = client.cached(request, key)
+                outcomes.append(cached if cached is not None else pool.submit(fetch, request, key))
+
+            for task, completion in zip(tasks, outcomes):
+                if isinstance(completion, Future):
+                    if not completion.done():  # idle until it is: make the records so far durable
+                        writer.sync()
+                    try:
+                        completion = completion.result()
+                    except CancelledError:  # not sent: a later item's fetch ended the grid
+                        continue
+                    except OSError:
+                        raise
+                    except Exception as exc:
+                        completion = exc
+                record = _evaluate_one(config, completion, *task)
                 writer.append(record)
                 records.append(record)
                 done += 1
                 if done % 10 == 0 or done == total:
                     _progress(f"progress: {done}/{total}")
-        finally:  # an early end (an error, Ctrl-C) cancels the queued items
+        finally:  # an early end (an error, Ctrl-C) cancels the queued fetches
+            ending.set()
             pool.shutdown(cancel_futures=True)
 
     for summary in aggregate(records):

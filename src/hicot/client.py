@@ -301,8 +301,12 @@ class ChatClient:
     def _write_cache(self, path: Path, result: CompletionResult) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(to_json_dict(result), ensure_ascii=False), encoding="utf-8")
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(json.dumps(to_json_dict(result), ensure_ascii=False), encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:  # a full disk, say: leave no temp file behind
+            tmp.unlink(missing_ok=True)
+            raise
 
     @contextmanager
     def _single_flight(self, key: str):
@@ -323,10 +327,24 @@ class ChatClient:
     def complete(self, req: CompletionRequest) -> CompletionResult:
         """Return the completion for ``req``, from cache when available."""
         key = req.cache_key()
+        cached = self.cached(req, key)
+        return cached if cached is not None else self.fetch(req, key)
+
+    def cached(
+        self, req: CompletionRequest, key: Optional[str] = None
+    ) -> Optional[CompletionResult]:
+        """The cached completion for ``req``, or None on a miss; sends no request.
+        ``key`` is ``req.cache_key()``, passed when the caller has it already."""
+        return self._read_cache(self._cache_path(req, key or req.cache_key()))
+
+    def fetch(self, req: CompletionRequest, key: Optional[str] = None) -> CompletionResult:
+        """The completion for ``req`` from the endpoint, written to the cache.
+
+        Single-flight per key: a fetch that waited on another fetch of its key
+        returns the entry that one wrote. ``key`` is as for ``cached``.
+        """
+        key = key or req.cache_key()
         path = self._cache_path(req, key)
-        cached = self._read_cache(path)
-        if cached is not None:
-            return cached
         with self._single_flight(key):
             cached = self._read_cache(path)
             if cached is not None:

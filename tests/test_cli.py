@@ -4,7 +4,10 @@ import dataclasses
 import errno
 import io
 import json
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -22,12 +25,19 @@ from hicot.cli import (
     load_run_config,
     main,
 )
-from hicot.client import ChatClient, CompletionRequest, Endpoint, SamplingParams
-from hicot.datasets import RecordWriter, read_records
+from hicot.client import (
+    ChatClient,
+    CompletionRequest,
+    CompletionResult,
+    Endpoint,
+    SamplingParams,
+    TokenSource,
+)
+from hicot.datasets import RecordWriter, load_dataset, read_records
 from hicot.prompts import PromptStrategy, build_prompt
 from hicot.traces import scan_blocks, validate_format
 
-from grid_fixture import grid_responder, write_config
+from grid_fixture import TOY_INT_PROBLEMS, grid_responder, write_config
 from stub_server import StubReply
 from trace_samples import WORKED_HICOT_OUTPUT
 
@@ -349,6 +359,17 @@ class TestConfigValidation:
             load_run_config(path)
 
 
+def _task_keys(config) -> list:
+    """The record keys of ``config``'s grid, in task order."""
+    return [
+        (problem.id, benchmark, model_id, strategy.value)
+        for model_id in config.models
+        for strategy in config.strategies
+        for benchmark, (path, spec) in config.benchmarks.items()
+        for problem in load_dataset(path, benchmark, spec.field_map, spec.kind)
+    ]
+
+
 class TestRunCommand:
     def test_small_grid_record_count(self, tmp_path, make_stub, capsys):
         stub = make_stub(grid_responder)
@@ -575,29 +596,87 @@ class TestRunCommand:
         assert stub.total_requests <= 2 * config.concurrency
 
     def test_item_that_ends_the_grid_starts_no_later_item(self, tmp_path, monkeypatch):
-        # Every sim-alpha item fails, as with an unreadable cache directory; the
-        # first one to start takes a while. Once one has failed, the other worker
-        # must not race on through the queue into the sim-beta items.
+        # The grid's first fetch takes a while and succeeds; every other sim-alpha
+        # fetch fails, as with a cache that cannot be written. Once one has failed,
+        # the other worker must not race on through the queue into the sim-beta
+        # fetches, and the items whose fetch it skips write no record.
         config = load_run_config(write_config(tmp_path, "http://127.0.0.1:1", concurrency=2))
+        first_prompt = build_prompt(PromptStrategy.STANDARD, TOY_INT_PROBLEMS[0][0]).rendered
         started = []
 
-        def evaluate(config, client, model_id, strategy, problem):
-            started.append(model_id)
-            if len(started) == 1:
-                time.sleep(0.05)
-            if model_id == "sim-alpha":
-                raise OSError(errno.ENOTDIR, "Not a directory")
+        def fetch(self, request, key=None):
+            started.append(request.model_id)
+            if (request.model_id, request.prompt.rendered) != ("sim-alpha", first_prompt):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            time.sleep(0.05)
+            return CompletionResult("\\boxed{42}", 3, TokenSource.API_USAGE, 0)
 
-        monkeypatch.setattr(cli, "_evaluate_one", evaluate)
-        with pytest.raises(OSError):
+        monkeypatch.setattr(ChatClient, "fetch", fetch)
+        with pytest.raises(OSError, match="No space left"):
             cmd_run(config)
         assert started and set(started) == {"sim-alpha"}
+        assert [record.key() for record in read_records(config.records_path)] == [
+            ("1", "toy_int", "sim-alpha", "standard")
+        ]
+
+    def test_fetch_skipped_before_a_failed_one_writes_no_record(self, tmp_path, monkeypatch):
+        # The grid's second fetch starts only once its third has failed, so the
+        # grid is ending when it starts: it sends nothing and writes no record,
+        # and the run ends with the third fetch's error.
+        config = load_run_config(write_config(tmp_path, "http://127.0.0.1:1", concurrency=2))
+        third_ended = threading.Event()
+
+        class StaggeredPool(ThreadPoolExecutor):
+            submitted = 0
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                number = self.submitted
+
+                def staggered():
+                    if number == 2:
+                        third_ended.wait(timeout=10)
+                    try:
+                        return fn(*args)
+                    finally:
+                        if number == 3:
+                            third_ended.set()
+
+                return super().submit(staggered)
+
+        def fetch(self, request, key=None):
+            fetched.append(request.prompt.problem_text)
+            if len(fetched) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return CompletionResult("\\boxed{42}", 3, TokenSource.API_USAGE, 0)
+
+        fetched = []
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", StaggeredPool)
+        monkeypatch.setattr(ChatClient, "fetch", fetch)
+        with pytest.raises(OSError, match="No space left"):
+            cmd_run(config)
+        assert fetched == [TOY_INT_PROBLEMS[0][0], TOY_INT_PROBLEMS[2][0]]
+        assert [record.key() for record in read_records(config.records_path)] == [
+            ("1", "toy_int", "sim-alpha", "standard")
+        ]
 
     def test_interrupt_sends_no_queued_request(self, tmp_path, make_stub, monkeypatch):
-        stub = make_stub(grid_responder)
+        # The grid's first item is answered at once and every other request is
+        # held until the interrupt, so no worker can run ahead through the queue.
+        first_prompt = build_prompt(PromptStrategy.STANDARD, TOY_INT_PROBLEMS[0][0]).rendered
+        interrupting = threading.Event()
+
+        def gated(payload):
+            first = payload["messages"][-1]["content"] == first_prompt
+            if not (first and payload["model"] == "sim-alpha"):
+                interrupting.wait(timeout=10)
+            return grid_responder(payload)
+
+        stub = make_stub(gated)
         config = load_run_config(write_config(tmp_path, stub.base_url, concurrency=2))
 
         def interrupted(self, record):
+            interrupting.set()
             raise KeyboardInterrupt
 
         monkeypatch.setattr(RecordWriter, "append", interrupted)
@@ -605,6 +684,100 @@ class TestRunCommand:
             cmd_run(config)
         assert not read_records(config.records_path)
         assert stub.total_requests <= 2 * config.concurrency
+
+    def test_warm_rerun_fetches_nothing_and_keeps_the_order(
+        self, tmp_path, make_stub, monkeypatch
+    ):
+        stub = make_stub(grid_responder)
+        config = load_run_config(write_config(tmp_path, stub.base_url, concurrency=2))
+        cold = read_records(cmd_run(config))
+        assert [record.key() for record in cold] == _task_keys(config)
+
+        def fetch(self, request, key=None):
+            raise AssertionError("a warm run fetched")
+
+        monkeypatch.setattr(ChatClient, "fetch", fetch)
+        warm = read_records(cmd_run(dataclasses.replace(config, output_dir=tmp_path / "warm")))
+        strip = lambda r: {**r.to_dict(), "timestamp": ""}
+        assert list(map(strip, warm)) == list(map(strip, cold))
+
+    def test_half_cached_grid_fetches_each_miss_once_in_task_order(self, tmp_path, make_stub):
+        stub = make_stub(grid_responder)
+        config = load_run_config(write_config(tmp_path, stub.base_url, concurrency=2))
+        # Fill the cache for two of the five strategies of one model: hits and
+        # misses alternate through the grid.
+        partial = dataclasses.replace(
+            config,
+            models=["sim-alpha"],
+            strategies=[PromptStrategy.COT, PromptStrategy.HICOT],
+            output_dir=tmp_path / "partial",
+        )
+        cmd_run(partial)
+        assert stub.total_requests == 12
+        stub.reset_counters()
+        records = read_records(cmd_run(config))
+        assert stub.total_requests == 60 - 12
+        assert [record.key() for record in records] == _task_keys(config)
+        assert not any(record.client_error for record in records)
+
+    def test_request_that_cannot_be_built_is_its_error_record(
+        self, tmp_path, make_stub, monkeypatch, capsys
+    ):
+        stub = make_stub(grid_responder)
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
+            benchmarks=("toy_int",),
+        )
+        config = load_run_config(config_path)
+        prompt = cli.build_prompt
+
+        def faulty_prompt(strategy, problem):
+            if problem.id == "2":
+                raise RuntimeError("template bug")
+            return prompt(strategy, problem)
+
+        monkeypatch.setattr(cli, "build_prompt", faulty_prompt)
+        records = read_records(cmd_run(config))
+        assert "in faulty_prompt" in capsys.readouterr().err  # the traceback is shown
+        assert [record.problem_id for record in records] == ["1", "2", "3"]
+        assert [record.client_error for record in records] == [
+            None, "RuntimeError: template bug", None
+        ]
+        assert records[1].format_report == validate_format(scan_blocks(""))
+        assert stub.total_requests == 2
+
+    def test_many_workers_on_a_mixed_grid_write_each_record_once(self, tmp_path, make_stub):
+        stub = make_stub(grid_responder)
+        config = load_run_config(write_config(tmp_path, stub.base_url, concurrency=8))
+        # Two of the five strategies cached: hits and misses alternate.
+        partial = dataclasses.replace(
+            config,
+            strategies=[PromptStrategy.COT, PromptStrategy.HICOT],
+            output_dir=tmp_path / "partial",
+        )
+        cmd_run(partial)
+        stub.reset_counters()
+        outcome = {}
+
+        def run():
+            try:
+                outcome["path"] = cmd_run(config)
+            except Exception as exc:
+                outcome["error"] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert "error" not in outcome
+        records = read_records(outcome["path"])
+        assert [record.key() for record in records] == _task_keys(config)
+        assert stub.total_requests == 60 - 24
 
     def test_group_commit_leaves_every_record_fsynced(self, tmp_path, make_stub, fsync_sizes):
         # Paced replies: the run waits on the endpoint, and syncs while it waits.

@@ -1,6 +1,7 @@
 """Chat client: caching, retries, token accounting, concurrency bound, transport."""
 
 import base64
+import errno
 import json
 import random
 import socket
@@ -335,6 +336,29 @@ class TestComplete:
         assert (result.text, result.completion_tokens, result.from_cache) == ("cached", 5, True)
         assert result.token_source is TokenSource.API_USAGE
         assert stub.total_requests == 0
+
+    def test_cached_is_none_on_a_miss_and_sends_nothing(self, make_stub, tmp_path):
+        stub = make_stub(lambda payload: StubReply("fetched"))
+        client = _client(stub, tmp_path)
+        request = _request()
+        assert client.cached(request) is None
+        assert stub.total_requests == 0
+        assert client.fetch(request).text == "fetched"
+        hit = client.cached(request, request.cache_key())
+        assert (hit.text, hit.from_cache) == ("fetched", True)
+        assert stub.total_requests == 1
+
+    def test_failed_cache_write_leaves_no_temp_file(self, make_stub, tmp_path, monkeypatch):
+        stub = make_stub(lambda payload: StubReply("ok"))
+        client = _client(stub, tmp_path)
+
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(client_module.os, "replace", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            client.complete(_request())
+        assert not [path for path in (tmp_path / "cache").rglob("*") if path.is_file()]
 
     def test_token_fallback_when_usage_missing(self, make_stub, tmp_path):
         stub = make_stub(lambda payload: StubReply("4 × 3 = 12", include_usage=False))
