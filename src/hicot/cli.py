@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import threading
 import traceback
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import List, Optional, Tuple, get_args, get_origin, get_type_hints
+from typing import List, Optional, Tuple
 
 from .client import (
     ChatClient,
@@ -29,11 +28,13 @@ from .client import (
     TokenSource,
 )
 from .datasets import (
+    BenchmarkSpec,
     DatasetError,
     EvalRecord,
+    JsonMismatch,
     Problem,
     RecordWriter,
-    benchmark_spec,
+    from_json_dict,
     load_dataset,
     load_registry,
     load_resumable,
@@ -83,6 +84,13 @@ class ModelOverride:
             raise ValueError("extra_body must hold only finite numbers") from None
 
 
+@dataclasses.dataclass(frozen=True)
+class BenchmarkEntry(BenchmarkSpec):
+    """A config benchmark entry: a registry entry's keys and the dataset path."""
+
+    path: Path = dataclasses.field(kw_only=True)
+
+
 @dataclasses.dataclass
 class RunConfig:
     """The run config; its fields are the config file's keys."""
@@ -90,7 +98,7 @@ class RunConfig:
     endpoint: Endpoint
     models: List[str]
     strategies: List[PromptStrategy]
-    benchmarks: dict  # name -> (path, BenchmarkSpec) once loaded
+    benchmarks: dict  # name -> (path, BenchmarkEntry) once loaded
     registry: Optional[Path] = None
     output_dir: Path = Path("run_output")
     cache_dir: Optional[Path] = None
@@ -114,79 +122,6 @@ class RunConfig:
         return self.output_dir / "records.jsonl"
 
 
-_JSON_TYPES = {
-    bool: "true or false",
-    int: "an integer",
-    float: "a number",
-    str: "a string",
-    dict: "an object",
-}
-
-# Types read from a non-empty JSON string.
-_FROM_STRING = {Path: Path, PromptStrategy: PromptStrategy.parse}
-
-
-def _typed(value, annotation, where: str, base=None):
-    """``value`` checked against the type ``annotation``; a dataclass type is
-    loaded from its JSON object by ``_load``, a list or fixed-length tuple item
-    by item. A JSON boolean is never a number, and a float field holds a finite float."""
-    if type(None) in get_args(annotation):  # Optional[X]
-        if value is None:
-            return None
-        annotation = get_args(annotation)[0]
-    origin, args = get_origin(annotation), get_args(annotation)
-    if dataclasses.is_dataclass(annotation):
-        return _load(annotation, value, where, base)
-    if origin in (list, tuple):
-        if not isinstance(value, list) or (origin is tuple and len(value) != len(args)):
-            count = f" of {len(args)} values" if origin is tuple else ""
-            raise ConfigInvalid(f"{where} must be a list{count}")
-        items = zip(value, args if origin is tuple else args * len(value))
-        return origin(_typed(item, arg, f"{where}[{i}]") for i, (item, arg) in enumerate(items))
-    if annotation in _FROM_STRING:
-        if not isinstance(value, str) or not value:
-            raise ConfigInvalid(f"{where} must be a non-empty string")
-        try:
-            return _FROM_STRING[annotation](value)
-        except ValueError as exc:
-            raise ConfigInvalid(f"{where}: {exc}") from exc
-    accepted = (int, float) if annotation is float else annotation
-    if isinstance(value, bool) is not (annotation is bool) or not isinstance(value, accepted):
-        raise ConfigInvalid(f"{where} must be {_JSON_TYPES[annotation]}")
-    if annotation is not float:
-        return value
-    try:
-        value = float(value)
-    except OverflowError as exc:
-        raise ConfigInvalid(f"{where} is too large") from exc
-    if not math.isfinite(value):  # JSON NaN, Infinity, or a literal like 1e400
-        raise ConfigInvalid(f"{where} must be a finite number")
-    return value
-
-
-def _load(cls, data, where: str, base=None):
-    """The dataclass ``cls`` from the JSON object ``data``, keyed by its field names.
-
-    A missing key takes its value from ``base``, else the field default. An unknown
-    key, a wrong type or a value ``cls`` refuses is ``ConfigInvalid`` naming the key;
-    the ``ValueError`` of a ``__post_init__`` check begins with the field it refuses.
-    """
-    if not isinstance(data, dict):
-        raise ConfigInvalid(f"{where} must be an object")
-    hints = get_type_hints(cls)
-    values = {}
-    for key, value in data.items():
-        if key not in hints:
-            raise ConfigInvalid(f"{where}.{key} is not a known key")
-        values[key] = _typed(value, hints[key], f"{where}.{key}", getattr(base, key, None))
-    try:
-        return dataclasses.replace(base, **values) if base is not None else cls(**values)
-    except TypeError as exc:  # a required key is missing
-        raise ConfigInvalid(f"{where}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigInvalid(f"{where}.{exc}") from exc
-
-
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a run configuration file (JSON)."""
     try:
@@ -195,37 +130,37 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
-    config = _load(RunConfig, raw, "config")
 
     try:
-        registry = load_registry(config.registry)
-    except (OSError, ValueError) as exc:
-        raise ConfigInvalid(f"registry {config.registry}: {exc}") from exc
-
-    benchmarks = {}
-    for name, entry in config.benchmarks.items():
-        if isinstance(entry, str):
-            entry = {"path": entry}
+        config = from_json_dict(RunConfig, raw, "config")
         try:
-            spec = benchmark_spec(name, entry, registry.get(name))
-        except ValueError as exc:
-            raise ConfigInvalid(str(exc)) from exc
-        dataset_path = entry.get("path")
-        if not dataset_path or not isinstance(dataset_path, str):
-            raise ConfigInvalid(f"benchmark {name!r} has no dataset path")
-        if not Path(dataset_path).exists():
-            raise ConfigInvalid(f"dataset for benchmark {name!r} not found: {dataset_path}")
-        benchmarks[name] = (Path(dataset_path), spec)
+            registry = load_registry(config.registry)
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalid(f"registry {config.registry}: {exc}") from exc
 
-    inherited = ModelOverride(sampling=config.sampling)
+        benchmarks = {}
+        for name, entry in config.benchmarks.items():
+            entry = {"path": entry} if isinstance(entry, str) else entry
+            where = f"config.benchmarks.{name}"
+            spec = from_json_dict(BenchmarkEntry, entry, where, registry.get(name))
+            if not spec.path.exists():
+                raise ConfigInvalid(f"dataset for benchmark {name!r} not found: {spec.path}")
+            benchmarks[name] = (spec.path, spec)
+
+        inherited = ModelOverride(sampling=config.sampling)
+        model_overrides = {
+            model_id: from_json_dict(
+                ModelOverride, entry, f"config.model_overrides.{model_id}", inherited
+            )
+            for model_id, entry in config.model_overrides.items()
+        }
+    except JsonMismatch as exc:
+        raise ConfigInvalid(str(exc)) from exc
     return dataclasses.replace(
         config,
         benchmarks=benchmarks,
         cache_dir=config.cache_dir or config.output_dir / "cache",
-        model_overrides={
-            model_id: _load(ModelOverride, entry, f"config.model_overrides.{model_id}", inherited)
-            for model_id, entry in config.model_overrides.items()
-        },
+        model_overrides=model_overrides,
     )
 
 

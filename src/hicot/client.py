@@ -21,7 +21,7 @@ import ssl
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional
@@ -29,7 +29,7 @@ from urllib.parse import unquote, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
 from . import __version__
-from .datasets import to_json_dict
+from .datasets import from_json_dict, to_json_dict
 from .prompts import PromptBundle
 
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
@@ -157,14 +157,6 @@ class CompletionResult:
     latency_ms: int
     from_cache: bool = False
 
-    @classmethod
-    def from_dict(cls, data: dict, from_cache: bool = False) -> "CompletionResult":
-        """Inverse of ``to_json_dict``; ``from_cache`` replaces the stored flag."""
-        if not isinstance(data["text"], str):
-            raise TypeError(f"completion text is {type(data['text']).__name__}")
-        token_source = TokenSource(data["token_source"])
-        return cls(**{**data, "token_source": token_source, "from_cache": from_cache})
-
 
 def approximate_tokens(text: str) -> int:
     """Crude token estimate: whitespace-delimited words plus symbol chars.
@@ -288,15 +280,16 @@ class ChatClient:
     def _read_cache(self, path: Path) -> Optional[CompletionResult]:
         """The cached result, or None on a miss.
 
-        An entry that cannot be decoded (not JSON, a missing key, a null text
-        written by an earlier version) is a miss too: the item is fetched
-        again and the atomic write replaces the entry.
+        An entry that is not JSON or not a ``CompletionResult`` (a missing key, a
+        wrongly typed value such as an earlier version's null text) is a miss
+        too: the item is fetched again and the atomic write replaces the entry.
         """
         try:
             with open(path, encoding="utf-8") as fh:
-                return CompletionResult.from_dict(json.load(fh), from_cache=True)
-        except (FileNotFoundError, ValueError, KeyError, TypeError):
+                entry = from_json_dict(CompletionResult, json.load(fh), "cache entry")
+        except (FileNotFoundError, ValueError):  # ValueError: not JSON, or a JsonMismatch
             return None
+        return replace(entry, from_cache=True)
 
     def _write_cache(self, path: Path, result: CompletionResult) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)

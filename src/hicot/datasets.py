@@ -9,16 +9,18 @@ benchmark names to their source field names and answer kind.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, get_args, get_origin, get_type_hints
 
-from .judge import AnswerKind, JudgeReason, Judgment
+from .judge import AnswerKind, Judgment
 from .prompts import PromptStrategy
 from .traces import FormatReport
 
@@ -72,48 +74,31 @@ class Problem:
 
 @dataclass(frozen=True)
 class FieldMap:
-    """Names of the source keys carrying the statement and gold answer."""
+    """Names of the source keys carrying the statement, the gold answer and the id."""
 
-    statement: str = "problem"
-    answer: str = "answer"
+    statement: str
+    answer: str
     id: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    field_map: FieldMap = FieldMap()
+    """A benchmark registry entry; its fields are the entry's keys."""
+
+    statement_field: str = "problem"
+    answer_field: str = "answer"
+    id_field: Optional[str] = None
     kind: AnswerKind = AnswerKind.MATH_EXPRESSION
 
-
-def benchmark_spec(name: str, entry, base: Optional[BenchmarkSpec] = None) -> BenchmarkSpec:
-    """BenchmarkSpec from one registry or run-config benchmark entry.
-
-    The keys are ``statement_field``, ``answer_field``, ``id_field`` and
-    ``kind``; each one the entry lacks comes from ``base``, else from the
-    ``BenchmarkSpec`` defaults. Raises ValueError naming the benchmark when
-    the entry is not an object or a key has the wrong type or value.
-    """
-    if not isinstance(entry, dict):
-        raise ValueError(f"benchmark {name!r} must be an object")
-    base = base or BenchmarkSpec()
-    statement = entry.get("statement_field", base.field_map.statement)
-    answer = entry.get("answer_field", base.field_map.answer)
-    id_field = entry.get("id_field", base.field_map.id)
-    if not isinstance(statement, str) or not isinstance(answer, str):
-        raise ValueError(f"benchmark {name!r}: statement_field and answer_field must be strings")
-    if id_field is not None and not isinstance(id_field, str):
-        raise ValueError(f"benchmark {name!r}: id_field must be a string")
-    try:
-        kind = AnswerKind(entry.get("kind", base.kind.value))
-    except ValueError as exc:
-        raise ValueError(f"benchmark {name!r}: {exc}") from None
-    return BenchmarkSpec(FieldMap(statement, answer, id_field), kind)
+    @property
+    def field_map(self) -> FieldMap:
+        return FieldMap(self.statement_field, self.answer_field, self.id_field)
 
 
 def load_registry(path: Optional[str | Path] = None) -> dict:
     """Benchmark name -> BenchmarkSpec, from ``path`` or the packaged default.
 
-    Each entry is read by ``benchmark_spec``. Raises ValueError when the file
+    Each entry is read by ``from_json_dict``. Raises ValueError when the file
     is not a JSON object or an entry is bad, OSError when it cannot be read.
     """
     if path is None:
@@ -123,7 +108,10 @@ def load_registry(path: Optional[str | Path] = None) -> dict:
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError("a benchmark registry must be a JSON object")
-    return {name: benchmark_spec(name, entry) for name, entry in raw.items()}
+    return {
+        name: from_json_dict(BenchmarkSpec, entry, f"benchmark {name!r}")
+        for name, entry in raw.items()
+    }
 
 
 def load_dataset(
@@ -150,7 +138,7 @@ def load_dataset(
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise MalformedLine(path, line_no, f"not UTF-8: {exc}") from exc
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 row = json.loads(line)
@@ -159,14 +147,12 @@ def load_dataset(
             if not isinstance(row, dict):
                 raise MalformedLine(path, line_no, "expected a JSON object")
 
-            statement = _required(row, field_map.statement, path, line_no)
-            answer = _required(row, field_map.answer, path, line_no)
+            statement = _text(row, field_map.statement, path, line_no)
+            answer = _text(row, field_map.answer, path, line_no)
             if field_map.id and field_map.id in row:
-                problem_id = str(row[field_map.id])
+                problem_id = _text(row, field_map.id, path, line_no)
             else:
                 problem_id = str(len(problems) + 1)
-            if not problem_id:
-                raise MalformedLine(path, line_no, "empty problem id")
             if problem_id in seen_ids:
                 raise DuplicateId(path, line_no, problem_id)
             seen_ids.add(problem_id)
@@ -182,10 +168,14 @@ def load_dataset(
     return problems
 
 
-def _required(row: dict, key: str, path, line_no: int) -> str:
+def _text(row: dict, key: str, path, line_no: int) -> str:
+    """``row[key]``: a JSON string that is not blank, or a number, as text."""
     if key not in row:
         raise MissingField(path, line_no, key)
-    value = str(row[key])
+    value = row[key]
+    if type(value) is bool or not isinstance(value, (str, int, float)):
+        raise MalformedLine(path, line_no, f"field {key!r} must be a string or a number")
+    value = str(value)
     if not value.strip():
         raise MalformedLine(path, line_no, f"field {key!r} is empty")
     return value
@@ -220,20 +210,6 @@ class EvalRecord:
     def to_dict(self) -> dict:
         return to_json_dict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalRecord":
-        """Inverse of ``to_dict``; absent keys take the field defaults, and an
-        unknown key or a wrongly typed nested object raises TypeError."""
-        judgment = data["judgment"]
-        return cls(
-            **{
-                **data,
-                "strategy": PromptStrategy(data["strategy"]),
-                "judgment": Judgment(**{**judgment, "reason": JudgeReason(judgment["reason"])}),
-                "format_report": FormatReport(**data["format_report"]),
-            }
-        )
-
 
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
@@ -260,6 +236,106 @@ def to_json_dict(obj) -> dict:
     return data
 
 
+class JsonMismatch(ValueError):
+    """JSON that does not fit the dataclass it is read into: not an object, an
+    unknown or missing key, a value of the wrong type, or one the class refuses."""
+
+
+def from_json_dict(cls, data, where: str, base=None):
+    """The dataclass ``cls`` from the JSON object ``data``: the inverse of ``to_json_dict``.
+
+    A key that ``data`` lacks takes the value of the same field of ``base``, if
+    it has one, else the field default. Nested dataclasses are read likewise,
+    lists and fixed-length tuples item by item, an Enum by its constructor and a
+    Path from a non-empty string; a boolean is never a number, and a float is
+    finite. Any other value raises JsonMismatch naming its key below ``where``;
+    the ``ValueError`` of a ``__post_init__`` check begins with the field it refuses.
+    """
+    if not isinstance(data, dict):
+        raise JsonMismatch(f"{where} must be an object")
+    readers = _READERS.get(cls)
+    if readers is None:  # built once per class: ``(passes, read)`` per field, see ``_reader``
+        hints = get_type_hints(cls)
+        readers = _READERS[cls] = {f.name: _reader(hints[f.name]) for f in fields(cls)}
+    values = {} if base is None else {k: getattr(base, k) for k in readers if hasattr(base, k)}
+    for key, value in data.items():
+        try:
+            passes, read = readers[key]
+        except KeyError:
+            raise JsonMismatch(f"{where}.{key} is not a known key") from None
+        if type(value) not in passes:
+            value = read(value, f"{where}.{key}", getattr(base, key, None))
+        values[key] = value
+    try:
+        return cls(**values)
+    except TypeError as exc:  # a required key is missing
+        raise JsonMismatch(f"{where}: {exc}") from exc
+    except ValueError as exc:
+        raise JsonMismatch(f"{where}.{exc}") from exc
+
+
+_READERS: dict = {}  # dataclass -> {field name: its reader}
+
+# The field types a JSON value of the same type passes as it is.
+_JSON_NAMES = {bool: "true or false", int: "an integer", str: "a string", dict: "an object"}
+
+
+def _reader(hint) -> tuple:
+    """``(passes, read)`` for a field of type ``hint``: a value whose type is in
+    ``passes`` is taken as it is, any other goes through ``read(value, where, base)``."""
+    args = get_args(hint)
+    if type(None) in args:  # Optional[X]
+        passes, read = _reader(args[0])
+        return passes | {type(None)}, read
+    if get_origin(hint) in (list, tuple):
+        return frozenset(), partial(_read_array, get_origin(hint), [_reader(a) for a in args])
+    if is_dataclass(hint):
+        return frozenset(), partial(from_json_dict, hint)
+    if hint in _JSON_NAMES:
+        return frozenset({hint}), partial(_convert, hint)
+    if hint in (float, Path) or issubclass(hint, Enum):
+        return frozenset(), partial(_convert, hint)
+    raise TypeError(f"no JSON reader for a field of type {hint!r}")
+
+
+def _read_array(origin, items: list, value, where: str, base):
+    """A list (``items`` holds the one item reader) or a fixed-length tuple (one
+    reader per item) from a JSON array."""
+    if not isinstance(value, list) or (origin is tuple and len(value) != len(items)):
+        count = f" of {len(items)} values" if origin is tuple else ""
+        raise JsonMismatch(f"{where} must be a list{count}")
+    readers = items if origin is tuple else items * len(value)
+    values = []
+    for i, (item, (passes, read)) in enumerate(zip(value, readers)):
+        values.append(item if type(item) in passes else read(item, f"{where}[{i}]", None))
+    return origin(values)
+
+
+def _convert(hint, value, where: str, base):
+    """``value`` read as a ``hint``: a finite float, a Path or an Enum; a value of
+    any other field type here has the wrong JSON type."""
+    if hint in _JSON_NAMES:
+        raise JsonMismatch(f"{where} must be {_JSON_NAMES[hint]}")
+    if hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise JsonMismatch(f"{where} must be a number")
+        try:
+            value = float(value)
+        except OverflowError as exc:
+            raise JsonMismatch(f"{where} is too large") from exc
+        if not math.isfinite(value):  # JSON NaN, Infinity, or a literal like 1e400
+            raise JsonMismatch(f"{where} must be a finite number")
+        return value
+    if hint is Path:
+        if not isinstance(value, str) or not value:
+            raise JsonMismatch(f"{where} must be a non-empty string")
+        return Path(value)
+    try:  # an Enum, by its value
+        return hint(value)
+    except ValueError as exc:
+        raise JsonMismatch(f"{where}: {exc}") from exc
+
+
 def now_timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -279,9 +355,9 @@ def _parse_record_line(line: str, path, line_no: int) -> EvalRecord:
     if version != SCHEMA_VERSION:
         raise SchemaMismatch(path, line_no, f"unknown record version {version!r}")
     try:
-        return EvalRecord.from_dict(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SchemaMismatch(path, line_no, f"bad record: {exc}") from exc
+        return from_json_dict(EvalRecord, data, "record")
+    except JsonMismatch as exc:
+        raise SchemaMismatch(path, line_no, str(exc)) from exc
 
 
 def write_records(records: Iterable[EvalRecord], path: str | Path) -> None:
@@ -304,7 +380,7 @@ def read_records(path: str | Path) -> list:
     with fh:
         try:
             for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
+                if line.isspace():
                     continue
                 records.append(_parse_record_line(line, path, line_no))
         except UnicodeDecodeError:  # the decoder reads ahead of the lines: find the one

@@ -59,10 +59,6 @@ class MetricsSummary:
     def to_dict(self) -> dict:
         return to_json_dict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsSummary":
-        return cls(**{**data, "strategy": PromptStrategy(data["strategy"])})
-
 
 @dataclass(frozen=True)
 class MacroSummary:

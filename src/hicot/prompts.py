@@ -34,12 +34,14 @@ class PromptStrategy(Enum):
         return _LABELS[self]
 
     @classmethod
-    def parse(cls, name: str) -> "PromptStrategy":
-        key = name.strip().lower().replace("-", "").replace("_", "").replace(" ", "")
-        try:
-            return _PARSE_TABLE[key]
-        except KeyError:
-            raise ValueError(f"unknown prompting strategy: {name!r}") from None
+    def _missing_(cls, value):
+        """Other spellings: any case, with ``-``, ``_`` or spaces, and ``hicot-format-relaxed``."""
+        if not isinstance(value, str):
+            return None
+        key = value.strip().lower().replace("-", "").replace("_", "").replace(" ", "")
+        if key == "hicotformatrelaxed":
+            return cls.HICOT_RELAXED
+        return next((member for member in cls if member.value == key), None)
 
 
 _LABELS = {
@@ -49,9 +51,6 @@ _LABELS = {
     PromptStrategy.HICOT_RELAXED: "Hi-CoT (format-relaxed)",
     PromptStrategy.HICOT: "Hi-CoT",
 }
-
-_PARSE_TABLE = {s.value: s for s in PromptStrategy}
-_PARSE_TABLE["hicotformatrelaxed"] = PromptStrategy.HICOT_RELAXED
 
 
 # Fixed strategy order for report rows.

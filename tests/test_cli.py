@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import io
 import json
+import re
 import sys
 import threading
 import time
@@ -11,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hicot import cli
 from hicot.cli import (
@@ -38,6 +40,7 @@ from hicot.prompts import PromptStrategy, build_prompt
 from hicot.traces import scan_blocks, validate_format
 
 from grid_fixture import TOY_INT_PROBLEMS, grid_responder, write_config
+from json_faults import key_paths, swap_one
 from stub_server import StubReply
 from trace_samples import WORKED_HICOT_OUTPUT
 
@@ -135,7 +138,40 @@ _KEYED_FAULTS = {
         lambda config: {**config, "endpoint": {**config["endpoint"], "base_url": "http://h:x"}},
         "config.endpoint.base_url",
     ),
+    "benchmark_answer_feild": (
+        lambda config: _with_entry(config, answer_feild="solution"),
+        "config.benchmarks.toy_int.answer_feild",
+    ),
+    "benchmark_knd": (
+        lambda config: _with_entry(config, knd="integer_exact"),
+        "config.benchmarks.toy_int.knd",
+    ),
+    "benchmark_statement_field_number": (
+        lambda config: _with_entry(config, statement_field=3),
+        "config.benchmarks.toy_int.statement_field",
+    ),
+    "registry_knd": (
+        lambda config: _with_registry(config, {"toy_int": {"knd": "integer_exact"}}),
+        "'toy_int'.knd",
+    ),
+    "registry_path": (
+        lambda config: _with_registry(config, {"toy_int": {"path": "toy_int.jsonl"}}),
+        "'toy_int'.path",
+    ),
 }
+
+
+def _with_entry(config, **keys) -> dict:
+    """``config`` with ``keys`` added to its ``toy_int`` benchmark entry."""
+    benchmarks = config["benchmarks"]
+    return {**config, "benchmarks": {**benchmarks, "toy_int": {**benchmarks["toy_int"], **keys}}}
+
+
+def _with_registry(config, entries) -> dict:
+    """``config`` naming a registry of ``entries``, written beside its datasets."""
+    path = Path(config["benchmarks"]["toy_int"]["path"]).with_name("registry.json")
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    return {**config, "registry": str(path)}
 
 
 class TestConfigValidation:
@@ -276,6 +312,52 @@ class TestConfigValidation:
         assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_value_of_another_json_type_names_the_key(self, tmp_path, capsys, data):
+        config = json.loads(write_config(tmp_path, "http://127.0.0.1:1").read_text())
+        config["endpoint"]["api_key_env"] = "HICOT_API_KEY"
+        config["sampling"]["seed"] = 1
+        config.update(
+            registry=None,
+            think_tags=["<think>", "</think>"],
+            model_overrides={
+                "sim-alpha": {
+                    "prompt_as_system": True,
+                    "sampling": {"seed": 3},
+                    "extra_body": {"enable_thinking": False},
+                }
+            },
+        )
+        load_run_config(_dump(tmp_path, config))  # the unspoiled config loads
+        number = (int, float)
+        optional = (type(None),)
+        also_accepted = {
+            ("endpoint", "timeout_s"): number,
+            ("endpoint", "backoff_base_s"): number,
+            ("endpoint", "api_key_env"): optional,
+            ("sampling", "temperature"): number,
+            ("sampling", "top_p"): number,
+            ("sampling", "seed"): optional,
+            ("registry",): (str,),
+            ("cache_dir",): optional,
+            ("benchmarks", "toy_int"): (str,),  # a path alone
+            ("benchmarks", "toy_expr"): (str,),
+            ("model_overrides", "sim-alpha", "sampling"): optional,
+            ("model_overrides", "sim-alpha", "sampling", "seed"): optional,
+            ("model_overrides", "sim-alpha", "extra_body"): optional,
+        }
+        paths = key_paths(config, opaque={("model_overrides", "sim-alpha", "extra_body")})
+        key, spoiled = swap_one(data, config, paths, also_accepted)
+        config_path = _dump(tmp_path, spoiled)
+        with pytest.raises(ConfigInvalid, match=re.escape(".".join(key))):
+            load_run_config(config_path)
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+        assert ".".join(key) in capsys.readouterr().err
+
     def test_readme_config_example_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("### Run configuration", 1)[1]
@@ -357,6 +439,12 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigInvalid):
             load_run_config(path)
+
+
+def _dump(root, config) -> Path:
+    path = root / "run_config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
 
 
 def _task_keys(config) -> list:

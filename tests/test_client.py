@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hicot
 from hicot import client as client_module
@@ -30,6 +31,7 @@ from hicot.client import (
 )
 from hicot.prompts import PromptStrategy, build_prompt
 
+from json_faults import key_paths, swap_one
 from stub_server import StubReply
 from trace_samples import APPLES_PROBLEM, WORKED_HICOT_OUTPUT
 
@@ -306,8 +308,9 @@ class TestComplete:
             '{"text": null, "completion_tokens": 5, "token_source": "api_usage", "latency_ms": 1}',
             '{"text": "torn',
             '{"completion_tokens": 5, "token_source": "api_usage", "latency_ms": 1}',
+            '{"text": "old", "completion_tokens": "5", "token_source": "api_usage", "latency_ms": 1}',
         ],
-        ids=["null_text", "broken_json", "missing_key"],
+        ids=["null_text", "broken_json", "missing_key", "string_tokens"],
     )
     def test_unreadable_cache_entry_is_fetched_again(self, make_stub, tmp_path, entry):
         stub = make_stub(lambda payload: StubReply("fresh"))
@@ -321,6 +324,25 @@ class TestComplete:
         assert json.loads(path.read_text(encoding="utf-8"))["text"] == "fresh"
         assert client.complete(request).from_cache
         assert stub.total_requests == 1
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_entry_with_a_value_of_another_json_type_is_a_miss(self, tmp_path, data):
+        entry = {
+            "text": "cached", "completion_tokens": 5, "token_source": "api_usage",
+            "latency_ms": 1, "from_cache": False,
+        }
+        _, spoiled = swap_one(data, entry, key_paths(entry), {})
+        client = ChatClient(Endpoint("http://127.0.0.1:1"), tmp_path / "cache", 1)
+        request = _request()
+        path = tmp_path / "cache" / "stub-model" / f"{request.cache_key()}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        assert client.cached(request).text == "cached"
+        path.write_text(json.dumps(spoiled), encoding="utf-8")
+        assert client.cached(request) is None
 
     def test_entry_without_from_cache_key_is_a_hit(self, make_stub, tmp_path):
         stub = make_stub(lambda payload: StubReply("fresh"))

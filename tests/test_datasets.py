@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hicot.cli import EXIT_IO, main
+from hicot.client import CompletionResult, TokenSource
 from hicot.datasets import (
-    BenchmarkSpec,
     DuplicateId,
     EvalRecord,
     FieldMap,
@@ -17,17 +18,21 @@ from hicot.datasets import (
     Problem,
     RecordWriter,
     SchemaMismatch,
+    from_json_dict,
     load_dataset,
     load_registry,
     load_resumable,
     read_records,
+    to_json_dict,
     write_records,
 )
 from hicot.judge import AnswerKind, JudgeReason, Judgment
+from hicot.metrics import MetricsSummary
 from hicot.prompts import PromptStrategy
 from hicot.traces import FormatReport
 
 from grid_fixture import write_config
+from json_faults import key_paths, swap_one
 
 FIELDS = FieldMap(statement="problem", answer="answer")
 
@@ -70,6 +75,23 @@ class TestLoadDataset:
         with pytest.raises(MalformedLine) as excinfo:
             load_dataset(path, "b", FIELDS, AnswerKind.MATH_EXPRESSION)
         assert excinfo.value.line_no == 2
+
+    @pytest.mark.parametrize("key", ["problem", "answer", "id"])
+    @pytest.mark.parametrize(
+        "value", [None, True, ["42"], {"value": "42"}], ids=["null", "bool", "list", "object"]
+    )
+    def test_value_that_is_not_text_is_malformed_line(self, tmp_path, key, value):
+        # A number stays valid text: the first line loads, and its answer reads "42".
+        rows = [{"id": 7, "problem": "p", "answer": 42}, {"id": "q", "problem": "q", "answer": "1"}]
+        rows[1][key] = value
+        path = _write_jsonl(tmp_path / "typed.jsonl", rows)
+        fields = FieldMap("problem", "answer", id="id")
+        with pytest.raises(MalformedLine, match=f"typed.jsonl:2: .*'{key}'") as excinfo:
+            load_dataset(path, "b", fields, AnswerKind.INTEGER_EXACT)
+        assert excinfo.value.line_no == 2
+        path = _write_jsonl(path, rows[:1])
+        [problem] = load_dataset(path, "b", fields, AnswerKind.INTEGER_EXACT)
+        assert (problem.id, problem.gold_answer) == ("7", "42")
 
     def test_duplicate_id_rejected(self, tmp_path):
         rows = [
@@ -134,7 +156,8 @@ class TestRegistry:
     def test_registry_entry_takes_config_defaults(self, tmp_path):
         path = tmp_path / "reg.json"
         path.write_text(json.dumps({"toy": {"answer_field": "a"}}))
-        assert load_registry(path)["toy"] == BenchmarkSpec(
+        spec = load_registry(path)["toy"]
+        assert (spec.field_map, spec.kind) == (
             FieldMap(statement="problem", answer="a"), AnswerKind.MATH_EXPRESSION
         )
 
@@ -204,6 +227,41 @@ _records = st.builds(
 )
 
 
+_results = st.builds(
+    CompletionResult,
+    text=st.text(max_size=200),
+    completion_tokens=st.integers(min_value=0, max_value=10**6),
+    token_source=st.sampled_from(list(TokenSource)),
+    latency_ms=st.integers(min_value=0, max_value=10**6),
+    from_cache=st.booleans(),
+)
+
+_percent = st.floats(min_value=0, max_value=100)
+_summaries = st.builds(
+    MetricsSummary,
+    model_id=st.text(min_size=1, max_size=20),
+    strategy=st.sampled_from(list(PromptStrategy)),
+    benchmark=st.text(min_size=1, max_size=10),
+    n=st.integers(min_value=1, max_value=10**4),
+    pass_at_1=_percent,
+    avg_completion_tokens=st.floats(min_value=0, max_value=1e6),
+    compliance_rate=_percent,
+    conditional_pass_at_1=st.one_of(st.none(), _percent),
+    conditional_avg_tokens=st.one_of(st.none(), st.floats(min_value=0, max_value=1e6)),
+)
+
+# A record line with every optional value set. A version of another type is an
+# unknown version, refused before any field is read, so it is not swapped.
+_FULL_ROW = make_record(0, client_error="EndpointUnreachable: x").to_dict()
+_ROW_PATHS = key_paths(_FULL_ROW, skip={("schema_version",)})
+_NULL = (type(None),)
+_ROW_NULLABLE = {
+    ("client_error",): _NULL,
+    ("judgment", "predicted_raw"): _NULL,
+    ("judgment", "predicted_normalized"): _NULL,
+}
+
+
 class TestRecordsRoundTrip:
     def test_hundred_records_round_trip(self, tmp_path):
         records = [make_record(i) for i in range(100)]
@@ -215,8 +273,31 @@ class TestRecordsRoundTrip:
     @given(records=st.lists(_records, max_size=6))
     def test_round_trip_is_lossless(self, records):
         lines = [json.dumps(r.to_dict(), ensure_ascii=False) for r in records]
-        back = [EvalRecord.from_dict(json.loads(line)) for line in lines]
+        back = [from_json_dict(EvalRecord, json.loads(line), "record") for line in lines]
         assert back == records
+
+    @settings(max_examples=60, deadline=None)
+    @given(results=st.lists(_results, max_size=4), summaries=st.lists(_summaries, max_size=4))
+    def test_cache_entries_and_summaries_round_trip(self, results, summaries):
+        for item in [*results, *summaries]:
+            line = json.dumps(to_json_dict(item), ensure_ascii=False, allow_nan=False)
+            assert from_json_dict(type(item), json.loads(line), "item") == item
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_value_of_another_json_type_is_schema_mismatch(self, tmp_path, capsys, data):
+        key, spoiled = swap_one(data, _FULL_ROW, _ROW_PATHS, _ROW_NULLABLE)
+        named = f"record.{'.'.join(key)}"
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(_FULL_ROW) + "\n" + json.dumps(spoiled) + "\n")
+        with pytest.raises(SchemaMismatch, match=re.escape(f":2: {named}") + r"\b"):
+            read_records(path)
+        capsys.readouterr()
+        assert main(["score", str(path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{path}:2: {named}" in err and "Traceback" not in err
 
     def test_corrupted_line_raises_schema_mismatch(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -279,9 +360,12 @@ class TestRecordsRoundTrip:
             lambda row: {**row, "judgment": {**row["judgment"], "reason": "close"}},
             lambda row: {**row, "grade": "A"},
             lambda row: {**row, "format_report": {**row["format_report"], "depth": 2}},
+            lambda row: {**row, "judgment": {**row["judgment"], "correct": "false"}},
+            lambda row: {**row, "compliant": "false"},
+            lambda row: {**row, "completion_tokens": "5"},
         ],
         ids=["null_judgment", "list_format_report", "unknown_reason", "unknown_key",
-             "unknown_nested_key"],
+             "unknown_nested_key", "string_correct", "string_compliant", "string_tokens"],
     )
     def test_bad_record_is_schema_mismatch(self, tmp_path, capsys, spoil):
         path = tmp_path / "records.jsonl"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hicot.datasets import EvalRecord
+from hicot.datasets import EvalRecord, from_json_dict
 from hicot.judge import JudgeReason, Judgment
 from hicot.metrics import (
     DuplicateKey,
@@ -233,7 +233,7 @@ class TestEmitTable:
     def test_json_cell_round_trips(self):
         summaries, macro = small_fixture()
         payload = json.loads(emit_table(summaries[:1], macro[:1], TableFormat.JSON))
-        back = MetricsSummary.from_dict(payload["summaries"][0])
+        back = from_json_dict(MetricsSummary, payload["summaries"][0], "summary")
         assert back == summaries[0]
 
     def test_csv_keeps_full_precision(self):

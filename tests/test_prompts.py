@@ -100,13 +100,13 @@ def test_problem_text_never_escaped():
 
 
 def test_strategy_parse_aliases():
-    assert PromptStrategy.parse("hicot") is PromptStrategy.HICOT
-    assert PromptStrategy.parse("Plan-and-Solve") is PromptStrategy.PLAN_AND_SOLVE
-    assert PromptStrategy.parse("plan_and_solve") is PromptStrategy.PLAN_AND_SOLVE
-    assert PromptStrategy.parse("HiCoT (format relaxed)".replace("(", "").replace(")", "")) \
+    assert PromptStrategy("hicot") is PromptStrategy.HICOT
+    assert PromptStrategy("Plan-and-Solve") is PromptStrategy.PLAN_AND_SOLVE
+    assert PromptStrategy("plan_and_solve") is PromptStrategy.PLAN_AND_SOLVE
+    assert PromptStrategy("HiCoT (format relaxed)".replace("(", "").replace(")", "")) \
         is PromptStrategy.HICOT_RELAXED
     with pytest.raises(ValueError):
-        PromptStrategy.parse("few-shot")
+        PromptStrategy("few-shot")
 
 
 def test_build_prompt_accepts_problem_objects():
