@@ -243,10 +243,11 @@ def cmd_run(config: RunConfig) -> Path:
     Existing records (matched by their uniqueness key) are skipped, so an
     interrupted run picks up where it stopped. The main thread looks every
     item up in the completion cache, in task order, and hands each miss to a
-    pool of ``config.concurrency`` workers, which only send requests. It then
-    scores the items and appends their records, in task order. A hit is pure
-    Python work, which threads would not run in parallel, so it never goes
-    through the pool.
+    pool of ``config.concurrency`` workers, which only send requests: the pool
+    alone bounds the requests in flight. Items that share a cache key share
+    its one fetch and its outcome. The main thread then scores the items and
+    appends their records, in task order. A hit is pure Python work, which
+    threads would not run in parallel, so it never goes through the pool.
 
     Per-item failures are recorded as incorrect rather than aborting the
     grid; a cache that cannot be read or written aborts it with the
@@ -278,7 +279,7 @@ def cmd_run(config: RunConfig) -> Path:
         f"{len(existing)} records resumed, {total} to do"
     )
 
-    client = ChatClient(config.endpoint, config.cache_dir, config.concurrency)
+    client = ChatClient(config.endpoint, config.cache_dir)
 
     ending = threading.Event()  # set once the grid ends: a fetch not yet started sends nothing
 
@@ -295,9 +296,10 @@ def cmd_run(config: RunConfig) -> Path:
     with client, RecordWriter(config.records_path) as writer:
         pool = ThreadPoolExecutor(max_workers=config.concurrency)
         try:
-            # Per task: its cached completion, the future of its fetch, or the
-            # exception that building its request raised.
+            # Per task: its cached completion, the future of its key's one fetch,
+            # or the exception that building its request raised.
             outcomes = []
+            fetches = {}  # cache key -> the future of its fetch
             for task in tasks:
                 try:
                     request = _request(config, *task)
@@ -305,8 +307,10 @@ def cmd_run(config: RunConfig) -> Path:
                 except Exception as exc:
                     outcomes.append(exc)
                     continue
-                cached = client.cached(request, key)
-                outcomes.append(cached if cached is not None else pool.submit(fetch, request, key))
+                outcome = fetches.get(key) or client.cached(request, key)
+                if outcome is None:
+                    outcome = fetches[key] = pool.submit(fetch, request, key)
+                outcomes.append(outcome)
 
             for task, completion in zip(tasks, outcomes):
                 if isinstance(completion, Future):

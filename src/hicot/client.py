@@ -1,4 +1,4 @@
-"""Chat-completions client with caching, retries, and a concurrency bound.
+"""Chat-completions client with caching and retries.
 
 Speaks the OpenAI-compatible ``POST /v1/chat/completions`` wire protocol
 through the standard library's ``http.client``, and persists one JSON file
@@ -20,7 +20,6 @@ import re
 import ssl
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -175,16 +174,15 @@ def _sanitize_for_path(name: str) -> str:
 
 
 class ChatClient:
-    """Shared, thread-safe client enforcing at most ``concurrency`` in-flight requests.
+    """A fetch-and-cache client that threads may share.
 
     Cache layout: ``<cache_dir>/<model_id>/<hex-hash>.json`` (model ids are
-    sanitized for the filesystem). Writes for the same key are single-flight:
-    concurrent misses on one key perform one network call.
+    sanitized for the filesystem). The caller decides which requests go out
+    and how many at once: the client neither bounds concurrent requests nor
+    merges concurrent fetches of one key.
     """
 
-    def __init__(self, endpoint: Endpoint, cache_dir: str | Path, concurrency: int):
-        if concurrency < 1:
-            raise ValueError("concurrency bound must be >= 1")
+    def __init__(self, endpoint: Endpoint, cache_dir: str | Path):
         self.endpoint = endpoint
         self.url = endpoint.base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
         self.cache_dir = Path(cache_dir)
@@ -216,10 +214,8 @@ class ChatClient:
                 self._request_target = self.url
                 self._headers.update(proxy_headers)
             self._address = (via.hostname, via.port)
-        self._idle = collections.deque()  # open connections that no request is using
-        self._inflight = threading.BoundedSemaphore(concurrency)
-        self._key_locks: dict = {}  # key -> [lock, callers holding or waiting on it]
-        self._key_locks_guard = threading.Lock()
+        # Open connections that no request is using: at most one per calling thread.
+        self._idle = collections.deque()
 
     def close(self) -> None:
         """Close the connections kept open for later requests; call it once no
@@ -301,50 +297,23 @@ class ChatClient:
             tmp.unlink(missing_ok=True)
             raise
 
-    @contextmanager
-    def _single_flight(self, key: str):
-        """Hold the lock for ``key``; its entry is dropped once no caller holds or
-        waits on it, so ``_key_locks`` keeps only the keys in flight."""
-        with self._key_locks_guard:
-            entry = self._key_locks.setdefault(key, [threading.Lock(), 0])
-            entry[1] += 1
-        try:
-            with entry[0]:
-                yield
-        finally:
-            with self._key_locks_guard:
-                entry[1] -= 1
-                if not entry[1]:
-                    del self._key_locks[key]
-
     def complete(self, req: CompletionRequest) -> CompletionResult:
         """Return the completion for ``req``, from cache when available."""
         key = req.cache_key()
         cached = self.cached(req, key)
         return cached if cached is not None else self.fetch(req, key)
 
-    def cached(
-        self, req: CompletionRequest, key: Optional[str] = None
-    ) -> Optional[CompletionResult]:
-        """The cached completion for ``req``, or None on a miss; sends no request.
-        ``key`` is ``req.cache_key()``, passed when the caller has it already."""
-        return self._read_cache(self._cache_path(req, key or req.cache_key()))
+    def cached(self, req: CompletionRequest, key: str) -> Optional[CompletionResult]:
+        """The cached completion for ``req``, whose cache key is ``key``, or None on
+        a miss; sends no request."""
+        return self._read_cache(self._cache_path(req, key))
 
-    def fetch(self, req: CompletionRequest, key: Optional[str] = None) -> CompletionResult:
-        """The completion for ``req`` from the endpoint, written to the cache.
-
-        Single-flight per key: a fetch that waited on another fetch of its key
-        returns the entry that one wrote. ``key`` is as for ``cached``.
-        """
-        key = key or req.cache_key()
-        path = self._cache_path(req, key)
-        with self._single_flight(key):
-            cached = self._read_cache(path)
-            if cached is not None:
-                return cached
-            result = self._complete_uncached(req)
-            self._write_cache(path, result)
-            return result
+    def fetch(self, req: CompletionRequest, key: str) -> CompletionResult:
+        """The completion for ``req`` from the endpoint, written to the cache under
+        ``key``; the cache is not read."""
+        result = self._complete_uncached(req)
+        self._write_cache(self._cache_path(req, key), result)
+        return result
 
     def _complete_uncached(self, req: CompletionRequest) -> CompletionResult:
         payload = {
@@ -370,8 +339,7 @@ class ChatClient:
                 time.sleep(wait_s)
             wait_s = None
             try:
-                with self._inflight:
-                    status, reply, retry_after = self._post(body)
+                status, reply, retry_after = self._post(body)
             except _RETRIABLE_ERRORS as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
                 continue

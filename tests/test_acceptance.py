@@ -19,11 +19,10 @@ import pytest
 
 import hicot
 from hicot.cli import EXIT_OK, cmd_validate, main
-from hicot.client import ChatClient, CompletionRequest, Endpoint
 from hicot.datasets import read_records
 from hicot.judge import answers_equal, extract_boxed, normalize_math
 from hicot.metrics import MetricsSummary, display_round, macro_average
-from hicot.prompts import PromptStrategy, build_prompt
+from hicot.prompts import PromptStrategy
 from hicot.traces import (
     EXECUTION_MARKER,
     INSTRUCTION_MARKER,
@@ -275,23 +274,31 @@ def test_c6_end_to_end_stub_run(tmp_path, make_stub, capsys):
 
 
 def test_c7_concurrency_bound(tmp_path, make_stub):
+    # A 200-item grid through `run`: its worker pool alone bounds the requests in flight.
     stub = make_stub(lambda payload: StubReply("\\boxed{42}"), delay_s=0.002)
-    client = ChatClient(
-        Endpoint(stub.base_url, backoff_base_s=0.001),
-        cache_dir=tmp_path / "cache",
-        concurrency=4,
+    dataset = tmp_path / "generated.jsonl"
+    dataset.write_text(
+        "".join(
+            json.dumps({"problem": f"Problem number {i}?", "answer": "42"}) + "\n"
+            for i in range(200)
+        ),
+        encoding="utf-8",
     )
-    from concurrent.futures import ThreadPoolExecutor
-
-    requests = [
-        CompletionRequest(
-            model_id="sim-alpha",
-            prompt=build_prompt(PromptStrategy.COT, f"Problem number {i}?"),
-        )
-        for i in range(200)
-    ]
-    with ThreadPoolExecutor(max_workers=16) as pool:
-        list(pool.map(client.complete, requests))
+    config_path = tmp_path / "run_config.json"
+    config_path.write_text(
+        json.dumps({
+            "endpoint": {"base_url": stub.base_url, "backoff_base_s": 0.001},
+            "models": ["sim-alpha"],
+            "strategies": ["cot"],
+            "benchmarks": {"generated": {"path": str(dataset), "kind": "integer_exact"}},
+            "concurrency": 4,
+            "output_dir": str(tmp_path / "out"),
+        }),
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    records = read_records(tmp_path / "out" / "records.jsonl")
+    assert len(records) == 200 and not any(record.client_error for record in records)
     assert stub.total_requests == 200
     assert stub.high_water <= 4
     announce("C7", f"200 requests, high-water {stub.high_water} <= 4")

@@ -458,6 +458,18 @@ def _task_keys(config) -> list:
     ]
 
 
+def _shared_key_config(tmp_path, base_url) -> RunConfig:
+    """A one-model, one-strategy grid over ``toy_int`` and a copy of it: each of
+    its three cache keys is shared by two items, one per benchmark."""
+    config_path = write_config(
+        tmp_path, base_url, models=("sim-alpha",), strategies=("cot",), benchmarks=("toy_int",)
+    )
+    raw = json.loads(config_path.read_text())
+    raw["benchmarks"]["toy_copy"] = raw["benchmarks"]["toy_int"]
+    config_path.write_text(json.dumps(raw))
+    return load_run_config(config_path)
+
+
 class TestRunCommand:
     def test_small_grid_record_count(self, tmp_path, make_stub, capsys):
         stub = make_stub(grid_responder)
@@ -692,7 +704,7 @@ class TestRunCommand:
         first_prompt = build_prompt(PromptStrategy.STANDARD, TOY_INT_PROBLEMS[0][0]).rendered
         started = []
 
-        def fetch(self, request, key=None):
+        def fetch(self, request, key):
             started.append(request.model_id)
             if (request.model_id, request.prompt.rendered) != ("sim-alpha", first_prompt):
                 raise OSError(errno.ENOSPC, "No space left on device")
@@ -732,7 +744,7 @@ class TestRunCommand:
 
                 return super().submit(staggered)
 
-        def fetch(self, request, key=None):
+        def fetch(self, request, key):
             fetched.append(request.prompt.problem_text)
             if len(fetched) == 2:
                 raise OSError(errno.ENOSPC, "No space left on device")
@@ -781,7 +793,7 @@ class TestRunCommand:
         cold = read_records(cmd_run(config))
         assert [record.key() for record in cold] == _task_keys(config)
 
-        def fetch(self, request, key=None):
+        def fetch(self, request, key):
             raise AssertionError("a warm run fetched")
 
         monkeypatch.setattr(ChatClient, "fetch", fetch)
@@ -807,6 +819,39 @@ class TestRunCommand:
         assert stub.total_requests == 60 - 12
         assert [record.key() for record in records] == _task_keys(config)
         assert not any(record.client_error for record in records)
+
+    def test_items_that_share_a_cache_key_share_one_request(self, tmp_path, make_stub):
+        # Paced replies: every copy is looked up while its key's fetch is in flight.
+        stub = make_stub(grid_responder, delay_s=0.01)
+        config = _shared_key_config(tmp_path, stub.base_url)
+        records = read_records(cmd_run(config))
+        assert [record.key() for record in records] == _task_keys(config)
+        assert stub.total_requests == 3  # one per distinct key
+        assert not any(record.client_error for record in records)
+        originals, copies = records[:3], records[3:]
+        for original, copy in zip(originals, copies):
+            assert (original.benchmark, copy.benchmark) == ("toy_int", "toy_copy")
+            assert original.problem_id == copy.problem_id
+            assert original.completion_text == copy.completion_text
+
+    def test_items_that_share_a_failing_key_share_its_error_record(self, tmp_path, make_stub):
+        def hexagon_unavailable(payload):
+            if "hexagon" in payload["messages"][-1]["content"]:
+                return StubReply(status=503)
+            return grid_responder(payload)
+
+        stub = make_stub(hexagon_unavailable)
+        config = _shared_key_config(tmp_path, stub.base_url)
+        records = read_records(cmd_run(config))
+        failed = [record for record in records if record.client_error]
+        assert [(record.benchmark, record.problem_id) for record in failed] == [
+            ("toy_int", "3"), ("toy_copy", "3")
+        ]
+        assert failed[0].client_error == failed[1].client_error
+        assert "gave up after 3 attempts (HTTP 503)" in failed[0].client_error
+        # One request each for the two keys that succeed, and one request's
+        # worth of attempts for the failing key.
+        assert stub.total_requests == 2 + config.endpoint.max_attempts
 
     def test_request_that_cannot_be_built_is_its_error_record(
         self, tmp_path, make_stub, monkeypatch, capsys

@@ -1,4 +1,4 @@
-"""Chat client: caching, retries, token accounting, concurrency bound, transport."""
+"""Chat client: caching, retries, token accounting, transport."""
 
 import base64
 import errno
@@ -45,9 +45,9 @@ def _request(model="stub-model", problem=APPLES_PROBLEM, **sampling):
     )
 
 
-def _client(stub, tmp_path, concurrency=4, **endpoint):
+def _client(stub, tmp_path, **endpoint):
     endpoint.setdefault("backoff_base_s", 0.001)
-    return ChatClient(Endpoint(stub.base_url, **endpoint), tmp_path / "cache", concurrency)
+    return ChatClient(Endpoint(stub.base_url, **endpoint), tmp_path / "cache")
 
 
 class TestApproximateTokens:
@@ -153,7 +153,7 @@ class TestComplete:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
         endpoint = Endpoint(f"http://127.0.0.1:{port}", max_attempts=2, backoff_base_s=0.001)
-        client = ChatClient(endpoint, tmp_path / "cache", 1)
+        client = ChatClient(endpoint, tmp_path / "cache")
         with pytest.raises(EndpointUnreachable, match="gave up after 2 attempts.*refused"):
             client.complete(_request())
 
@@ -335,14 +335,14 @@ class TestComplete:
             "latency_ms": 1, "from_cache": False,
         }
         _, spoiled = swap_one(data, entry, key_paths(entry), {})
-        client = ChatClient(Endpoint("http://127.0.0.1:1"), tmp_path / "cache", 1)
+        client = ChatClient(Endpoint("http://127.0.0.1:1"), tmp_path / "cache")
         request = _request()
         path = tmp_path / "cache" / "stub-model" / f"{request.cache_key()}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(entry), encoding="utf-8")
-        assert client.cached(request).text == "cached"
+        assert client.cached(request, request.cache_key()).text == "cached"
         path.write_text(json.dumps(spoiled), encoding="utf-8")
-        assert client.cached(request) is None
+        assert client.cached(request, request.cache_key()) is None
 
     def test_entry_without_from_cache_key_is_a_hit(self, make_stub, tmp_path):
         stub = make_stub(lambda payload: StubReply("fresh"))
@@ -363,10 +363,11 @@ class TestComplete:
         stub = make_stub(lambda payload: StubReply("fetched"))
         client = _client(stub, tmp_path)
         request = _request()
-        assert client.cached(request) is None
+        key = request.cache_key()
+        assert client.cached(request, key) is None
         assert stub.total_requests == 0
-        assert client.fetch(request).text == "fetched"
-        hit = client.cached(request, request.cache_key())
+        assert client.fetch(request, key).text == "fetched"
+        hit = client.cached(request, key)
         assert (hit.text, hit.from_cache) == ("fetched", True)
         assert stub.total_requests == 1
 
@@ -532,8 +533,8 @@ class TestTransport:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with _client(stub, tmp_path, concurrency=4, max_attempts=1) as client:
-                with ThreadPoolExecutor(max_workers=16) as pool:
+            with _client(stub, tmp_path, max_attempts=1) as client:
+                with ThreadPoolExecutor(max_workers=4) as pool:
                     results = pool.map(client.complete, [_request(seed=n) for n in range(64)])
                     texts = [result.text for result in results]
                 assert len(client._idle) <= 4
@@ -588,7 +589,7 @@ class TestTransport:
         _set_proxies(monkeypatch, http=proxy.base_url.replace("//", "//user:p%40ss@"))
         # The proxy answers for a host that no name lookup could find.
         endpoint = Endpoint("http://endpoint.invalid:8000", max_attempts=1)
-        received = json.loads(ChatClient(endpoint, tmp_path, 1).complete(_request()).text)
+        received = json.loads(ChatClient(endpoint, tmp_path).complete(_request()).text)
         assert received["Host"] == "endpoint.invalid:8000"
         assert received["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
         assert proxy.total_requests == 1
@@ -650,40 +651,6 @@ class TestCacheKey:
 
 
 class TestConcurrency:
-    def test_inflight_never_exceeds_bound(self, make_stub, tmp_path):
-        stub = make_stub(lambda payload: StubReply("ok"), delay_s=0.005)
-        client = _client(stub, tmp_path, concurrency=3)
-        requests = [_request(problem=f"problem {i}?") for i in range(40)]
-        with ThreadPoolExecutor(max_workers=12) as pool:
-            list(pool.map(client.complete, requests))
-        assert stub.total_requests == 40
-        assert stub.high_water <= 3
-
-    def test_concurrent_misses_on_one_key_are_single_flight(self, make_stub, tmp_path):
-        stub = make_stub(lambda payload: StubReply("ok"), delay_s=0.01)
-        client = _client(stub, tmp_path, concurrency=8)
-        request = _request()
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(client.complete, [request] * 8))
-        assert stub.total_requests == 1
-        assert all(r.text == "ok" for r in results)
-
-    def test_key_locks_are_dropped_once_released(self, make_stub, tmp_path):
-        stub = make_stub(lambda payload: StubReply("ok"), delay_s=0.002)
-        client = _client(stub, tmp_path, concurrency=4)
-        shared = [_request(problem=f"shared {i % 4}?") for i in range(64)]
-        distinct = [_request(problem=f"distinct {i}?") for i in range(64)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=16) as pool:
-                results = list(pool.map(client.complete, shared + distinct, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(r.text == "ok" for r in results)
-        assert stub.total_requests == 4 + 64  # still one request per key
-        assert client._key_locks == {}
-
     def test_partial_cache_entries_never_observable(self, make_stub, tmp_path):
         stub = make_stub(lambda payload: StubReply("x" * 50_000))
         client = _client(stub, tmp_path)
