@@ -454,11 +454,8 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DatasetError, DuplicateKey, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        # e.g. reporting over an empty records file
+    except (DatasetError, DuplicateKey, OSError, ValueError) as exc:
+        # ValueError: e.g. reporting over an empty records file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

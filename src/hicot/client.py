@@ -375,9 +375,9 @@ class ChatClient:
             raise EndpointUnreachable(
                 f"malformed completion response: content is {type(text).__name__}"
             )
-        usage = body.get("usage") or {}
-        tokens = usage.get("completion_tokens")
-        if isinstance(tokens, int) and tokens >= 0:
+        usage = body.get("usage")
+        tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
+        if type(tokens) is int and tokens >= 0:  # a JSON true is not a count
             return CompletionResult(text, tokens, TokenSource.API_USAGE, latency_ms)
         return CompletionResult(
             text, approximate_tokens(text), TokenSource.APPROXIMATE, latency_ms

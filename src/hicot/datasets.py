@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, get_args, get_origin, get_type_hints
 
-from .judge import AnswerKind, Judgment
+from .judge import AnswerKind, Judgment, _parse_int, normalize_math
 from .prompts import PromptStrategy
 from .traces import FormatReport
 
@@ -32,33 +32,15 @@ class DatasetError(Exception):
 
 
 class MalformedLine(DatasetError):
+    """A line of a benchmark or records file that cannot be read: ``path:line: detail``."""
+
     def __init__(self, path, line_no: int, detail: str):
-        super().__init__(f"{path}:{line_no}: malformed line: {detail}")
+        super().__init__(f"{path}:{line_no}: {detail}")
         self.line_no = line_no
-
-
-class MissingField(DatasetError):
-    def __init__(self, path, line_no: int, key: str):
-        super().__init__(f"{path}:{line_no}: missing field {key!r}")
-        self.line_no = line_no
-        self.key = key
-
-
-class DuplicateId(DatasetError):
-    def __init__(self, path, line_no: int, problem_id: str):
-        super().__init__(f"{path}:{line_no}: duplicate problem id {problem_id!r}")
-        self.line_no = line_no
-        self.problem_id = problem_id
 
 
 class IoFailure(DatasetError):
     pass
-
-
-class SchemaMismatch(DatasetError):
-    def __init__(self, path, line_no: int, detail: str):
-        super().__init__(f"{path}:{line_no}: {detail}")
-        self.line_no = line_no
 
 
 @dataclass(frozen=True)
@@ -123,55 +105,75 @@ def load_dataset(
     """Parse a JSON-lines benchmark file into Problems, preserving file order.
 
     Ids come from ``field_map.id`` when named and present, else are assigned
-    sequentially from 1. Blank lines are skipped. Raises MalformedLine,
-    MissingField, or DuplicateId with the offending line number.
+    sequentially from 1. Blank lines are skipped. A line that cannot be read,
+    lacks a field, repeats an id, or (for ``INTEGER_EXACT``) has a gold answer
+    the judge cannot read as an integer raises MalformedLine.
     """
     problems = []
     seen_ids = set()
+    for line_no, row in _json_lines(path):
+        statement = _text(row, field_map.statement, path, line_no)
+        answer = _text(row, field_map.answer, path, line_no)
+        if kind is AnswerKind.INTEGER_EXACT and _parse_int(normalize_math(answer)) is None:
+            detail = f"field {field_map.answer!r} is not an integer: {answer!r}"
+            raise MalformedLine(path, line_no, detail)
+        if field_map.id and field_map.id in row:
+            problem_id = _text(row, field_map.id, path, line_no)
+        else:
+            problem_id = str(len(problems) + 1)
+        if problem_id in seen_ids:
+            raise MalformedLine(path, line_no, f"duplicate problem id {problem_id!r}")
+        seen_ids.add(problem_id)
+        problems.append(
+            Problem(
+                id=problem_id,
+                benchmark=benchmark,
+                statement=statement,
+                gold_answer=answer,
+                kind=kind,
+            )
+        )
+    return problems
+
+
+def _json_lines(path):
+    """``(line_no, object)`` for each non-blank line of the UTF-8 JSON-lines file
+    ``path``; a line that is not UTF-8, not JSON or not an object raises MalformedLine."""
     try:
-        fh = open(path, "rb")
+        fh = open(path, encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise IoFailure(f"cannot open dataset {path}: {exc}") from exc
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
     with fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if line.isspace():
+                    continue
+                try:
+                    value = json.loads(line)
+                except ValueError as exc:
+                    raise MalformedLine(path, line_no, f"not JSON: {exc}") from exc
+                if not isinstance(value, dict):
+                    raise MalformedLine(path, line_no, "not a JSON object")
+                yield line_no, value
+        except UnicodeDecodeError:  # the decoder reads ahead of the lines: find the one
+            _raise_at_line_not_utf8(path)
+            raise
+
+
+def _raise_at_line_not_utf8(path) -> None:
+    """Raise MalformedLine at the first line of ``path`` that is not UTF-8."""
+    with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8")
+                raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise MalformedLine(path, line_no, f"not UTF-8: {exc}") from exc
-            if line.isspace():
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:
-                raise MalformedLine(path, line_no, str(exc)) from exc
-            if not isinstance(row, dict):
-                raise MalformedLine(path, line_no, "expected a JSON object")
-
-            statement = _text(row, field_map.statement, path, line_no)
-            answer = _text(row, field_map.answer, path, line_no)
-            if field_map.id and field_map.id in row:
-                problem_id = _text(row, field_map.id, path, line_no)
-            else:
-                problem_id = str(len(problems) + 1)
-            if problem_id in seen_ids:
-                raise DuplicateId(path, line_no, problem_id)
-            seen_ids.add(problem_id)
-            problems.append(
-                Problem(
-                    id=problem_id,
-                    benchmark=benchmark,
-                    statement=statement,
-                    gold_answer=answer,
-                    kind=kind,
-                )
-            )
-    return problems
+                raise MalformedLine(path, line_no, f"not UTF-8: {exc}") from None
 
 
 def _text(row: dict, key: str, path, line_no: int) -> str:
     """``row[key]``: a JSON string that is not blank, or a number, as text."""
     if key not in row:
-        raise MissingField(path, line_no, key)
+        raise MalformedLine(path, line_no, f"missing field {key!r}")
     value = row[key]
     if type(value) is bool or not isinstance(value, (str, int, float)):
         raise MalformedLine(path, line_no, f"field {key!r} must be a string or a number")
@@ -344,22 +346,6 @@ def _record_line(record: EvalRecord) -> str:
     return json.dumps(record.to_dict(), ensure_ascii=False, sort_keys=True)
 
 
-def _parse_record_line(line: str, path, line_no: int) -> EvalRecord:
-    try:
-        data = json.loads(line)
-    except ValueError as exc:
-        raise SchemaMismatch(path, line_no, f"corrupted record line: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaMismatch(path, line_no, "record line is not a JSON object")
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaMismatch(path, line_no, f"unknown record version {version!r}")
-    try:
-        return from_json_dict(EvalRecord, data, "record")
-    except JsonMismatch as exc:
-        raise SchemaMismatch(path, line_no, str(exc)) from exc
-
-
 def write_records(records: Iterable[EvalRecord], path: str | Path) -> None:
     """Write records as JSON lines (overwrites ``path``)."""
     try:
@@ -371,32 +357,18 @@ def write_records(records: Iterable[EvalRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list:
-    """Read a records file strictly; any corrupt line raises SchemaMismatch."""
+    """Read a records file strictly; a line that is not a record of this schema
+    version raises MalformedLine."""
     records = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read records from {path}: {exc}") from exc
-    with fh:
+    for line_no, data in _json_lines(path):
+        version = data.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise MalformedLine(path, line_no, f"unknown record version {version!r}")
         try:
-            for line_no, line in enumerate(fh, start=1):
-                if line.isspace():
-                    continue
-                records.append(_parse_record_line(line, path, line_no))
-        except UnicodeDecodeError:  # the decoder reads ahead of the lines: find the one
-            _raise_at_line_not_utf8(path)
-            raise
+            records.append(from_json_dict(EvalRecord, data, "record"))
+        except JsonMismatch as exc:
+            raise MalformedLine(path, line_no, str(exc)) from exc
     return records
-
-
-def _raise_at_line_not_utf8(path) -> None:
-    """Raise SchemaMismatch at the first line of ``path`` that is not UTF-8."""
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise SchemaMismatch(path, line_no, f"not UTF-8: {exc}") from None
 
 
 def load_resumable(path: str | Path) -> list:
@@ -408,7 +380,7 @@ def load_resumable(path: str | Path) -> list:
     last newline: part of a record, perhaps cut inside a UTF-8 character, or a
     whole record whose newline never landed. Those bytes are truncated away; a
     file that ends in a newline is left untouched. The rest is read by
-    ``read_records``, so corruption anywhere else still raises SchemaMismatch.
+    ``read_records``, so corruption anywhere else still raises MalformedLine.
     A record lost this way is scored again from its cached completion.
     """
     try:

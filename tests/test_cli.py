@@ -626,6 +626,25 @@ class TestRunCommand:
         assert not any(r.judgment.correct for r in records)
         assert not list(config.cache_dir.rglob("*.json"))
 
+    def test_boolean_token_count_is_approximated(self, tmp_path, make_stub, capsys):
+        # "completion_tokens": true is not a count: score, a resumed run and a
+        # re-run from the cache all read what run wrote.
+        stub = make_stub(lambda payload: StubReply("\\boxed{42}", completion_tokens=True))
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
+            benchmarks=("toy_int",),
+        )
+        assert main(["run", "--config", str(config_path)]) == EXIT_OK
+        records_path = Path(capsys.readouterr().out.strip())
+        records = read_records(records_path)
+        assert [r.token_source for r in records] == [TokenSource.APPROXIMATE.value] * 3
+        assert main(["score", str(records_path)]) == EXIT_OK
+        assert main(["run", "--config", str(config_path)]) == EXIT_OK
+        records_path.unlink()
+        assert main(["run", "--config", str(config_path)]) == EXIT_OK
+        assert len(read_records(records_path)) == 3
+        assert stub.total_requests == 3  # the cache entries were read back
+
     def test_broken_response_bodies_become_error_records(self, tmp_path, make_stub):
         stub = make_stub(lambda payload: StubReply("cut short", cut_body=True))
         config_path = write_config(

@@ -9,6 +9,7 @@ import socketserver
 import ssl
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -388,6 +389,21 @@ class TestComplete:
         result = _client(stub, tmp_path).complete(_request())
         assert result.token_source is TokenSource.APPROXIMATE
         assert result.completion_tokens == approximate_tokens(result.text)
+
+    @pytest.mark.parametrize(
+        "usage",
+        ["n/a", [1], 5, None, {}, {"completion_tokens": True}, {"completion_tokens": -1},
+         {"completion_tokens": 7.0}, {"completion_tokens": "7"}],
+    )
+    def test_usage_without_a_count_falls_back_to_approximate(self, tmp_path, usage):
+        client = ChatClient(Endpoint("http://127.0.0.1:1"), tmp_path / "cache")
+        reply = {"choices": [{"message": {"content": "4 × 3 = 12"}}], "usage": usage}
+        result = client._parse_success(json.dumps(reply).encode(), time.monotonic())
+        assert (result.text, result.token_source) == ("4 × 3 = 12", TokenSource.APPROXIMATE)
+        assert result.completion_tokens == approximate_tokens(result.text)
+        reply["usage"] = {"completion_tokens": 7}
+        result = client._parse_success(json.dumps(reply).encode(), time.monotonic())
+        assert (result.completion_tokens, result.token_source) == (7, TokenSource.API_USAGE)
 
     def test_sends_single_user_message_by_default(self, make_stub, tmp_path):
         seen = {}

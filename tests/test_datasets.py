@@ -10,14 +10,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hicot.cli import EXIT_IO, main
 from hicot.client import CompletionResult, TokenSource
 from hicot.datasets import (
-    DuplicateId,
     EvalRecord,
     FieldMap,
     MalformedLine,
-    MissingField,
     Problem,
     RecordWriter,
-    SchemaMismatch,
     from_json_dict,
     load_dataset,
     load_registry,
@@ -26,7 +23,7 @@ from hicot.datasets import (
     to_json_dict,
     write_records,
 )
-from hicot.judge import AnswerKind, JudgeReason, Judgment
+from hicot.judge import AnswerKind, JudgeReason, Judgment, _parse_int, normalize_math
 from hicot.metrics import MetricsSummary
 from hicot.prompts import PromptStrategy
 from hicot.traces import FormatReport
@@ -64,10 +61,9 @@ class TestLoadDataset:
             {"problem": "p2"},
         ]
         path = _write_jsonl(tmp_path / "bad.jsonl", rows)
-        with pytest.raises(MissingField) as excinfo:
+        with pytest.raises(MalformedLine, match="missing field 'answer'") as excinfo:
             load_dataset(path, "b", FIELDS, AnswerKind.MATH_EXPRESSION)
         assert excinfo.value.line_no == 2
-        assert excinfo.value.key == "answer"
 
     def test_malformed_line_reports_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
@@ -99,7 +95,7 @@ class TestLoadDataset:
             {"id": "a", "problem": "p2", "answer": "2"},
         ]
         path = _write_jsonl(tmp_path / "dup.jsonl", rows)
-        with pytest.raises(DuplicateId) as excinfo:
+        with pytest.raises(MalformedLine, match="duplicate problem id 'a'") as excinfo:
             load_dataset(
                 path, "b", FieldMap("problem", "answer", id="id"), AnswerKind.MATH_EXPRESSION
             )
@@ -127,13 +123,86 @@ class TestLoadDataset:
             load_dataset(path, "b", FIELDS, AnswerKind.MATH_EXPRESSION)
         assert excinfo.value.line_no == 2
         assert main(["run", "--config", str(config_path)]) == EXIT_IO
-        assert f"{path}:2: malformed line: not UTF-8" in capsys.readouterr().err
+        assert f"{path}:2: not UTF-8" in capsys.readouterr().err
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_text('{"problem": "p", "answer": "1"}\n\n{"problem": "q", "answer": "2"}\n')
         problems = load_dataset(path, "b", FIELDS, AnswerKind.MATH_EXPRESSION)
         assert [p.statement for p in problems] == ["p", "q"]
+
+    @pytest.mark.parametrize(
+        "gold,loads",
+        [(100.0, False), ("\\boxed{5}", False), (100, True), ("042", True), ("$42$", True)],
+        ids=["float", "boxed", "int", "leading_zero", "dollars"],
+    )
+    def test_integer_gold_must_read_as_an_integer(self, tmp_path, capsys, gold, loads):
+        # The judge's own rule decides: normalize, then parse a base-10 integer.
+        assert (_parse_int(normalize_math(str(gold))) is not None) == loads
+        config_path = write_config(tmp_path, "http://127.0.0.1:1", benchmarks=("toy_int",))
+        rows = [{"problem": "p", "answer": 1}, {"problem": "q", "answer": gold}]
+        path = _write_jsonl(tmp_path / "toy_int.jsonl", rows)
+        load_dataset(path, "b", FIELDS, AnswerKind.MATH_EXPRESSION)  # any gold is an expression
+        if loads:
+            problems = load_dataset(path, "b", FIELDS, AnswerKind.INTEGER_EXACT)
+            assert problems[1].gold_answer == str(gold)
+            return
+        detail = "field 'answer' is not an integer"
+        with pytest.raises(MalformedLine, match=f":2: {re.escape(detail)}") as excinfo:
+            load_dataset(path, "b", FIELDS, AnswerKind.INTEGER_EXACT)
+        assert excinfo.value.line_no == 2
+        assert main(["run", "--config", str(config_path)]) == EXIT_IO
+        assert f"{path}:2: {detail}" in capsys.readouterr().err
+
+
+class TestBadLine:
+    """Benchmark and records files are read by one loop: a bad line reads the same in both."""
+
+    @pytest.mark.parametrize(
+        "bad,count,at,detail",
+        [
+            (b'{"problem": "caf\xe9"}', 2, 2, "not UTF-8: "),
+            (b'{"problem": "caf\xe9"}', 300, 257, "not UTF-8: "),
+            (b"not json", 2, 2, "not JSON: "),
+            (b"[1, 2]", 2, 2, "not a JSON object"),
+        ],
+        ids=["not_utf8", "not_utf8_past_first_chunk", "not_json", "not_an_object"],
+    )
+    def test_both_loaders_name_the_line(self, tmp_path, capsys, bad, count, at, detail):
+        config_path = write_config(tmp_path, "http://127.0.0.1:1", benchmarks=("toy_int",))
+        benchmark, records = tmp_path / "toy_int.jsonl", tmp_path / "records.jsonl"
+        cases = [
+            (benchmark, ["run", "--config", str(config_path)],
+             lambda: load_dataset(benchmark, "b", FIELDS, AnswerKind.INTEGER_EXACT),
+             [{"problem": f"Problem number {i}: find x.", "answer": i} for i in range(count)]),
+            (records, ["score", str(records)], lambda: read_records(records),
+             [make_record(i).to_dict() for i in range(count)]),
+        ]
+        messages = []
+        for path, argv, load, rows in cases:
+            lines = [json.dumps(row).encode() for row in rows]
+            lines[at - 1] = bad
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            with pytest.raises(MalformedLine) as excinfo:
+                load()
+            assert excinfo.value.line_no == at
+            capsys.readouterr()
+            assert main(argv) == EXIT_IO
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}:{at}: {detail}")
+            messages.append(err.replace(str(path), "PATH"))
+        assert messages[0] == messages[1]
+
+    def test_blank_lines_and_crlf_load(self, tmp_path):
+        benchmark, records = tmp_path / "b.jsonl", tmp_path / "records.jsonl"
+        benchmark.write_bytes(
+            b'{"problem": "p", "answer": "1"}\r\n\r\n  \n{"problem": "q", "answer": "2"}\r\n'
+        )
+        problems = load_dataset(benchmark, "b", FIELDS, AnswerKind.INTEGER_EXACT)
+        assert [(p.statement, p.gold_answer) for p in problems] == [("p", "1"), ("q", "2")]
+        lines = [json.dumps(make_record(i).to_dict()).encode() for i in range(2)]
+        records.write_bytes(lines[0] + b"\r\n\r\n  \n" + lines[1] + b"\r\n")
+        assert read_records(records) == [make_record(0), make_record(1)]
 
 
 class TestRegistry:
@@ -292,7 +361,7 @@ class TestRecordsRoundTrip:
         named = f"record.{'.'.join(key)}"
         path = tmp_path / "records.jsonl"
         path.write_text(json.dumps(_FULL_ROW) + "\n" + json.dumps(spoiled) + "\n")
-        with pytest.raises(SchemaMismatch, match=re.escape(f":2: {named}") + r"\b"):
+        with pytest.raises(MalformedLine, match=re.escape(f":2: {named}") + r"\b"):
             read_records(path)
         capsys.readouterr()
         assert main(["score", str(path)]) == EXIT_IO
@@ -305,7 +374,7 @@ class TestRecordsRoundTrip:
         text = path.read_text().splitlines()
         text[1] = text[1][: len(text[1]) // 2]  # corrupt the middle of line 2
         path.write_text("\n".join(text) + "\n")
-        with pytest.raises(SchemaMismatch) as excinfo:
+        with pytest.raises(MalformedLine, match=":2: not JSON") as excinfo:
             read_records(path)
         assert excinfo.value.line_no == 2
 
@@ -371,7 +440,7 @@ class TestRecordsRoundTrip:
         path = tmp_path / "records.jsonl"
         lines = [json.dumps(make_record(0).to_dict()), json.dumps(spoil(make_record(1).to_dict()))]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaMismatch) as excinfo:
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:2: record")) as excinfo:
             read_records(path)
         assert excinfo.value.line_no == 2
         assert main(["score", str(path)]) == EXIT_IO
@@ -384,7 +453,7 @@ class TestRecordsRoundTrip:
         records[bad - 1] = make_record(bad - 1, completion_text="café = \\boxed{1}")
         write_records(records, path)
         path.write_bytes(path.read_bytes().replace("é".encode(), b"\xe9"))  # Latin-1
-        with pytest.raises(SchemaMismatch) as excinfo:
+        with pytest.raises(MalformedLine, match="not UTF-8") as excinfo:
             read_records(path)
         assert excinfo.value.line_no == bad
         assert main(["score", str(path)]) == EXIT_IO
@@ -395,7 +464,7 @@ class TestRecordsRoundTrip:
         row = make_record(0).to_dict()
         row["schema_version"] = 99
         path.write_text(json.dumps(row) + "\n")
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(MalformedLine, match=":1: unknown record version 99"):
             read_records(path)
 
 
@@ -446,7 +515,7 @@ class TestResume:
         lines = path.read_text().splitlines()
         lines[0] = "garbage"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(MalformedLine, match=":1: not JSON"):
             load_resumable(path)
 
     def test_problem_dataclass_fields(self):
