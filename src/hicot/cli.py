@@ -84,6 +84,10 @@ class ModelOverride:
             raise ValueError("extra_body must hold only finite numbers") from None
 
 
+# What a model without an entry in model_overrides gets; built once, not per item.
+_NO_OVERRIDE = ModelOverride()
+
+
 @dataclasses.dataclass(frozen=True)
 class BenchmarkEntry(BenchmarkSpec):
     """A config benchmark entry: a registry entry's keys and the dataset path."""
@@ -171,7 +175,7 @@ def _progress(message: str) -> None:
 def _request(
     config: RunConfig, model_id: str, strategy: PromptStrategy, problem: Problem
 ) -> CompletionRequest:
-    override = config.model_overrides.get(model_id, ModelOverride())
+    override = config.model_overrides.get(model_id, _NO_OVERRIDE)
     return CompletionRequest(
         model_id=model_id,
         prompt=build_prompt(strategy, problem),

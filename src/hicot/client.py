@@ -4,32 +4,32 @@ Speaks the OpenAI-compatible ``POST /v1/chat/completions`` wire protocol
 through the standard library's ``http.client``, and persists one JSON file
 per request hash so interrupted runs resume without re-querying the endpoint.
 Cache writes go through a temp-file + atomic rename, so a partially written
-entry is never observable.
+entry is never observable. The network modules (``http.client``, ``ssl``,
+``urllib.request``) and ``hashlib`` are imported by the methods that use them,
+so a command that builds no client does not pay for loading them.
 """
 
 from __future__ import annotations
 
-import base64
 import collections
-import hashlib
-import http.client
 import json
 import os
 import random
 import re
-import ssl
 import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, Optional, TYPE_CHECKING
 from urllib.parse import unquote, urlsplit
-from urllib.request import getproxies, proxy_bypass
 
 from . import __version__
 from .datasets import from_json_dict, to_json_dict
 from .prompts import PromptBundle
+
+if TYPE_CHECKING:
+    import http.client
 
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
 # Some API fronts refuse a request with no agent or a library's default one.
@@ -41,10 +41,6 @@ _TRANSIENT_STATUSES = frozenset({429}) | frozenset(range(500, 600))
 _RETRY_AFTER_STATUSES = frozenset({429, 503})
 RETRY_AFTER_CAP_S = 60.0
 _DELTA_SECONDS = re.compile(r"[0-9]+")
-# A refused or dropped connection, a timeout, and a body cut off in transit
-# (``IncompleteRead``). An error status is never one of these: ``_post``
-# returns it.
-_RETRIABLE_ERRORS = (OSError, http.client.HTTPException)
 _CONTEXT_OVERFLOW_HINTS = ("context_length", "maximum context length", "prompt is too long")
 
 
@@ -126,6 +122,8 @@ class CompletionRequest:
     extra_body: Optional[Mapping] = None
 
     def cache_key(self) -> str:
+        import hashlib
+
         material = {
             "model_id": self.model_id,
             "rendered": self.prompt.rendered,
@@ -183,6 +181,10 @@ class ChatClient:
     """
 
     def __init__(self, endpoint: Endpoint, cache_dir: str | Path):
+        import base64
+        import ssl
+        from urllib.request import getproxies, proxy_bypass
+
         self.endpoint = endpoint
         self.url = endpoint.base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
         self.cache_dir = Path(cache_dir)
@@ -230,6 +232,8 @@ class ChatClient:
         self.close()
 
     def _connect(self) -> http.client.HTTPConnection:
+        import http.client
+
         host, port = self._address
         if not self._https:
             return http.client.HTTPConnection(host, port, timeout=self.endpoint.timeout_s)
@@ -316,6 +320,12 @@ class ChatClient:
         return result
 
     def _complete_uncached(self, req: CompletionRequest) -> CompletionResult:
+        import http.client
+
+        # A refused or dropped connection, a timeout, and a body cut off in transit
+        # (``IncompleteRead``). An error status is never one of these: ``_post``
+        # returns it.
+        retriable_errors = (OSError, http.client.HTTPException)
         payload = {
             "model": req.model_id,
             "messages": req.messages(),
@@ -340,7 +350,7 @@ class ChatClient:
             wait_s = None
             try:
                 status, reply, retry_after = self._post(body)
-            except _RETRIABLE_ERRORS as exc:
+            except retriable_errors as exc:
                 last_failure = f"{type(exc).__name__}: {exc}"
                 continue
 

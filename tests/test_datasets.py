@@ -509,6 +509,13 @@ class TestResume:
             writer.append(make_record(2))
         assert [r.problem_id for r in read_records(path)] == ["1", "2", "3"]
 
+    def test_file_without_a_newline_is_truncated_to_empty(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records([make_record(0)], path)
+        path.write_bytes(path.read_bytes()[:-1])
+        assert load_resumable(path) == []
+        assert path.read_bytes() == b""
+
     def test_mid_file_corruption_still_raises(self, tmp_path):
         path = tmp_path / "records.jsonl"
         write_records([make_record(0), make_record(1)], path)

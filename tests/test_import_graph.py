@@ -2,10 +2,12 @@
 
 No function body imports a package module, and the package's runtime imports
 form no cycle. Imports under ``if TYPE_CHECKING:`` never run and do not count.
-Importing the command line loads the standard library only.
+Importing the command line loads the standard library only, and it and the
+commands that build no client leave the network stack unloaded.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +17,10 @@ from pathlib import Path
 import pytest
 
 import hicot
+from hicot import EXECUTION_MARKER, INSTRUCTION_MARKER, AnswerKind, PromptStrategy
+from hicot.cli import EXIT_OK, EXIT_VALIDATION, score_completion
+from hicot.datasets import EvalRecord, Problem, write_records
+from hicot.traces import DEFAULT_THINK_CLOSE, DEFAULT_THINK_OPEN
 
 PACKAGE = Path(hicot.__file__).resolve().parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
@@ -92,6 +98,11 @@ def test_scanner_sees_the_import_forms_in_use():
     assert not nested
 
 
+# The modules a command that builds no client must not load: the network stack
+# (``email.parser`` comes with ``http.client``) and the cache key's hash.
+NETWORK_STACK = ("http.client", "ssl", "email.parser", "urllib.request", "hashlib")
+
+
 def test_cli_imports_only_the_standard_library():
     # A fresh interpreter, so modules loaded by the test run do not hide any.
     probe = (
@@ -108,3 +119,50 @@ def test_cli_imports_only_the_standard_library():
         if name.partition(".")[0] not in sys.stdlib_module_names | {"hicot"}
     }
     assert not third_party
+    assert sorted(set(loaded) & set(NETWORK_STACK)) == []
+
+
+_STARTUP_PROBE = """
+import json, sys
+from hicot import cli
+before = set(sys.modules)
+loaded = {}
+codes = [cli.main(["validate", sys.argv[1]])]
+loaded["validate"] = set(sys.modules) - before
+codes.append(cli.main(["score", sys.argv[2]]))
+loaded["score"] = set(sys.modules) - before
+from hicot.client import ChatClient, Endpoint
+ChatClient(Endpoint("http://127.0.0.1:1"), sys.argv[3])
+loaded["client"] = set(sys.modules) - before
+print(json.dumps({"codes": codes, **{stage: sorted(names) for stage, names in loaded.items()}}))
+"""
+
+
+def test_commands_without_a_client_leave_the_network_stack_unloaded(tmp_path):
+    text = f"{INSTRUCTION_MARKER} Add.\n{EXECUTION_MARKER} 1 + 1 = 2.\n\\boxed{{2}}"
+    completion = tmp_path / "completion.txt"
+    completion.write_text(text, encoding="utf-8")
+    problem = Problem("1", "toy", "What is 1 + 1?", "2", AnswerKind.INTEGER_EXACT)
+    judgment, report, compliant = score_completion(
+        text, problem, PromptStrategy.HICOT, (DEFAULT_THINK_OPEN, DEFAULT_THINK_CLOSE)
+    )
+    record = EvalRecord(
+        problem_id="1", benchmark="toy", model_id="m", strategy=PromptStrategy.HICOT,
+        completion_text=text, completion_tokens=9, token_source="api_usage",
+        judgment=judgment, format_report=report, compliant=compliant,
+    )
+    records = tmp_path / "records.jsonl"
+    write_records([record], records)
+
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    command = [sys.executable, "-c", _STARTUP_PROBE, str(completion), str(records), str(tmp_path)]
+    result = json.loads(
+        subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+        .stdout.splitlines()[-1]
+    )
+    assert result["codes"][0] in (EXIT_OK, EXIT_VALIDATION)
+    assert result["codes"][1] == EXIT_OK
+    assert sorted(set(result["validate"]) & set(NETWORK_STACK)) == []
+    assert sorted(set(result["score"]) & set(NETWORK_STACK)) == []
+    # The control: building a client is what loads the network stack.
+    assert "http.client" in result["client"]
