@@ -35,17 +35,18 @@ from .datasets import (
     Problem,
     RecordWriter,
     from_json_dict,
+    iter_records,
     load_dataset,
     load_registry,
     load_resumable,
     now_timestamp,
-    read_records,
 )
 from .judge import Judgment, judge as judge_completion
 from .metrics import (
     DuplicateKey,
     PlotKind,
     TableFormat,
+    Tally,
     aggregate,
     emit_plot_data,
     emit_table,
@@ -245,7 +246,10 @@ def cmd_run(config: RunConfig) -> Path:
     """Run the (model x strategy x benchmark x problem) grid, resume-safe.
 
     Existing records (matched by their uniqueness key) are skipped, so an
-    interrupted run picks up where it stopped. The main thread looks every
+    interrupted run picks up where it stopped. They are folded into a
+    ``Tally``, as is each new record when it is appended, so the run keeps
+    keys and per-cell counts, not records; a key the records file repeats
+    raises DuplicateKey before any request is sent. The main thread looks every
     item up in the completion cache, in task order, and hands each miss to a
     pool of ``config.concurrency`` workers, which only send requests: the pool
     alone bounds the requests in flight. Items that share a cache key share
@@ -264,8 +268,7 @@ def cmd_run(config: RunConfig) -> Path:
     }
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    records = load_resumable(config.records_path)
-    existing = {record.key() for record in records}
+    tally = Tally(load_resumable(config.records_path))
 
     tasks = []
     for model_id in config.models:
@@ -273,14 +276,14 @@ def cmd_run(config: RunConfig) -> Path:
             for benchmark in config.benchmarks:
                 for problem in problems[benchmark]:
                     key = (problem.id, benchmark, model_id, strategy.value)
-                    if key not in existing:
+                    if key not in tally.keys:
                         tasks.append((model_id, strategy, problem))
 
     total = len(tasks)
     _progress(
         f"run grid: {len(config.models)} models x {len(config.strategies)} strategies x "
         f"{sum(len(p) for p in problems.values())} problems; "
-        f"{len(existing)} records resumed, {total} to do"
+        f"{len(tally.keys)} records resumed, {total} to do"
     )
 
     client = ChatClient(config.endpoint, config.cache_dir)
@@ -329,8 +332,8 @@ def cmd_run(config: RunConfig) -> Path:
                     except Exception as exc:
                         completion = exc
                 record = _evaluate_one(config, completion, *task)
+                tally.add(record)
                 writer.append(record)
-                records.append(record)
                 done += 1
                 if done % 10 == 0 or done == total:
                     _progress(f"progress: {done}/{total}")
@@ -338,7 +341,7 @@ def cmd_run(config: RunConfig) -> Path:
             ending.set()
             pool.shutdown(cancel_futures=True)
 
-    for summary in aggregate(records):
+    for summary in tally.summaries():
         conditional = (
             "-"
             if summary.conditional_pass_at_1 is None
@@ -355,8 +358,7 @@ def cmd_run(config: RunConfig) -> Path:
 
 def cmd_score(records_path: str | Path) -> dict:
     """Aggregate a records file and return the summary payload."""
-    records = read_records(records_path)
-    summaries = aggregate(records)
+    summaries = aggregate(iter_records(records_path))
     macro = macro_average(summaries)
     return {
         "summaries": [s.to_dict() for s in summaries],
@@ -366,8 +368,7 @@ def cmd_score(records_path: str | Path) -> dict:
 
 def cmd_report(records_path: str | Path, fmt: TableFormat, output_dir: str | Path) -> list:
     """Write the accuracy table and plot-data files; returns written paths."""
-    records = read_records(records_path)
-    summaries = aggregate(records)
+    summaries = aggregate(iter_records(records_path))
     macro = macro_average(summaries)
 
     output_dir = Path(output_dir)

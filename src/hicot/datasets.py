@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, Optional, get_args, get_origin, get_type_hints
 
 from .judge import AnswerKind, Judgment, _parse_int, normalize_math
 from .prompts import PromptStrategy
@@ -136,38 +135,33 @@ def load_dataset(
     return problems
 
 
+# The read buffer of ``_json_lines``. A line longer than the buffer is read in
+# pieces and joined, and a record holding a Hi-CoT trace runs to 10-100 KB.
+_READ_BUFFER = 1 << 18
+
+
 def _json_lines(path):
     """``(line_no, object)`` for each non-blank line of the UTF-8 JSON-lines file
     ``path``; a line that is not UTF-8, not JSON or not an object raises MalformedLine."""
     try:
-        fh = open(path, encoding="utf-8", newline="\n")
+        fh = open(path, "rb", buffering=_READ_BUFFER)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     with fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                if line.isspace():
-                    continue
-                try:
-                    value = json.loads(line)
-                except ValueError as exc:
-                    raise MalformedLine(path, line_no, f"not JSON: {exc}") from exc
-                if not isinstance(value, dict):
-                    raise MalformedLine(path, line_no, "not a JSON object")
-                yield line_no, value
-        except UnicodeDecodeError:  # the decoder reads ahead of the lines: find the one
-            _raise_at_line_not_utf8(path)
-            raise
-
-
-def _raise_at_line_not_utf8(path) -> None:
-    """Raise MalformedLine at the first line of ``path`` that is not UTF-8."""
-    with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                raw.decode("utf-8")
+                line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise MalformedLine(path, line_no, f"not UTF-8: {exc}") from None
+            if line.isspace():
+                continue
+            try:
+                value = json.loads(line)
+            except ValueError as exc:
+                raise MalformedLine(path, line_no, f"not JSON: {exc}") from exc
+            if not isinstance(value, dict):
+                raise MalformedLine(path, line_no, "not a JSON object")
+            yield line_no, value
 
 
 def _text(row: dict, key: str, path, line_no: int) -> str:
@@ -356,48 +350,58 @@ def write_records(records: Iterable[EvalRecord], path: str | Path) -> None:
         raise IoFailure(f"cannot write records to {path}: {exc}") from exc
 
 
-def read_records(path: str | Path) -> list:
-    """Read a records file strictly; a line that is not a record of this schema
-    version raises MalformedLine."""
-    records = []
+def iter_records(path: str | Path) -> Iterator[EvalRecord]:
+    """The records of a records file, read one line at a time, in file order; a
+    line that is not a record of this schema version raises MalformedLine."""
     for line_no, data in _json_lines(path):
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
             raise MalformedLine(path, line_no, f"unknown record version {version!r}")
         try:
-            records.append(from_json_dict(EvalRecord, data, "record"))
+            record = from_json_dict(EvalRecord, data, "record")
         except JsonMismatch as exc:
             raise MalformedLine(path, line_no, str(exc)) from exc
-    return records
+        yield record
 
 
-def load_resumable(path: str | Path) -> list:
-    """Read records for resume, first cutting off a torn tail.
+def read_records(path: str | Path) -> list:
+    """Every record of a records file, read strictly by ``iter_records``."""
+    return list(iter_records(path))
+
+
+def load_resumable(path: str | Path) -> Iterator[EvalRecord]:
+    """The records of ``path`` for resume, after cutting off a torn tail.
 
     A record survives a killed process once ``RecordWriter.append`` has written
     it with its newline, and a power loss once the run next waits or ends
     (``RecordWriter.sync``). A run killed mid-append can leave bytes after the
     last newline: part of a record, perhaps cut inside a UTF-8 character, or a
-    whole record whose newline never landed. Those bytes are truncated away; a
-    file that ends in a newline is left untouched. The rest is read by
-    ``read_records``, so corruption anywhere else still raises MalformedLine.
-    A record lost this way is scored again from its cached completion.
+    whole record whose newline never landed. Those bytes are truncated away,
+    found by a search back from the end of the file; a file that ends in a
+    newline is left untouched. The rest is read by ``iter_records``, so
+    corruption anywhere else still raises MalformedLine. A missing file has no
+    records. A record lost this way is scored again from its cached completion.
+    Like any generator, this does nothing until the first record is asked for.
     """
+    import mmap  # only a resumed run loads it, so score and report start without it
+
     try:
         with open(path, "rb") as fh:
-            keep = fh.read().rfind(b"\n") + 1
-            size = fh.tell()
+            size = keep = os.fstat(fh.fileno()).st_size
+            if size:  # an empty file cannot be mapped
+                with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+                    keep = view.rfind(b"\n") + 1
         if keep < size:
             os.truncate(path, keep)
     except FileNotFoundError:
-        return []
+        return
     except OSError as exc:
         raise IoFailure(f"cannot read records from {path}: {exc}") from exc
-    return read_records(path)
+    yield from iter_records(path)
 
 
 class RecordWriter:
-    """Append-only records writer; safe for use from many worker threads.
+    """Append-only records writer.
 
     ``append`` writes and flushes each line, so a killed process loses at most
     a torn last line. Durability across a power loss is a separate step:
@@ -407,7 +411,6 @@ class RecordWriter:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
         self._unsynced = False
         try:
             self._fh = open(self.path, "a", encoding="utf-8")
@@ -415,25 +418,21 @@ class RecordWriter:
             raise IoFailure(f"cannot open records file {path}: {exc}") from exc
 
     def append(self, record: EvalRecord) -> None:
-        line = _record_line(record) + "\n"
-        with self._lock:
-            self._fh.write(line)
-            self._fh.flush()
-            self._unsynced = True
+        self._fh.write(_record_line(record) + "\n")
+        self._fh.flush()
+        self._unsynced = True
 
     def sync(self) -> None:
         """fsync the lines appended since the last sync; a no-op if there are none."""
-        with self._lock:
-            if self._unsynced:
-                os.fsync(self._fh.fileno())
-                self._unsynced = False
+        if self._unsynced:
+            os.fsync(self._fh.fileno())
+            self._unsynced = False
 
     def close(self) -> None:
         try:
             self.sync()
         finally:
-            with self._lock:
-                self._fh.close()
+            self._fh.close()
 
     def __enter__(self) -> "RecordWriter":
         return self

@@ -18,7 +18,9 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .datasets import EvalRecord, to_json_dict
 from .prompts import TABLE_ORDER, PromptStrategy
@@ -83,55 +85,75 @@ def display_round(value: float) -> str:
     return str(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-def _strategy_rank(strategy: PromptStrategy) -> int:
-    return TABLE_ORDER.index(strategy)
+def cell_order(summary: MetricsSummary) -> tuple:
+    """The report order of cells: by model, by strategy as in ``TABLE_ORDER``, then by benchmark."""
+    return (summary.model_id, TABLE_ORDER.index(summary.strategy), summary.benchmark)
 
 
-def aggregate(records: Sequence[EvalRecord]) -> list:
-    """Group records by (model, strategy, benchmark) and compute cell metrics.
+_row = attrgetter("model_id", "strategy")  # the cells of one table row are adjacent in cell order
 
-    Raises DuplicateKey if the record uniqueness tuple repeats. Error records
-    count toward n like any other record (they are simply incorrect), so
-    accuracy denominators never shrink.
+
+class Tally:
+    """Per-cell counts of records, folded in one record at a time; no record is kept.
+
+    ``keys`` holds the uniqueness key of every record folded, and a repeat
+    raises DuplicateKey. Each (model, strategy, benchmark) cell holds integer
+    counts: n, correct and the token sum over its records, then the same over
+    its compliant ones. Error records count toward n like any other record
+    (they are simply incorrect), so accuracy denominators never shrink.
     """
-    seen = set()
-    groups: dict = {}
-    for record in records:
-        key = record.key()
-        if key in seen:
-            raise DuplicateKey(f"duplicate record for {key}")
-        seen.add(key)
-        groups.setdefault((record.model_id, record.strategy, record.benchmark), []).append(record)
 
-    summaries = []
-    for (model_id, strategy, benchmark), cell in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], _strategy_rank(kv[0][1]), kv[0][2])
-    ):
-        n = len(cell)
-        correct = sum(1 for r in cell if r.judgment.correct)
-        compliant = [r for r in cell if r.compliant]
-        summaries.append(
+    def __init__(self, records: Iterable[EvalRecord] = ()):
+        self.keys: set = set()
+        self._cells: dict = {}
+        for record in records:
+            self.add(record)
+
+    def add(self, record: EvalRecord) -> None:
+        key = record.key()
+        if key in self.keys:
+            raise DuplicateKey(f"duplicate record for {key}")
+        self.keys.add(key)
+        cell = (record.model_id, record.strategy, record.benchmark)
+        counts = self._cells.get(cell)
+        if counts is None:
+            counts = self._cells[cell] = [0] * 6
+        correct, tokens = record.judgment.correct, record.completion_tokens
+        counts[0] += 1
+        counts[1] += correct
+        counts[2] += tokens
+        if record.compliant:
+            counts[3] += 1
+            counts[4] += correct
+            counts[5] += tokens
+
+    def summaries(self) -> list:
+        """One MetricsSummary per cell, in cell order; each mean is one division."""
+        summaries = [
             MetricsSummary(
                 model_id=model_id,
                 strategy=strategy,
                 benchmark=benchmark,
                 n=n,
                 pass_at_1=100.0 * correct / n,
-                avg_completion_tokens=sum(r.completion_tokens for r in cell) / n,
-                compliance_rate=100.0 * len(compliant) / n,
-                conditional_pass_at_1=(
-                    100.0 * sum(1 for r in compliant if r.judgment.correct) / len(compliant)
-                    if compliant
-                    else None
-                ),
-                conditional_avg_tokens=(
-                    sum(r.completion_tokens for r in compliant) / len(compliant)
-                    if compliant
-                    else None
-                ),
+                avg_completion_tokens=tokens / n,
+                compliance_rate=100.0 * compliant / n,
+                conditional_pass_at_1=100.0 * compliant_correct / compliant if compliant else None,
+                conditional_avg_tokens=compliant_tokens / compliant if compliant else None,
             )
-        )
-    return summaries
+            for (model_id, strategy, benchmark), (
+                n, correct, tokens, compliant, compliant_correct, compliant_tokens
+            ) in self._cells.items()
+        ]
+        return sorted(summaries, key=cell_order)
+
+
+def aggregate(records: Iterable[EvalRecord]) -> list:
+    """Per-cell metrics of ``records``, any iterable, folded by a ``Tally``.
+
+    Raises DuplicateKey if the record uniqueness tuple repeats.
+    """
+    return Tally(records).summaries()
 
 
 def macro_average(summaries: Sequence[MetricsSummary]) -> list:
@@ -140,15 +162,10 @@ def macro_average(summaries: Sequence[MetricsSummary]) -> list:
     Computed on unrounded values; rounding happens only at display time.
     """
     all_benchmarks = sorted({s.benchmark for s in summaries})
-    groups: dict = {}
-    for summary in summaries:
-        groups.setdefault((summary.model_id, summary.strategy), []).append(summary)
-
     macros = []
-    for (model_id, strategy), cells in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], _strategy_rank(kv[0][1]))
-    ):
-        present = sorted(c.benchmark for c in cells)
+    for (model_id, strategy), group in groupby(sorted(summaries, key=cell_order), key=_row):
+        cells = list(group)
+        present = [c.benchmark for c in cells]
         macros.append(
             MacroSummary(
                 model_id=model_id,
@@ -159,13 +176,6 @@ def macro_average(summaries: Sequence[MetricsSummary]) -> list:
             )
         )
     return macros
-
-
-def _layout(summaries: Sequence[MetricsSummary]):
-    models = sorted({s.model_id for s in summaries})
-    benchmarks = sorted({s.benchmark for s in summaries})
-    strategies = [s for s in TABLE_ORDER if any(x.strategy is s for x in summaries)]
-    return models, benchmarks, strategies
 
 
 def _table_rows(summaries, macros):
@@ -179,7 +189,9 @@ def _table_rows(summaries, macros):
     benchmark averages over fewer columns, so it takes no part in the Avg
     comparison.
     """
-    models, benchmarks, strategies = _layout(summaries)
+    models = sorted({s.model_id for s in summaries})
+    benchmarks = sorted({s.benchmark for s in summaries})
+    strategies = [s for s in TABLE_ORDER if any(x.strategy is s for x in summaries)]
     columns = benchmarks + ["avg"]
     cells = {(s.model_id, s.strategy, s.benchmark): s.pass_at_1 for s in summaries}
     macro_cells = {(m.model_id, m.strategy): m for m in macros}
@@ -277,23 +289,16 @@ def emit_plot_data(summaries: Sequence[MetricsSummary], kind: PlotKind) -> str:
     """
     if not summaries:
         raise ValueError("no summaries to plot")
-    models, benchmarks, strategies = _layout(summaries)
-    cells = {(s.model_id, s.strategy, s.benchmark): s for s in summaries}
+    cells = sorted(summaries, key=cell_order)
 
     if kind is PlotKind.AVG_TOKENS_BY_BENCHMARK:
         rows = [["model", "strategy", "benchmark", "avg_completion_tokens"]]
-        for model in models:
-            for strategy in strategies:
-                present = []
-                for benchmark in benchmarks:
-                    cell = cells.get((model, strategy, benchmark))
-                    if cell is None:
-                        continue
-                    present.append(cell.avg_completion_tokens)
-                    rows.append([model, strategy.value, benchmark, cell.avg_completion_tokens])
-                if present:
-                    macro_tokens = sum(present) / len(present)
-                    rows.append([model, strategy.value, "macro_avg", macro_tokens])
+        for (model, strategy), group in groupby(cells, key=_row):
+            present = []
+            for cell in group:
+                present.append(cell.avg_completion_tokens)
+                rows.append([model, strategy.value, cell.benchmark, cell.avg_completion_tokens])
+            rows.append([model, strategy.value, "macro_avg", sum(present) / len(present)])
         return _csv_text(rows)
 
     header = (
@@ -301,23 +306,18 @@ def emit_plot_data(summaries: Sequence[MetricsSummary], kind: PlotKind) -> str:
         "avg_completion_tokens,conditional_avg_tokens,compliance_rate"
     )
     rows = [header.split(",")]
-    for model in models:
-        for strategy in strategies:
-            for benchmark in benchmarks:
-                cell = cells.get((model, strategy, benchmark))
-                if cell is None:
-                    continue
-                rows.append(
-                    [
-                        model,
-                        strategy.value,
-                        benchmark,
-                        cell.n,
-                        cell.pass_at_1,
-                        cell.conditional_pass_at_1,
-                        cell.avg_completion_tokens,
-                        cell.conditional_avg_tokens,
-                        cell.compliance_rate,
-                    ]
-                )
+    for cell in cells:
+        rows.append(
+            [
+                cell.model_id,
+                cell.strategy.value,
+                cell.benchmark,
+                cell.n,
+                cell.pass_at_1,
+                cell.conditional_pass_at_1,
+                cell.avg_completion_tokens,
+                cell.conditional_avg_tokens,
+                cell.compliance_rate,
+            ]
+        )
     return _csv_text(rows)

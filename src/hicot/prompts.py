@@ -1,17 +1,17 @@
 """Prompt construction for the five prompting strategies.
 
 Each strategy pairs a fixed instruction preamble with the problem statement.
-The preambles are frozen text: golden copies live in the ``templates/``
-resource directory (one UTF-8 file per strategy, named after the lowercase
-variant name) and a test guards byte-for-byte equality between those files
-and the constants used here. Problem text is never escaped or rewritten.
+The preambles are frozen text: golden copies live in the test suite's
+``data/templates/`` directory (one UTF-8 file per strategy, named after the
+lowercase variant name) and a test guards byte-for-byte equality between
+those files and the constants used here. Problem text is never escaped or
+rewritten.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from typing import Union
 
 
@@ -135,11 +135,6 @@ class PromptBundle:
 def template_text(strategy: PromptStrategy) -> str:
     """Return the frozen preamble for ``strategy``."""
     return TEMPLATES[strategy]
-
-
-def template_resource(strategy: PromptStrategy):
-    """Path-like handle to the golden template file for ``strategy``."""
-    return resources.files("hicot").joinpath("templates", f"{strategy.value}.txt")
 
 
 def build_prompt(strategy: PromptStrategy, problem: Union[str, "object"]) -> PromptBundle:

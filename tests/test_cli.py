@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import re
+import shutil
 import sys
 import threading
 import time
@@ -552,6 +553,26 @@ class TestRunCommand:
         records = read_records(capsys.readouterr().out.strip())
         assert stub.total_requests == first  # no new network traffic
         assert len(records) == 30
+
+    def test_repeated_key_on_resume_ends_the_run_before_any_request(
+        self, tmp_path, make_stub, capsys
+    ):
+        stub = make_stub(grid_responder)
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
+            benchmarks=("toy_int",),
+        )
+        config = load_run_config(config_path)
+        first, second, _ = cmd_run(config).read_bytes().splitlines(keepends=True)
+        # The first record twice and the third gone, with no cache: one item to fetch.
+        config.records_path.write_bytes(first + first + second)
+        shutil.rmtree(config.cache_dir)
+        stub.reset_counters()
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path)]) == EXIT_IO
+        assert "duplicate record for ('1', 'toy_int', 'sim-alpha', 'cot')" in capsys.readouterr().err
+        assert stub.total_requests == 0
+        assert config.records_path.read_bytes() == first + first + second
 
     def test_warm_cache_needs_no_network(self, tmp_path, make_stub, capsys):
         stub = make_stub(grid_responder)

@@ -476,11 +476,11 @@ class TestResume:
             writer.append(make_record(1))
         with RecordWriter(path) as writer:
             writer.append(make_record(2))
-        records = load_resumable(path)
+        records = list(load_resumable(path))
         assert [r.problem_id for r in records] == ["1", "2", "3"]
 
     def test_missing_file_is_empty(self, tmp_path):
-        assert load_resumable(tmp_path / "absent.jsonl") == []
+        assert list(load_resumable(tmp_path / "absent.jsonl")) == []
 
     @pytest.mark.parametrize("tail", ["half_record", "cut_character", "no_newline"])
     def test_torn_tail_is_repaired(self, tmp_path, tail):
@@ -496,13 +496,13 @@ class TestResume:
             "no_newline": line[:-1],  # a whole record; only its newline is missing
         }[tail]
         path.write_bytes(whole + torn)
-        records = load_resumable(path)
+        records = list(load_resumable(path))
         assert [r.problem_id for r in records] == ["1", "2"]
         # File was truncated back to the durable prefix.
         assert path.read_bytes() == whole
         # A file that ends in a newline is left as it is.
         os.utime(path, ns=(0, 0))
-        assert load_resumable(path) == records
+        assert list(load_resumable(path)) == records
         assert path.stat().st_mtime_ns == 0
         # Appending after repair yields a clean, strictly readable file.
         with RecordWriter(path) as writer:
@@ -513,7 +513,7 @@ class TestResume:
         path = tmp_path / "records.jsonl"
         write_records([make_record(0)], path)
         path.write_bytes(path.read_bytes()[:-1])
-        assert load_resumable(path) == []
+        assert list(load_resumable(path)) == []
         assert path.read_bytes() == b""
 
     def test_mid_file_corruption_still_raises(self, tmp_path):
@@ -523,7 +523,7 @@ class TestResume:
         lines[0] = "garbage"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedLine, match=":1: not JSON"):
-            load_resumable(path)
+            list(load_resumable(path))
 
     def test_problem_dataclass_fields(self):
         problem = Problem("1", "toy", "what?", "42", AnswerKind.MATH_EXPRESSION)

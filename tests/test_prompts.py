@@ -1,5 +1,7 @@
 """Prompt construction: template fidelity and rendering."""
 
+from pathlib import Path
+
 import pytest
 
 from hicot.prompts import (
@@ -8,12 +10,13 @@ from hicot.prompts import (
     TABLE_ORDER,
     TEMPLATES,
     build_prompt,
-    template_resource,
     template_text,
 )
 from hicot.traces import EXECUTION_MARKER, INSTRUCTION_MARKER
 
 from trace_samples import APPLES_PROBLEM
+
+TEMPLATES_DIR = Path(__file__).parent / "data" / "templates"
 
 
 def test_exactly_five_strategies():
@@ -23,7 +26,7 @@ def test_exactly_five_strategies():
 
 @pytest.mark.parametrize("strategy", list(PromptStrategy))
 def test_template_matches_golden_file_bytewise(strategy):
-    golden = template_resource(strategy).read_bytes()
+    golden = (TEMPLATES_DIR / f"{strategy.value}.txt").read_bytes()
     assert golden.decode("utf-8") == template_text(strategy)
     # Stored with the trailing newline stripped.
     assert not golden.endswith(b"\n")
