@@ -40,6 +40,7 @@ from .datasets import (
     load_registry,
     load_resumable,
     now_timestamp,
+    unique_keys,
 )
 from .judge import Judgment, judge as judge_completion
 from .metrics import (
@@ -116,6 +117,10 @@ class RunConfig:
         for name in ("models", "strategies", "benchmarks"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+        for name in ("models", "strategies"):  # strategies as parsed: "cot" and "CoT" collide
+            entries = getattr(self, name)
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"{name} must not list an entry twice")
         if self.concurrency < 1:
             raise ValueError("concurrency must be a positive integer")
         unknown = self.model_overrides.keys() - set(self.models)
@@ -130,7 +135,7 @@ class RunConfig:
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a run configuration file (JSON)."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:

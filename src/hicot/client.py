@@ -218,6 +218,7 @@ class ChatClient:
             self._address = (via.hostname, via.port)
         # Open connections that no request is using: at most one per calling thread.
         self._idle = collections.deque()
+        self._model_dirs = {}  # model id -> its cache directory, worked out once
 
     def close(self) -> None:
         """Close the connections kept open for later requests; call it once no
@@ -274,24 +275,31 @@ class ChatClient:
             self._idle.append(conn)
             return reply
 
-    def _cache_path(self, req: CompletionRequest, key: str) -> Path:
-        return self.cache_dir / _sanitize_for_path(req.model_id) / f"{key}.json"
+    def _cache_path(self, req: CompletionRequest, key: str) -> str:
+        model_dir = self._model_dirs.get(req.model_id)
+        if model_dir is None:
+            model_dir = os.path.join(self.cache_dir, _sanitize_for_path(req.model_id))
+            self._model_dirs[req.model_id] = model_dir
+        return os.path.join(model_dir, f"{key}.json")
 
-    def _read_cache(self, path: Path) -> Optional[CompletionResult]:
+    def _read_cache(self, path: str) -> Optional[CompletionResult]:
         """The cached result, or None on a miss.
 
-        An entry that is not JSON or not a ``CompletionResult`` (a missing key, a
-        wrongly typed value such as an earlier version's null text) is a miss
-        too: the item is fetched again and the atomic write replaces the entry.
+        An entry that is not UTF-8 JSON (one with a byte-order mark, say) or not a
+        ``CompletionResult`` (a missing key, a wrongly typed value such as an
+        earlier version's null text) is a miss too: the item is fetched again and
+        the atomic write replaces the entry.
         """
         try:
-            with open(path, encoding="utf-8") as fh:
-                entry = from_json_dict(CompletionResult, json.load(fh), "cache entry")
-        except (FileNotFoundError, ValueError):  # ValueError: not JSON, or a JsonMismatch
+            with open(path, "rb") as fh:
+                data = json.loads(fh.read().decode("utf-8"))
+            entry = from_json_dict(CompletionResult, data, "cache entry")
+        except (FileNotFoundError, ValueError):  # ValueError: not UTF-8, not JSON, a JsonMismatch
             return None
         return replace(entry, from_cache=True)
 
-    def _write_cache(self, path: Path, result: CompletionResult) -> None:
+    def _write_cache(self, path: str, result: CompletionResult) -> None:
+        path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, get_args, get_origin, get_type_hints
@@ -52,6 +52,11 @@ class Problem:
     gold_answer: str
     kind: AnswerKind
 
+    @cached_property
+    def gold_normalized(self) -> str:
+        """``gold_answer`` through ``normalize_math``, worked out once per problem."""
+        return normalize_math(self.gold_answer)
+
 
 @dataclass(frozen=True)
 class FieldMap:
@@ -86,13 +91,24 @@ def load_registry(path: Optional[str | Path] = None) -> dict:
         text = resources.files("hicot").joinpath("data", "benchmarks.json").read_text("utf-8")
     else:
         text = Path(path).read_text("utf-8")
-    raw = json.loads(text)
+    raw = json.loads(text, object_pairs_hook=unique_keys)
     if not isinstance(raw, dict):
         raise ValueError("a benchmark registry must be a JSON object")
     return {
         name: from_json_dict(BenchmarkSpec, entry, f"benchmark {name!r}")
         for name, entry in raw.items()
     }
+
+
+def unique_keys(pairs: list) -> dict:
+    """The ``object_pairs_hook`` that reads a JSON object into a dict, refusing a
+    key repeated in it (plain ``json.loads`` keeps the last value) with ValueError."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"an object repeats the key {key!r}")
+        data[key] = value
+    return data
 
 
 def load_dataset(
@@ -113,25 +129,18 @@ def load_dataset(
     for line_no, row in _json_lines(path):
         statement = _text(row, field_map.statement, path, line_no)
         answer = _text(row, field_map.answer, path, line_no)
-        if kind is AnswerKind.INTEGER_EXACT and _parse_int(normalize_math(answer)) is None:
-            detail = f"field {field_map.answer!r} is not an integer: {answer!r}"
-            raise MalformedLine(path, line_no, detail)
         if field_map.id and field_map.id in row:
             problem_id = _text(row, field_map.id, path, line_no)
         else:
             problem_id = str(len(problems) + 1)
+        problem = Problem(problem_id, benchmark, statement, answer, kind)
+        if kind is AnswerKind.INTEGER_EXACT and _parse_int(problem.gold_normalized) is None:
+            detail = f"field {field_map.answer!r} is not an integer: {answer!r}"
+            raise MalformedLine(path, line_no, detail)
         if problem_id in seen_ids:
             raise MalformedLine(path, line_no, f"duplicate problem id {problem_id!r}")
         seen_ids.add(problem_id)
-        problems.append(
-            Problem(
-                id=problem_id,
-                benchmark=benchmark,
-                statement=statement,
-                gold_answer=answer,
-                kind=kind,
-            )
-        )
+        problems.append(problem)
     return problems
 
 
@@ -218,9 +227,13 @@ def to_json_dict(obj) -> dict:
     record line several times cheaper; plain scalars, most fields, skip the
     type checks.
     """
+    cls = type(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
     data = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    for name in names:
+        value = getattr(obj, name)
         if type(value) not in _JSON_SCALARS:
             if isinstance(value, Enum):
                 value = value.value
@@ -228,7 +241,7 @@ def to_json_dict(obj) -> dict:
                 value = list(value)
             elif is_dataclass(value):
                 value = to_json_dict(value)
-        data[f.name] = value
+        data[name] = value
     return data
 
 
@@ -270,6 +283,8 @@ def from_json_dict(cls, data, where: str, base=None):
         raise JsonMismatch(f"{where}.{exc}") from exc
 
 
+# Built once per class, on its first encode or decode.
+_FIELD_NAMES: dict = {}  # dataclass -> its field names, in declaration order
 _READERS: dict = {}  # dataclass -> {field name: its reader}
 
 # The field types a JSON value of the same type passes as it is.
@@ -289,7 +304,9 @@ def _reader(hint) -> tuple:
         return frozenset(), partial(from_json_dict, hint)
     if hint in _JSON_NAMES:
         return frozenset({hint}), partial(_convert, hint)
-    if hint in (float, Path) or issubclass(hint, Enum):
+    if issubclass(hint, Enum):
+        return frozenset(), partial(_read_enum, hint, {member.value: member for member in hint})
+    if hint in (float, Path):
         return frozenset(), partial(_convert, hint)
     raise TypeError(f"no JSON reader for a field of type {hint!r}")
 
@@ -305,6 +322,16 @@ def _read_array(origin, items: list, value, where: str, base):
     for i, (item, (passes, read)) in enumerate(zip(value, readers)):
         values.append(item if type(item) in passes else read(item, f"{where}[{i}]", None))
     return origin(values)
+
+
+def _read_enum(hint, members: dict, value, where: str, base):
+    """The member of the Enum ``hint`` whose value is ``value``, found in
+    ``members``; any other value, such as another spelling that the class
+    accepts, goes through ``_convert``."""
+    try:
+        return members[value]
+    except (KeyError, TypeError):  # TypeError: a list or an object is not hashable
+        return _convert(hint, value, where, base)
 
 
 def _convert(hint, value, where: str, base):

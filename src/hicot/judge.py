@@ -204,6 +204,6 @@ def judge(predicted: Optional[str], problem: "Problem") -> Judgment:
             return Judgment(predicted, normalized, False, JudgeReason.UNPARSEABLE_INTEGER)
         out_of_range = not 0 <= value <= 999
 
-    if _normalized_equal(normalized, normalize_math(problem.gold_answer), problem.kind):
+    if _normalized_equal(normalized, problem.gold_normalized, problem.kind):
         return Judgment(predicted, normalized, True, JudgeReason.MATCH, out_of_range)
     return Judgment(predicted, normalized, False, JudgeReason.MISMATCH, out_of_range)

@@ -29,13 +29,16 @@ _MARKER_RE = re.compile(r"<\|(instruction|execution)\|>")
 
 # Step labels must sit at the head of a block body: optional whitespace, the
 # case-sensitive word "Step", one space, digits, then a colon. Anything else
-# leaves the step unset.
-_STEP_RE = re.compile(r"^\s*Step (\d+):")
+# leaves the step unset. Matched in place, from the body's start to its end.
+_STEP_RE = re.compile(r"\s*Step (\d+):")
 
 
 class BlockKind(Enum):
     INSTRUCTION = "instruction"
     EXECUTION = "execution"
+
+
+_KIND_OF_MARKER = {kind.value: kind for kind in BlockKind}
 
 
 @dataclass(frozen=True)
@@ -141,30 +144,16 @@ def scan_blocks(
     """
     think_segment, start = _split_think(raw, think_open, think_close)
     matches = list(_MARKER_RE.finditer(raw, start))
-
-    if matches:
-        preamble = raw[start : matches[0].start()]
-    else:
-        preamble = raw[start:]
+    preamble = raw[start : matches[0].start()] if matches else raw[start:]
 
     blocks = []
-    for i, match in enumerate(matches):
+    ends = [match.start() for match in matches[1:]] + [len(raw)]
+    for match, end in zip(matches, ends):
         body_start = match.end()
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(raw)
-        body = raw[body_start:end]
-        step_match = _STEP_RE.match(body)
-        step = None
-        if step_match:
-            value = int(step_match.group(1))
-            if value > 0:
-                step = value
+        step_match = _STEP_RE.match(raw, body_start, end)
+        step = int(step_match[1]) if step_match else 0  # a step of 0 is unset, like none
         blocks.append(
-            Block(
-                kind=BlockKind(match.group(1)),
-                body=body,
-                span=(match.start(), end),
-                step=step,
-            )
+            Block(_KIND_OF_MARKER[match[1]], raw[body_start:end], (match.start(), end), step or None)
         )
 
     return ReasoningTrace(
@@ -186,21 +175,15 @@ def validate_format(trace: ReasoningTrace) -> FormatReport:
     at 1. Text after the final block is ignored.
     """
     blocks = trace.blocks
-
-    alternation_ok = bool(blocks) and len(blocks) % 2 == 0
-    if alternation_ok:
-        for i, block in enumerate(blocks):
-            expected = BlockKind.INSTRUCTION if i % 2 == 0 else BlockKind.EXECUTION
-            if block.kind is not expected:
-                alternation_ok = False
-                break
-
-    step_alignment_ok = bool(blocks) and len(blocks) % 2 == 0
-    if step_alignment_ok:
-        for i, block in enumerate(blocks):
-            if block.step != i // 2 + 1:
-                step_alignment_ok = False
-                break
+    alternation_ok = step_alignment_ok = bool(blocks) and len(blocks) % 2 == 0
+    instructions = 0
+    for i, block in enumerate(blocks):
+        is_instruction = block.kind is BlockKind.INSTRUCTION
+        instructions += is_instruction
+        if is_instruction != (i % 2 == 0):
+            alternation_ok = False
+        if block.step != i // 2 + 1:
+            step_alignment_ok = False
 
     boxed_present = trace.boxed_answer is not None
 
@@ -209,8 +192,8 @@ def validate_format(trace: ReasoningTrace) -> FormatReport:
         step_alignment_ok=step_alignment_ok,
         boxed_present=boxed_present,
         compliant=alternation_ok and step_alignment_ok and boxed_present,
-        instruction_count=sum(1 for b in blocks if b.kind is BlockKind.INSTRUCTION),
-        execution_count=sum(1 for b in blocks if b.kind is BlockKind.EXECUTION),
+        instruction_count=instructions,
+        execution_count=len(blocks) - instructions,
     )
 
 

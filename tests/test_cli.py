@@ -393,8 +393,9 @@ class TestConfigValidation:
             ('{"toy_int": {"kind": "bogus"}}', "'toy_int'"),
             ("[]", "JSON object"),
             ("{oops", "registry.json"),
+            ('{"toy_int": {"kind": "integer_exact"}, "toy_int": {}}', "'toy_int'"),
         ],
-        ids=["list_entry", "unknown_kind", "not_an_object", "not_json"],
+        ids=["list_entry", "unknown_kind", "not_an_object", "not_json", "repeated_name"],
     )
     def test_bad_registry_is_config_error(self, tmp_path, make_stub, capsys, registry, reported):
         stub = make_stub(grid_responder)
@@ -407,6 +408,38 @@ class TestConfigValidation:
             load_run_config(config_path)
         assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
         assert reported in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, entries",
+        [("models", ["sim-alpha", "sim-alpha"]), ("strategies", ["cot", "CoT"])],
+        ids=["model", "strategy_spelled_twice"],
+    )
+    def test_repeated_entry_is_config_error(self, tmp_path, make_stub, capsys, key, entries):
+        stub = make_stub(grid_responder)
+        config_path = write_config(tmp_path, stub.base_url, benchmarks=("toy_int",))
+        config = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**config, key: entries}))
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+        assert f"config.{key}" in capsys.readouterr().err
+        assert stub.total_requests == 0
+
+    @pytest.mark.parametrize(
+        "opening, repeated",
+        [
+            ('{"concurrency": 64, ', "'concurrency'"),
+            ('{"sampling": {"max_tokens": 9, "max_tokens": 2048}, ', "'max_tokens'"),
+        ],
+        ids=["top_level", "nested"],
+    )
+    def test_repeated_key_is_config_error(self, tmp_path, make_stub, capsys, opening, repeated):
+        # json.loads alone keeps the last value of a repeated key, silently.
+        stub = make_stub(grid_responder)
+        config_path = write_config(tmp_path, stub.base_url, concurrency=1)
+        text = config_path.read_text()
+        config_path.write_text(opening + text.lstrip()[1:])
+        assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+        assert repeated in capsys.readouterr().err
+        assert stub.total_requests == 0
 
     def test_keys_load_as_their_field_types(self, tmp_path, make_stub):
         stub = make_stub(grid_responder)

@@ -23,6 +23,7 @@ from hicot.client import (
     AuthFailure,
     ChatClient,
     CompletionRequest,
+    CompletionResult,
     ContextOverflow,
     Endpoint,
     EndpointUnreachable,
@@ -71,6 +72,13 @@ class TestApproximateTokens:
         assert approximate_tokens("hi!") == 2
         # One word plus the three symbol characters backslash, "{", "}".
         assert approximate_tokens("\\boxed{22}") == 4
+
+
+# A cache entry as the client writes it.
+_ENTRY = (
+    '{"text": "x = 7 → \\\\boxed{7}", "completion_tokens": 5, "token_source": "api_usage", '
+    '"latency_ms": 12, "from_cache": false}'
+)
 
 
 class TestComplete:
@@ -310,8 +318,11 @@ class TestComplete:
             '{"text": "torn',
             '{"completion_tokens": 5, "token_source": "api_usage", "latency_ms": 1}',
             '{"text": "old", "completion_tokens": "5", "token_source": "api_usage", "latency_ms": 1}',
+            # Not UTF-8 JSON, though json.loads of the bytes would read both.
+            "\ufeff" + _ENTRY,
+            _ENTRY.encode("utf-16"),
         ],
-        ids=["null_text", "broken_json", "missing_key", "string_tokens"],
+        ids=["null_text", "broken_json", "missing_key", "string_tokens", "utf8_bom", "utf16"],
     )
     def test_unreadable_cache_entry_is_fetched_again(self, make_stub, tmp_path, entry):
         stub = make_stub(lambda payload: StubReply("fresh"))
@@ -319,7 +330,7 @@ class TestComplete:
         request = _request()
         path = tmp_path / "cache" / "stub-model" / f"{request.cache_key()}.json"
         path.parent.mkdir(parents=True)
-        path.write_text(entry, encoding="utf-8")
+        path.write_bytes(entry if isinstance(entry, bytes) else entry.encode("utf-8"))
         assert client.complete(request).text == "fresh"
         assert stub.total_requests == 1
         assert json.loads(path.read_text(encoding="utf-8"))["text"] == "fresh"
@@ -344,6 +355,18 @@ class TestComplete:
         assert client.cached(request, request.cache_key()).text == "cached"
         path.write_text(json.dumps(spoiled), encoding="utf-8")
         assert client.cached(request, request.cache_key()) is None
+
+    def test_cache_entry_is_pinned(self, tmp_path):
+        client = ChatClient(Endpoint("http://127.0.0.1:1"), tmp_path / "cache")
+        request = _request()
+        key = request.cache_key()
+        result = CompletionResult("x = 7 → \\boxed{7}", 5, TokenSource.API_USAGE, 12)
+        client._write_cache(client._cache_path(request, key), result)
+        path = tmp_path / "cache" / "stub-model" / f"{key}.json"
+        assert path.read_bytes() == _ENTRY.encode("utf-8")
+        assert client.cached(request, key) == CompletionResult(
+            result.text, 5, TokenSource.API_USAGE, 12, from_cache=True
+        )
 
     def test_entry_without_from_cache_key_is_a_hit(self, make_stub, tmp_path):
         stub = make_stub(lambda payload: StubReply("fresh"))

@@ -9,6 +9,9 @@ from hicot.datasets import Problem
 from hicot.judge import (
     AnswerKind,
     JudgeReason,
+    Judgment,
+    _normalized_equal,
+    _parse_int,
     answers_equal,
     extract_boxed,
     judge,
@@ -188,6 +191,32 @@ class TestJudge:
             verdict = judge(extract_boxed(text), _problem("22", AnswerKind.MATH_EXPRESSION))
             assert not verdict.correct
             assert verdict.reason is JudgeReason.NO_BOXED_ANSWER
+
+    def test_gold_normalized_once_judges_as_per_call(self):
+        def judge_normalizing_gold_per_call(predicted, problem):
+            # The judge as first written, kept verbatim as the reference.
+            if predicted is None:
+                return Judgment(None, None, False, JudgeReason.NO_BOXED_ANSWER)
+
+            normalized = normalize_math(predicted)
+            out_of_range = False
+            if problem.kind is AnswerKind.INTEGER_EXACT:
+                value = _parse_int(normalized)
+                if value is None:
+                    return Judgment(predicted, normalized, False, JudgeReason.UNPARSEABLE_INTEGER)
+                out_of_range = not 0 <= value <= 999
+
+            if _normalized_equal(normalized, normalize_math(problem.gold_answer), problem.kind):
+                return Judgment(predicted, normalized, True, JudgeReason.MATCH, out_of_range)
+            return Judgment(predicted, normalized, False, JudgeReason.MISMATCH, out_of_range)
+
+        for pred, gold, kind, _ in VECTORS:
+            problem = _problem(gold, kind)
+            for predicted in (pred, None):
+                expected = judge_normalizing_gold_per_call(predicted, problem)
+                # Twice: the first call works the normalized gold out, the second reuses it.
+                assert judge(predicted, problem) == judge(predicted, problem) == expected
+            assert problem.gold_normalized == normalize_math(gold)
 
     def test_vectors_through_judge(self):
         # Wrapping the prediction in a box must reproduce the vector verdicts,

@@ -4,7 +4,9 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hicot.judge import extract_boxed
 from hicot.prompts import PromptStrategy
 from hicot.traces import (
     Block,
@@ -13,6 +15,8 @@ from hicot.traces import (
     FormatReport,
     INSTRUCTION_MARKER,
     ReasoningTrace,
+    _MARKER_RE,
+    _split_think,
     compliance_mode,
     scan_blocks,
     validate_format,
@@ -310,3 +314,133 @@ class TestComplianceMode:
         assert compliance_mode(strategy, boxed_only)
         nothing = FormatReport(False, False, False, False, 0, 0)
         assert not compliance_mode(strategy, nothing)
+
+
+# Reference: the block scan and validation as first written, kept verbatim as
+# the oracle for the leaner ``scan_blocks`` and ``validate_format``.
+_REFERENCE_STEP_RE = re.compile(r"^\s*Step (\d+):")
+
+
+def _reference_scan_blocks(raw, think_open="<think>", think_close="</think>"):
+    think_segment, start = _split_think(raw, think_open, think_close)
+    matches = list(_MARKER_RE.finditer(raw, start))
+
+    if matches:
+        preamble = raw[start : matches[0].start()]
+    else:
+        preamble = raw[start:]
+
+    blocks = []
+    for i, match in enumerate(matches):
+        body_start = match.end()
+        end = matches[i + 1].start() if i + 1 < len(matches) else len(raw)
+        body = raw[body_start:end]
+        step_match = _REFERENCE_STEP_RE.match(body)
+        step = None
+        if step_match:
+            value = int(step_match.group(1))
+            if value > 0:
+                step = value
+        blocks.append(
+            Block(
+                kind=BlockKind(match.group(1)),
+                body=body,
+                span=(match.start(), end),
+                step=step,
+            )
+        )
+
+    return ReasoningTrace(
+        raw=raw,
+        preamble=preamble,
+        blocks=tuple(blocks),
+        boxed_answer=extract_boxed(raw),
+        think_segment=think_segment,
+    )
+
+
+def _reference_validate_format(trace):
+    blocks = trace.blocks
+
+    alternation_ok = bool(blocks) and len(blocks) % 2 == 0
+    if alternation_ok:
+        for i, block in enumerate(blocks):
+            expected = BlockKind.INSTRUCTION if i % 2 == 0 else BlockKind.EXECUTION
+            if block.kind is not expected:
+                alternation_ok = False
+                break
+
+    step_alignment_ok = bool(blocks) and len(blocks) % 2 == 0
+    if step_alignment_ok:
+        for i, block in enumerate(blocks):
+            if block.step != i // 2 + 1:
+                step_alignment_ok = False
+                break
+
+    boxed_present = trace.boxed_answer is not None
+
+    return FormatReport(
+        alternation_ok=alternation_ok,
+        step_alignment_ok=step_alignment_ok,
+        boxed_present=boxed_present,
+        compliant=alternation_ok and step_alignment_ok and boxed_present,
+        instruction_count=sum(1 for b in blocks if b.kind is BlockKind.INSTRUCTION),
+        execution_count=sum(1 for b in blocks if b.kind is BlockKind.EXECUTION),
+    )
+
+
+_WHITESPACE = st.text(alphabet=" \t\n\r\u3000\x0b", max_size=3)
+_STEP_NUMBERS = st.one_of(
+    st.integers(min_value=-3, max_value=4), st.integers(min_value=-(10**30), max_value=10**30)
+)
+_STEP_HEADS = st.builds(
+    lambda lead, word, k, colon: f"{lead}{word}{k}{colon}",
+    _WHITESPACE,
+    st.sampled_from(["Step ", "step ", "Step  ", "Step", "STEP "]),
+    _STEP_NUMBERS,
+    st.sampled_from([":", "", " :"]),
+)
+_PIECES = st.one_of(
+    st.sampled_from(
+        [
+            INSTRUCTION_MARKER,
+            EXECUTION_MARKER,
+            "<think>",
+            "</think>",
+            "\\boxed{",
+            "{",
+            "}",
+            "<|",
+            "|>",
+            "<|instruction",
+        ]
+    ),
+    _STEP_HEADS,
+    st.text(alphabet="ab 7\n:", max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lead=_WHITESPACE,
+    pairs=st.integers(min_value=0, max_value=4),
+    pieces=st.lists(_PIECES, max_size=24),
+    tail=st.text(max_size=8),
+)
+def test_scan_and_validate_match_the_reference(lead, pairs, pieces, tail):
+    # ``pairs`` aligned blocks first, so compliant traces are drawn too; ``tail``
+    # is text after the last block; ``lead`` lets a think span open after whitespace.
+    aligned = "".join(
+        f"{marker} Step {k}: x" for k in range(1, pairs + 1)
+        for marker in (INSTRUCTION_MARKER, EXECUTION_MARKER)
+    )
+    raw = lead + aligned + "".join(pieces) + tail
+    trace, reference = scan_blocks(raw), _reference_scan_blocks(raw)
+    assert trace.blocks == reference.blocks  # kind, body, span and step of each block
+    assert (trace.raw, trace.preamble, trace.think_segment, trace.boxed_answer) == (
+        reference.raw,
+        reference.preamble,
+        reference.think_segment,
+        reference.boxed_answer,
+    )
+    assert validate_format(trace) == _reference_validate_format(reference)
