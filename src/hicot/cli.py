@@ -323,8 +323,10 @@ def cmd_run(config: RunConfig) -> Path:
                 if outcome is None:
                     outcome = fetches[key] = pool.submit(fetch, request, key)
                 outcomes.append(outcome)
+            del fetches  # a future is held by its items' outcomes alone, so each is freed in turn
 
-            for task, completion in zip(tasks, outcomes):
+            for i, task in enumerate(tasks):
+                completion, outcomes[i] = outcomes[i], None  # not held past its record
                 if isinstance(completion, Future):
                     if not completion.done():  # idle until it is: make the records so far durable
                         writer.sync()

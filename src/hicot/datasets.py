@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property, partial
@@ -257,13 +257,15 @@ def from_json_dict(cls, data, where: str, base=None):
     it has one, else the field default. Nested dataclasses are read likewise,
     lists and fixed-length tuples item by item, an Enum by its constructor and a
     Path from a non-empty string; a boolean is never a number, and a float is
-    finite. Any other value raises JsonMismatch naming its key below ``where``;
-    the ``ValueError`` of a ``__post_init__`` check begins with the field it refuses.
+    finite. Any other value, or a required key that is missing, raises
+    JsonMismatch naming its key below ``where``; the ``ValueError`` of a
+    ``__post_init__`` check begins with the field it refuses.
     """
     if not isinstance(data, dict):
         raise JsonMismatch(f"{where} must be an object")
     readers = _READERS.get(cls)
     if readers is None:  # built once per class: ``(passes, read)`` per field, see ``_reader``
+        _CONSTRUCTORS[cls] = _constructor(cls)  # first: a class with readers has one
         hints = get_type_hints(cls)
         readers = _READERS[cls] = {f.name: _reader(hints[f.name]) for f in fields(cls)}
     values = {} if base is None else {k: getattr(base, k) for k in readers if hasattr(base, k)}
@@ -273,12 +275,16 @@ def from_json_dict(cls, data, where: str, base=None):
         except KeyError:
             raise JsonMismatch(f"{where}.{key} is not a known key") from None
         if type(value) not in passes:
-            value = read(value, f"{where}.{key}", getattr(base, key, None))
+            inherited = None if base is None else getattr(base, key, None)
+            value = read(value, f"{where}.{key}", inherited)
         values[key] = value
+    required, build = _CONSTRUCTORS[cls]
+    if len(values) < len(readers):  # a key is absent: it must have a default
+        for name in required:
+            if name not in values:
+                raise JsonMismatch(f"{where}.{name} is missing")
     try:
-        return cls(**values)
-    except TypeError as exc:  # a required key is missing
-        raise JsonMismatch(f"{where}: {exc}") from exc
+        return build(values)
     except ValueError as exc:
         raise JsonMismatch(f"{where}.{exc}") from exc
 
@@ -286,6 +292,43 @@ def from_json_dict(cls, data, where: str, base=None):
 # Built once per class, on its first encode or decode.
 _FIELD_NAMES: dict = {}  # dataclass -> its field names, in declaration order
 _READERS: dict = {}  # dataclass -> {field name: its reader}
+_CONSTRUCTORS: dict = {}  # dataclass -> (its required field names, ``build(values)``)
+
+
+def _constructor(cls) -> tuple:
+    """``(required, build)`` for the dataclass ``cls``: the fields a JSON object
+    must name, and ``build(values)``, the instance from a dict of field values.
+
+    Where the generated ``__init__`` would only assign (no ``__post_init__``,
+    ``default_factory``, ``init=False`` field or ``__slots__``), ``build`` skips
+    it, as ``copy`` and ``pickle`` do: it fills a bare instance's ``__dict__``
+    in field order, taking absent fields from their defaults. That is several
+    times cheaper than a frozen ``__init__``, which sets each field through
+    ``object.__setattr__``. Any other class is called, so its checks run.
+    """
+    cls_fields = fields(cls)
+    required = tuple(
+        f.name
+        for f in cls_fields
+        if f.init and f.default is MISSING and f.default_factory is MISSING
+    )
+    if (
+        hasattr(cls, "__post_init__")
+        or hasattr(cls, "__slots__")
+        or any(not f.init or f.default_factory is not MISSING for f in cls_fields)
+    ):  # the generated ``__init__`` does more than assign
+        return required, lambda values: cls(**values)
+    defaults = {f.name: f.default for f in cls_fields}
+
+    def build(values: dict):
+        obj = object.__new__(cls)
+        state = obj.__dict__
+        state.update(defaults)  # every field, in field order
+        state.update(values)  # a key already set keeps its place
+        return obj
+
+    return required, build
+
 
 # The field types a JSON value of the same type passes as it is.
 _JSON_NAMES = {bool: "true or false", int: "an integer", str: "a string", dict: "an object"}

@@ -151,7 +151,12 @@ def scan_blocks(
     for match, end in zip(matches, ends):
         body_start = match.end()
         step_match = _STEP_RE.match(raw, body_start, end)
-        step = int(step_match[1]) if step_match else 0  # a step of 0 is unset, like none
+        step = 0  # a step of 0 is unset, like none
+        if step_match:
+            try:
+                step = int(step_match[1])
+            except ValueError:  # more digits than int() reads: unset, so alignment fails
+                pass
         blocks.append(
             Block(_KIND_OF_MARKER[match[1]], raw[body_start:end], (match.start(), end), step or None)
         )

@@ -46,6 +46,10 @@ from stub_server import StubReply
 from trace_samples import WORKED_HICOT_OUTPUT
 
 
+# A step label of more digits than int() reads (4,300), with a boxed answer.
+LONG_STEP_LABEL = "<|instruction|>Step " + "1" * 5000 + ": go<|execution|>Step 1: \\boxed{42}"
+
+
 class TestValidateCommand:
     def test_compliant_file_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "trace.txt"
@@ -69,6 +73,14 @@ class TestValidateCommand:
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.txt")]) == EXIT_IO
+
+    def test_step_label_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "trace.txt"
+        path.write_text(LONG_STEP_LABEL, encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert json.loads(out)["step_alignment_ok"] is False
+        assert err == ""
 
     def test_think_tags_option(self, tmp_path, capsys):
         path = tmp_path / "trace.txt"
@@ -541,6 +553,22 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == EXIT_OK
         records = read_records(capsys.readouterr().out.strip())
         assert records and all(r.compliant and r.judgment.correct for r in records)
+
+    def test_step_label_past_the_digit_limit_is_scored(self, tmp_path, make_stub, capsys):
+        stub = make_stub(lambda payload: StubReply(LONG_STEP_LABEL))
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("hicot",),
+            benchmarks=("toy_int",),
+        )
+        records = read_records(cmd_run(load_run_config(config_path)))
+        assert len(records) == 3
+        for record in records:
+            assert record.client_error is None
+            assert record.completion_text == LONG_STEP_LABEL
+            assert record.judgment.correct == (record.problem_id in ("1", "2"))  # gold 42
+            assert not record.format_report.step_alignment_ok and not record.compliant
+        progress = ("run grid:", "progress:", "cell ")  # no item failed, so no traceback
+        assert all(line.startswith(progress) for line in capsys.readouterr().err.splitlines())
 
     def test_model_override_is_applied(self, tmp_path, make_stub):
         seen = []

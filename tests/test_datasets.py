@@ -1,17 +1,21 @@
 """Dataset loading and evaluation-record persistence."""
 
+import dataclasses
 import json
 import os
 import re
+from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hicot.cli import EXIT_IO, main
-from hicot.client import CompletionResult, TokenSource
+from hicot.cli import EXIT_IO, BenchmarkEntry, ModelOverride, RunConfig, main
+from hicot.client import CompletionResult, Endpoint, SamplingParams, TokenSource
 from hicot.datasets import (
     EvalRecord,
     FieldMap,
+    JsonMismatch,
     MalformedLine,
     Problem,
     RecordWriter,
@@ -572,3 +576,77 @@ class TestGroupCommit:
                 writer.append(make_record(0))
                 raise KeyboardInterrupt
         assert fsync_sizes == [path.stat().st_size] and len(read_records(path)) == 1
+
+
+_entries = st.builds(
+    BenchmarkEntry,
+    statement_field=st.text(max_size=20),
+    answer_field=st.text(max_size=20),
+    id_field=st.one_of(st.none(), st.text(max_size=20)),
+    kind=st.sampled_from(list(AnswerKind)),
+    path=st.text(alphabet="ab/.", min_size=1, max_size=20).map(Path),
+)
+
+
+def _required(cls, where=()) -> list:
+    """The key path of every required field of ``cls`` and of its nested dataclasses."""
+    paths = []
+    hints = get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[field.name]):
+            paths.extend(_required(hints[field.name], where + (field.name,)))
+        if field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING:
+            paths.append(where + (field.name,))
+    return paths
+
+
+class TestDecoder:
+    """``from_json_dict`` fills plain dataclasses without their ``__init__`` and
+    calls the classes that check their fields."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(item=st.one_of(_records, _judgments, _reports, _results, _entries))
+    def test_round_trip_keeps_the_fields_in_order(self, item):
+        data = to_json_dict(item)
+        if isinstance(item, BenchmarkEntry):
+            data["path"] = str(item.path)  # a Path is written as text
+        back = from_json_dict(type(item), data, "x")
+        assert back == item
+        assert list(vars(back).items()) == list(vars(item).items())
+
+    @pytest.mark.parametrize("key", _required(EvalRecord), ids=".".join)
+    def test_missing_required_key_is_named(self, tmp_path, key):
+        row = make_record(1).to_dict()
+        *parents, name = key
+        parent = row
+        for step in parents:
+            parent = parent[step]
+        del parent[name]
+        path = _write_jsonl(tmp_path / "records.jsonl", [make_record(0).to_dict(), row])
+        named = "record." + ".".join(key)
+        with pytest.raises(MalformedLine, match=re.escape(f":2: {named} is missing")):
+            read_records(path)
+
+    @pytest.mark.parametrize(
+        "cls, data, refused",
+        [
+            (Endpoint, {"base_url": "ftp://x"}, "base_url"),
+            (SamplingParams, {"max_tokens": 0}, "max_tokens"),
+            (ModelOverride, {"extra_body": {"x": float("nan")}}, "extra_body"),
+            (
+                RunConfig,
+                {
+                    "endpoint": {"base_url": "http://h"},
+                    "models": ["m"],
+                    "strategies": ["cot"],
+                    "benchmarks": {"b": "b.jsonl"},
+                    "concurrency": 0,
+                },
+                "concurrency",
+            ),
+        ],
+        ids=["Endpoint", "SamplingParams", "ModelOverride", "RunConfig"],
+    )
+    def test_post_init_check_still_refuses(self, cls, data, refused):
+        with pytest.raises(JsonMismatch, match=re.escape(f"config.{refused} ")):
+            from_json_dict(cls, data, "config")

@@ -136,6 +136,14 @@ class TestScanBlocks:
         trace = scan_blocks(INSTRUCTION_MARKER + body)
         assert trace.blocks[0].step == step
 
+    def test_step_label_past_the_digit_limit_is_unset(self):
+        # int() refuses more than 4,300 digits; the step is left unset, not raised.
+        raw = INSTRUCTION_MARKER + "Step " + "1" * 5000 + ": go" + EXECUTION_MARKER + "Step 1: x"
+        trace = scan_blocks(raw)
+        assert [b.step for b in trace.blocks] == [None, 1]
+        assert trace.reconstruct() == raw
+        assert not validate_format(trace).step_alignment_ok
+
     def test_losslessness_over_randomized_strings(self):
         rng = random.Random(20260808)
         atoms = [
