@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .client import (
+    CLIENT_KEYS,
     ChatClient,
     ClientError,
     CompletionRequest,
@@ -27,20 +28,18 @@ from .client import (
     SamplingParams,
     TokenSource,
 )
+from .codec import JsonMismatch, from_json_dict, to_json_dict, unique_keys
 from .datasets import (
     BenchmarkSpec,
     DatasetError,
     EvalRecord,
-    JsonMismatch,
     Problem,
     RecordWriter,
-    from_json_dict,
     iter_records,
     load_dataset,
     load_registry,
     load_resumable,
     now_timestamp,
-    unique_keys,
 )
 from .judge import Judgment, judge as judge_completion
 from .metrics import (
@@ -84,6 +83,9 @@ class ModelOverride:
             json.dumps(self.extra_body, allow_nan=False)
         except ValueError:
             raise ValueError("extra_body must hold only finite numbers") from None
+        refused = CLIENT_KEYS.intersection(self.extra_body or ())
+        if refused:  # the client sets these from the request, which the record describes
+            raise ValueError(f"extra_body.{min(refused)} may not be set: the client sets it")
 
 
 # What a model without an entry in model_overrides gets; built once, not per item.
@@ -368,8 +370,8 @@ def cmd_score(records_path: str | Path) -> dict:
     summaries = aggregate(iter_records(records_path))
     macro = macro_average(summaries)
     return {
-        "summaries": [s.to_dict() for s in summaries],
-        "macro": [m.to_dict() for m in macro],
+        "summaries": [to_json_dict(s) for s in summaries],
+        "macro": [to_json_dict(m) for m in macro],
     }
 
 

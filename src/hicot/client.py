@@ -25,7 +25,7 @@ from typing import Mapping, Optional, TYPE_CHECKING
 from urllib.parse import unquote, urlsplit
 
 from . import __version__
-from .datasets import from_json_dict, to_json_dict
+from .codec import from_json_dict, to_json_dict
 from .prompts import PromptBundle
 
 if TYPE_CHECKING:
@@ -42,6 +42,8 @@ _RETRY_AFTER_STATUSES = frozenset({429, 503})
 RETRY_AFTER_CAP_S = 60.0
 _DELTA_SECONDS = re.compile(r"[0-9]+")
 _CONTEXT_OVERFLOW_HINTS = ("context_length", "maximum context length", "prompt is too long")
+# The request-body keys set from a ``CompletionRequest``, which ``extra_body`` may not name.
+CLIENT_KEYS = frozenset({"model", "messages", "temperature", "top_p", "max_tokens", "seed"})
 
 
 class ClientError(Exception):

@@ -141,7 +141,8 @@ _DECIMAL_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+)")
 _FRAC_RE = re.compile(r"([+-]?)\\frac\{(-?\d+)\}\{(-?\d+)\}")
 
 
-def _parse_int(s: str) -> Optional[int]:
+def parse_int(s: str) -> Optional[int]:
+    """The base-10 integer that the normalized answer ``s`` spells, or None."""
     if _INT_RE.fullmatch(s):
         return int(s)
     return None
@@ -176,8 +177,8 @@ def answers_equal(pred: str, gold: str, kind: AnswerKind) -> bool:
 def _normalized_equal(p: str, g: str, kind: AnswerKind) -> bool:
     """``answers_equal`` on already normalized answers."""
     if kind is AnswerKind.INTEGER_EXACT:
-        pi = _parse_int(p)
-        gi = _parse_int(g)
+        pi = parse_int(p)
+        gi = parse_int(g)
         return pi is not None and gi is not None and pi == gi
     if p == g:
         return True
@@ -199,7 +200,7 @@ def judge(predicted: Optional[str], problem: "Problem") -> Judgment:
     normalized = normalize_math(predicted)
     out_of_range = False
     if problem.kind is AnswerKind.INTEGER_EXACT:
-        value = _parse_int(normalized)
+        value = parse_int(normalized)
         if value is None:
             return Judgment(predicted, normalized, False, JudgeReason.UNPARSEABLE_INTEGER)
         out_of_range = not 0 <= value <= 999

@@ -1,8 +1,9 @@
 """Aggregation of evaluation records into per-cell and macro metrics.
 
 One cell is a (model, strategy, benchmark) group: Pass@1 percentage, mean
-completion tokens, compliance rate, and the same two metrics restricted to
-the compliant subset. Macro summaries average per-benchmark Pass@1 without
+completion tokens over its scored records (those without a client error),
+compliance rate, and the same two metrics restricted to the compliant
+subset. Macro summaries average per-benchmark Pass@1 without
 weighting, on unrounded values.
 
 Display rounding is half-away-from-zero to one decimal; CSV and JSON
@@ -22,7 +23,8 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .datasets import EvalRecord, to_json_dict
+from .codec import to_json_dict
+from .datasets import EvalRecord
 from .prompts import TABLE_ORDER, PromptStrategy
 
 # Marks, in the Markdown table, the Avg. of a row that misses a benchmark.
@@ -53,7 +55,7 @@ class MetricsSummary:
     benchmark: str
     n: int
     pass_at_1: float
-    avg_completion_tokens: float
+    avg_completion_tokens: Optional[float]  # None when every record is an error record
     compliance_rate: float
     conditional_pass_at_1: Optional[float]
     conditional_avg_tokens: Optional[float]
@@ -76,9 +78,6 @@ class MacroSummary:
     benchmarks: Tuple[str, ...]
     missing: Tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return to_json_dict(self)
-
 
 def display_round(value: float) -> str:
     """One-decimal display string, rounding halves away from zero."""
@@ -98,9 +97,11 @@ class Tally:
 
     ``keys`` holds the uniqueness key of every record folded, and a repeat
     raises DuplicateKey. Each (model, strategy, benchmark) cell holds integer
-    counts: n, correct and the token sum over its records, then the same over
-    its compliant ones. Error records count toward n like any other record
-    (they are simply incorrect), so accuracy denominators never shrink.
+    counts: n and correct over its records, the scored records (those without
+    a client error) and their token sum, then n, correct and the token sum
+    over its compliant ones. Error records count toward n like any other
+    record (they are simply incorrect), so accuracy denominators never shrink;
+    their tokens are no trace length, so token means leave them out.
     """
 
     def __init__(self, records: Iterable[EvalRecord] = ()):
@@ -117,15 +118,17 @@ class Tally:
         cell = (record.model_id, record.strategy, record.benchmark)
         counts = self._cells.get(cell)
         if counts is None:
-            counts = self._cells[cell] = [0] * 6
+            counts = self._cells[cell] = [0] * 7
         correct, tokens = record.judgment.correct, record.completion_tokens
         counts[0] += 1
         counts[1] += correct
-        counts[2] += tokens
-        if record.compliant:
-            counts[3] += 1
-            counts[4] += correct
-            counts[5] += tokens
+        if record.client_error is None:
+            counts[2] += 1
+            counts[3] += tokens
+        if record.compliant:  # an error record never is: an empty completion has no boxed answer
+            counts[4] += 1
+            counts[5] += correct
+            counts[6] += tokens
 
     def summaries(self) -> list:
         """One MetricsSummary per cell, in cell order; each mean is one division."""
@@ -136,13 +139,13 @@ class Tally:
                 benchmark=benchmark,
                 n=n,
                 pass_at_1=100.0 * correct / n,
-                avg_completion_tokens=tokens / n,
+                avg_completion_tokens=tokens / scored if scored else None,
                 compliance_rate=100.0 * compliant / n,
                 conditional_pass_at_1=100.0 * compliant_correct / compliant if compliant else None,
                 conditional_avg_tokens=compliant_tokens / compliant if compliant else None,
             )
             for (model_id, strategy, benchmark), (
-                n, correct, tokens, compliant, compliant_correct, compliant_tokens
+                n, correct, scored, tokens, compliant, compliant_correct, compliant_tokens
             ) in self._cells.items()
         ]
         return sorted(summaries, key=cell_order)
@@ -260,8 +263,8 @@ def emit_table(
         return _csv_text(table)
 
     payload = {
-        "summaries": [s.to_dict() for s in summaries],
-        "macro": [m.to_dict() for m in macro],
+        "summaries": [to_json_dict(s) for s in summaries],
+        "macro": [to_json_dict(m) for m in macro],
         "best": sorted(
             [model, column, strategy.value]
             for model, strategy, _, best in rows
@@ -283,7 +286,8 @@ def emit_plot_data(summaries: Sequence[MetricsSummary], kind: PlotKind) -> str:
     """CSV series for token-length and format-conditional plots.
 
     Token plots get one row per (model, strategy, benchmark) plus a macro
-    average row per (model, strategy). Conditional plots carry aggregate and
+    average row per (model, strategy), over the cells that have a token mean;
+    a cell with none leaves its field empty. Conditional plots carry aggregate and
     compliant-subset accuracy/tokens side by side; when a cell has no
     compliant records the conditional columns are left empty, not zero.
     """
@@ -296,9 +300,11 @@ def emit_plot_data(summaries: Sequence[MetricsSummary], kind: PlotKind) -> str:
         for (model, strategy), group in groupby(cells, key=_row):
             present = []
             for cell in group:
-                present.append(cell.avg_completion_tokens)
+                if cell.avg_completion_tokens is not None:
+                    present.append(cell.avg_completion_tokens)
                 rows.append([model, strategy.value, cell.benchmark, cell.avg_completion_tokens])
-            rows.append([model, strategy.value, "macro_avg", sum(present) / len(present)])
+            macro = sum(present) / len(present) if present else None
+            rows.append([model, strategy.value, "macro_avg", macro])
         return _csv_text(rows)
 
     header = (

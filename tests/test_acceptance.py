@@ -19,6 +19,7 @@ import pytest
 
 import hicot
 from hicot.cli import EXIT_OK, cmd_validate, main
+from hicot.codec import to_json_dict
 from hicot.datasets import read_records
 from hicot.judge import answers_equal, extract_boxed, normalize_math
 from hicot.metrics import MetricsSummary, display_round, macro_average
@@ -202,7 +203,7 @@ def test_c5_macro_average_reference_rows():
 
 
 def _strip_timestamp(record) -> str:
-    data = record.to_dict()
+    data = to_json_dict(record)
     data["timestamp"] = ""
     return json.dumps(data, sort_keys=True)
 

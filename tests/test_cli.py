@@ -36,6 +36,7 @@ from hicot.client import (
     SamplingParams,
     TokenSource,
 )
+from hicot.codec import to_json_dict
 from hicot.datasets import RecordWriter, load_dataset, read_records
 from hicot.prompts import PromptStrategy, build_prompt
 from hicot.traces import scan_blocks, validate_format
@@ -171,6 +172,16 @@ _KEYED_FAULTS = {
         lambda config: _with_registry(config, {"toy_int": {"path": "toy_int.jsonl"}}),
         "'toy_int'.path",
     ),
+    # A key the client sets from the request: the record would misstate what was sent.
+    **{
+        f"extra_body_{key}": (
+            lambda config, key=key: {
+                **config, "model_overrides": {"sim-alpha": {"extra_body": {key: "other-model"}}}
+            },
+            f"config.model_overrides.sim-alpha.extra_body.{key}",
+        )
+        for key in ("model", "messages", "temperature", "top_p", "max_tokens", "seed")
+    },
 }
 
 
@@ -651,7 +662,7 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == EXIT_OK
         rebuilt = read_records(capsys.readouterr().out.strip())
         assert stub.total_requests == 0
-        strip = lambda r: {**r.to_dict(), "timestamp": ""}
+        strip = lambda r: {**to_json_dict(r), "timestamp": ""}
         assert sorted(map(json.dumps, map(strip, rebuilt))) == sorted(
             map(json.dumps, map(strip, baseline))
         )
@@ -768,7 +779,7 @@ class TestRunCommand:
         assert failed[0].problem_id == fault_free[0].problem_id
         assert failed[0].format_report == validate_format(scan_blocks(""))
         assert not failed[0].judgment.correct and not failed[0].compliant
-        strip = lambda r: {**r.to_dict(), "timestamp": ""}
+        strip = lambda r: {**to_json_dict(r), "timestamp": ""}
         judged = {r.problem_id: strip(r) for r in records if not r.client_error}
         assert judged == {r.problem_id: strip(r) for r in fault_free[1:]}
 
@@ -899,7 +910,7 @@ class TestRunCommand:
 
         monkeypatch.setattr(ChatClient, "fetch", fetch)
         warm = read_records(cmd_run(dataclasses.replace(config, output_dir=tmp_path / "warm")))
-        strip = lambda r: {**r.to_dict(), "timestamp": ""}
+        strip = lambda r: {**to_json_dict(r), "timestamp": ""}
         assert list(map(strip, warm)) == list(map(strip, cold))
 
     def test_half_cached_grid_fetches_each_miss_once_in_task_order(self, tmp_path, make_stub):

@@ -12,22 +12,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hicot.cli import EXIT_IO, BenchmarkEntry, ModelOverride, RunConfig, main
 from hicot.client import CompletionResult, Endpoint, SamplingParams, TokenSource
+from hicot.codec import JsonMismatch, from_json_dict, to_json_dict
 from hicot.datasets import (
     EvalRecord,
     FieldMap,
-    JsonMismatch,
     MalformedLine,
     Problem,
     RecordWriter,
-    from_json_dict,
     load_dataset,
     load_registry,
     load_resumable,
     read_records,
-    to_json_dict,
     write_records,
 )
-from hicot.judge import AnswerKind, JudgeReason, Judgment, _parse_int, normalize_math
+from hicot.judge import AnswerKind, JudgeReason, Judgment, normalize_math, parse_int
 from hicot.metrics import MetricsSummary
 from hicot.prompts import PromptStrategy
 from hicot.traces import FormatReport
@@ -142,7 +140,7 @@ class TestLoadDataset:
     )
     def test_integer_gold_must_read_as_an_integer(self, tmp_path, capsys, gold, loads):
         # The judge's own rule decides: normalize, then parse a base-10 integer.
-        assert (_parse_int(normalize_math(str(gold))) is not None) == loads
+        assert (parse_int(normalize_math(str(gold))) is not None) == loads
         config_path = write_config(tmp_path, "http://127.0.0.1:1", benchmarks=("toy_int",))
         rows = [{"problem": "p", "answer": 1}, {"problem": "q", "answer": gold}]
         path = _write_jsonl(tmp_path / "toy_int.jsonl", rows)
@@ -180,7 +178,7 @@ class TestBadLine:
              lambda: load_dataset(benchmark, "b", FIELDS, AnswerKind.INTEGER_EXACT),
              [{"problem": f"Problem number {i}: find x.", "answer": i} for i in range(count)]),
             (records, ["score", str(records)], lambda: read_records(records),
-             [make_record(i).to_dict() for i in range(count)]),
+             [to_json_dict(make_record(i)) for i in range(count)]),
         ]
         messages = []
         for path, argv, load, rows in cases:
@@ -204,7 +202,7 @@ class TestBadLine:
         )
         problems = load_dataset(benchmark, "b", FIELDS, AnswerKind.INTEGER_EXACT)
         assert [(p.statement, p.gold_answer) for p in problems] == [("p", "1"), ("q", "2")]
-        lines = [json.dumps(make_record(i).to_dict()).encode() for i in range(2)]
+        lines = [json.dumps(to_json_dict(make_record(i))).encode() for i in range(2)]
         records.write_bytes(lines[0] + b"\r\n\r\n  \n" + lines[1] + b"\r\n")
         assert read_records(records) == [make_record(0), make_record(1)]
 
@@ -317,7 +315,7 @@ _summaries = st.builds(
     benchmark=st.text(min_size=1, max_size=10),
     n=st.integers(min_value=1, max_value=10**4),
     pass_at_1=_percent,
-    avg_completion_tokens=st.floats(min_value=0, max_value=1e6),
+    avg_completion_tokens=st.one_of(st.none(), st.floats(min_value=0, max_value=1e6)),
     compliance_rate=_percent,
     conditional_pass_at_1=st.one_of(st.none(), _percent),
     conditional_avg_tokens=st.one_of(st.none(), st.floats(min_value=0, max_value=1e6)),
@@ -325,7 +323,7 @@ _summaries = st.builds(
 
 # A record line with every optional value set. A version of another type is an
 # unknown version, refused before any field is read, so it is not swapped.
-_FULL_ROW = make_record(0, client_error="EndpointUnreachable: x").to_dict()
+_FULL_ROW = to_json_dict(make_record(0, client_error="EndpointUnreachable: x"))
 _ROW_PATHS = key_paths(_FULL_ROW, skip={("schema_version",)})
 _NULL = (type(None),)
 _ROW_NULLABLE = {
@@ -345,7 +343,7 @@ class TestRecordsRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(records=st.lists(_records, max_size=6))
     def test_round_trip_is_lossless(self, records):
-        lines = [json.dumps(r.to_dict(), ensure_ascii=False) for r in records]
+        lines = [json.dumps(to_json_dict(r), ensure_ascii=False) for r in records]
         back = [from_json_dict(EvalRecord, json.loads(line), "record") for line in lines]
         assert back == records
 
@@ -407,7 +405,7 @@ class TestRecordsRoundTrip:
         assert read_records(path) == [record]
 
     def test_minimal_v1_line_reads_with_defaults(self, tmp_path):
-        row = make_record(0).to_dict()
+        row = to_json_dict(make_record(0))
         for key in ("timestamp", "client_error"):
             del row[key]
         del row["judgment"]["out_of_range"]
@@ -442,7 +440,7 @@ class TestRecordsRoundTrip:
     )
     def test_bad_record_is_schema_mismatch(self, tmp_path, capsys, spoil):
         path = tmp_path / "records.jsonl"
-        lines = [json.dumps(make_record(0).to_dict()), json.dumps(spoil(make_record(1).to_dict()))]
+        lines = [json.dumps(to_json_dict(make_record(0))), json.dumps(spoil(to_json_dict(make_record(1))))]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedLine, match=re.escape(f"{path}:2: record")) as excinfo:
             read_records(path)
@@ -465,7 +463,7 @@ class TestRecordsRoundTrip:
 
     def test_unknown_version_raises_schema_mismatch(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        row = make_record(0).to_dict()
+        row = to_json_dict(make_record(0))
         row["schema_version"] = 99
         path.write_text(json.dumps(row) + "\n")
         with pytest.raises(MalformedLine, match=":1: unknown record version 99"):
@@ -616,13 +614,13 @@ class TestDecoder:
 
     @pytest.mark.parametrize("key", _required(EvalRecord), ids=".".join)
     def test_missing_required_key_is_named(self, tmp_path, key):
-        row = make_record(1).to_dict()
+        row = to_json_dict(make_record(1))
         *parents, name = key
         parent = row
         for step in parents:
             parent = parent[step]
         del parent[name]
-        path = _write_jsonl(tmp_path / "records.jsonl", [make_record(0).to_dict(), row])
+        path = _write_jsonl(tmp_path / "records.jsonl", [to_json_dict(make_record(0)), row])
         named = "record." + ".".join(key)
         with pytest.raises(MalformedLine, match=re.escape(f":2: {named} is missing")):
             read_records(path)

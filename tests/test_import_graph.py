@@ -1,7 +1,9 @@
 """Import structure of the package, read from the source with ``ast``.
 
-No function body imports a package module, and the package's runtime imports
-form no cycle. Imports under ``if TYPE_CHECKING:`` never run and do not count.
+No function body imports a package module, the package's runtime imports
+form no cycle, and no module imports another's private name. Imports under
+``if TYPE_CHECKING:`` never run and do not count. The JSON codec imports
+nothing from the package, and the client nothing but the codec and prompts.
 Importing the command line loads the standard library only, and it and the
 commands that build no client leave the network stack unloaded.
 """
@@ -88,6 +90,37 @@ def test_runtime_imports_form_no_cycle():
         TopologicalSorter(graph).prepare()
     except CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def test_no_module_imports_another_modules_private_name():
+    offenders = []
+    for name in sorted(MODULES):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and _targets(node):
+                offenders += [
+                    f"{name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert not offenders, f"private names imported across modules: {offenders}"
+
+
+def test_codec_imports_nothing_from_the_package():
+    top, nested = _package_imports()["codec"]
+    assert top | nested == set()
+
+
+def test_client_imports_only_the_codec_and_prompts():
+    imports = _package_imports()
+    graph = {name: top | nested for name, (top, nested) in imports.items()}
+    assert graph["client"] <= {"codec", "prompts", "__init__"}
+    loaded, queue = set(), ["client"]
+    while queue:  # what importing the client loads, through every module it loads
+        for target in graph[queue.pop()] - loaded:
+            loaded.add(target)
+            queue.append(target)
+    assert "datasets" not in loaded
 
 
 def test_scanner_sees_the_import_forms_in_use():

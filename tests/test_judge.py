@@ -11,11 +11,11 @@ from hicot.judge import (
     JudgeReason,
     Judgment,
     _normalized_equal,
-    _parse_int,
     answers_equal,
     extract_boxed,
     judge,
     normalize_math,
+    parse_int,
 )
 
 from judge_vectors import VECTORS
@@ -201,7 +201,7 @@ class TestJudge:
             normalized = normalize_math(predicted)
             out_of_range = False
             if problem.kind is AnswerKind.INTEGER_EXACT:
-                value = _parse_int(normalized)
+                value = parse_int(normalized)
                 if value is None:
                     return Judgment(predicted, normalized, False, JudgeReason.UNPARSEABLE_INTEGER)
                 out_of_range = not 0 <= value <= 999

@@ -8,8 +8,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hicot.datasets import EvalRecord, from_json_dict
+from hicot.codec import from_json_dict
+from hicot.datasets import EvalRecord
 from hicot.judge import JudgeReason, Judgment
 from hicot.metrics import (
     DuplicateKey,
@@ -119,6 +121,42 @@ class TestAggregate:
         (summary,) = aggregate(records)
         assert summary.n == 2
         assert summary.pass_at_1 == 50.0
+
+    def test_error_records_leave_the_token_mean(self):
+        timeout = "EndpointUnreachable: gave up after 4 attempts (TimeoutError: timed out)"
+        records = [record(i, correct=True, tokens=1000) for i in range(2)] + [
+            record(i, correct=False, compliant=False, tokens=0, client_error=timeout)
+            for i in range(2, 4)
+        ]
+        (summary,) = aggregate(records)
+        assert summary.avg_completion_tokens == 1000.0
+        assert summary.pass_at_1 == 50.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tokens=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=8),
+        error_tokens=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=8),
+    )
+    def test_adding_error_records_never_moves_the_token_mean(self, tokens, error_tokens):
+        scored = [record(i, correct=i % 2 == 0, tokens=t) for i, t in enumerate(tokens)]
+        errors = [
+            record(len(tokens) + i, correct=False, compliant=False, tokens=t,
+                   client_error="ContextOverflow: too long")
+            for i, t in enumerate(error_tokens)
+        ]
+        (before,) = aggregate(scored)
+        (after,) = aggregate(scored + errors)
+        assert after.avg_completion_tokens == before.avg_completion_tokens
+        assert after.n == len(tokens) + len(error_tokens)
+
+    def test_cell_of_error_records_has_no_token_mean(self):
+        records = [
+            record(i, correct=False, compliant=False, tokens=0, client_error="AuthFailure: 401")
+            for i in range(3)
+        ]
+        (summary,) = aggregate(records)
+        assert summary.avg_completion_tokens is None
+        assert summary.pass_at_1 == 0.0
 
     def test_partition_complement(self):
         rng = random.Random(5)
@@ -314,6 +352,22 @@ class TestEmitPlotData:
         rows = text.strip().splitlines()[1:]
         assert len(rows) == 2 * 2 + 2  # cells plus one macro row per strategy
         assert sum(1 for r in rows if ",macro_avg," in r) == 2
+
+    def test_token_plot_leaves_out_cells_without_a_token_mean(self):
+        error = dict(correct=False, compliant=False, tokens=0, client_error="AuthFailure: 401")
+        records = [
+            record(0, correct=True, tokens=300, benchmark="a"),
+            record(0, benchmark="b", **error),
+            record(0, benchmark="a", model="m2", **error),
+        ]
+        text = emit_plot_data(aggregate(records), PlotKind.AVG_TOKENS_BY_BENCHMARK)
+        assert text.splitlines()[1:] == [
+            "m1,hicot,a,300.0",
+            "m1,hicot,b,",
+            "m1,hicot,macro_avg,300.0",
+            "m2,hicot,a,",
+            "m2,hicot,macro_avg,",
+        ]
 
     def test_conditional_columns_empty_when_no_compliant_records(self):
         records = [record(i, correct=False, compliant=False) for i in range(4)]

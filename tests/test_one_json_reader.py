@@ -1,6 +1,6 @@
 """One reader maps JSON onto dataclasses, read from the source with ``ast``.
 
-``datasets.from_json_dict`` reads every JSON schema: the run config, benchmark
+``codec.from_json_dict`` reads every JSON schema: the run config, benchmark
 entries, records and cache entries. A class that decodes itself (``from_dict``)
 or a module that reads type hints for itself would be a second decoder, with
 checks of its own that drift from the first.
@@ -33,7 +33,7 @@ def test_no_class_defines_from_dict():
     assert not offenders, f"classes that decode themselves: {offenders}"
 
 
-def test_only_datasets_reads_type_hints():
+def test_only_codec_reads_type_hints():
     users = {
         name
         for name, tree in _trees().items()
@@ -42,4 +42,4 @@ def test_only_datasets_reads_type_hints():
         or (isinstance(node, ast.Attribute) and node.attr == "get_type_hints")
         or (isinstance(node, ast.alias) and node.name == "get_type_hints")
     }
-    assert users == {"datasets.py"}
+    assert users == {"codec.py"}
