@@ -42,6 +42,9 @@ _RETRY_AFTER_STATUSES = frozenset({429, 503})
 RETRY_AFTER_CAP_S = 60.0
 _DELTA_SECONDS = re.compile(r"[0-9]+")
 _CONTEXT_OVERFLOW_HINTS = ("context_length", "maximum context length", "prompt is too long")
+# The longest ``Endpoint.timeout_s``: a socket refuses a timeout past about 9.2e9 s
+# (2**63 ns), and would fail every request.
+MAX_TIMEOUT_S = 1e9
 # The request-body keys set from a ``CompletionRequest``, which ``extra_body`` may not name.
 CLIENT_KEYS = frozenset({"model", "messages", "temperature", "top_p", "max_tokens", "seed"})
 
@@ -85,8 +88,8 @@ class Endpoint:
             parts = None
         if not parts or parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError("base_url must be an absolute http:// or https:// URL with a host")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be a positive number")
+        if not 0 < self.timeout_s <= MAX_TIMEOUT_S:
+            raise ValueError(f"timeout_s must be a positive number of at most {MAX_TIMEOUT_S:g}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be a positive integer")
         if self.backoff_base_s < 0:
@@ -296,7 +299,8 @@ class ChatClient:
             with open(path, "rb") as fh:
                 data = json.loads(fh.read().decode("utf-8"))
             entry = from_json_dict(CompletionResult, data, "cache entry")
-        except (FileNotFoundError, ValueError):  # ValueError: not UTF-8, not JSON, a JsonMismatch
+        # ValueError: not UTF-8, not JSON, a JsonMismatch; RecursionError: nested too deep.
+        except (FileNotFoundError, ValueError, RecursionError):
             return None
         return replace(entry, from_cache=True)
 
@@ -389,7 +393,7 @@ class ChatClient:
         try:
             body = json.loads(reply)
             text = body["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
             raise EndpointUnreachable(f"malformed completion response: {exc}") from exc
         if not isinstance(text, str):
             raise EndpointUnreachable(
@@ -416,7 +420,7 @@ def _error_detail(reply: bytes) -> tuple:
     """``(code, message)`` of an error response body; it may be any JSON, or none."""
     try:
         error = json.loads(reply)["error"]
-    except (ValueError, KeyError, TypeError):  # not JSON, or no "error" member
+    except (ValueError, RecursionError, KeyError, TypeError):  # not JSON, or no "error" member
         error = None
     code = ""
     if isinstance(error, dict):

@@ -90,7 +90,10 @@ def load_registry(path: Optional[str | Path] = None) -> dict:
         text = resources.files("hicot").joinpath("data", "benchmarks.json").read_text("utf-8")
     else:
         text = Path(path).read_text("utf-8")
-    raw = json.loads(text, object_pairs_hook=unique_keys)
+    try:
+        raw = json.loads(text, object_pairs_hook=unique_keys)
+    except RecursionError as exc:  # nested too deep to parse: as malformed as any bad JSON
+        raise ValueError(f"not JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("a benchmark registry must be a JSON object")
     return {
@@ -154,7 +157,7 @@ def _json_lines(path):
                 continue
             try:
                 value = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
                 raise MalformedLine(path, line_no, f"not JSON: {exc}") from exc
             if not isinstance(value, dict):
                 raise MalformedLine(path, line_no, "not a JSON object")

@@ -21,11 +21,13 @@ from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .codec import to_json_dict
-from .datasets import EvalRecord
 from .prompts import TABLE_ORDER, PromptStrategy
+
+if TYPE_CHECKING:
+    from .datasets import EvalRecord
 
 # Marks, in the Markdown table, the Avg. of a row that misses a benchmark.
 PARTIAL_MARK = "†"

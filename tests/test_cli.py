@@ -16,18 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hicot import cli
-from hicot.cli import (
-    EXIT_CONFIG,
-    EXIT_IO,
-    EXIT_OK,
-    EXIT_VALIDATION,
-    ConfigInvalid,
-    ModelOverride,
-    RunConfig,
-    cmd_run,
-    load_run_config,
-    main,
-)
+from hicot.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, cmd_run, main
 from hicot.client import (
     ChatClient,
     CompletionRequest,
@@ -37,6 +26,7 @@ from hicot.client import (
     TokenSource,
 )
 from hicot.codec import to_json_dict
+from hicot.config import ConfigInvalid, ModelOverride, RunConfig, load_run_config
 from hicot.datasets import RecordWriter, load_dataset, read_records
 from hicot.prompts import PromptStrategy, build_prompt
 from hicot.traces import scan_blocks, validate_format
@@ -128,6 +118,10 @@ _KEYED_FAULTS = {
     ),
     "timeout_inf": (
         lambda config: {**config, "endpoint": {**config["endpoint"], "timeout_s": float("inf")}},
+        "endpoint.timeout_s",
+    ),
+    "timeout_too_large": (  # a socket refuses it, so every request would fail
+        lambda config: {**config, "endpoint": {**config["endpoint"], "timeout_s": 1e10}},
         "endpoint.timeout_s",
     ),
     "override_unknown_model": (
@@ -491,11 +485,15 @@ class TestConfigValidation:
             keys.add(CompletionRequest("sim-alpha", prompt, sampling).cache_key())
         assert len(keys) == 1
 
-    def test_bad_json_config(self, tmp_path):
+    def test_bad_json_config(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigInvalid):
-            load_run_config(path)
+        # The second is nested deeper than json.loads can parse: a RecursionError.
+        for text in ("{not json", "[" * 100_000 + "]" * 100_000):
+            path.write_text(text)
+            with pytest.raises(ConfigInvalid):
+                load_run_config(path)
+            assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+            assert "is not valid JSON" in capsys.readouterr().err
 
 
 def _dump(root, config) -> Path:

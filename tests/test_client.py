@@ -79,6 +79,8 @@ _ENTRY = (
     '{"text": "x = 7 → \\\\boxed{7}", "completion_tokens": 5, "token_source": "api_usage", '
     '"latency_ms": 12, "from_cache": false}'
 )
+# JSON nested deeper than ``json.loads`` can parse: it raises RecursionError.
+_TOO_DEEP = "[" * 100_000 + "]" * 100_000
 
 
 class TestComplete:
@@ -279,8 +281,8 @@ class TestComplete:
     @pytest.mark.parametrize("status", [400, 404])
     @pytest.mark.parametrize(
         "body",
-        [{"error": "model not found"}, ["x"], "<html>not found</html>"],
-        ids=["string_error", "list", "not_json"],
+        [{"error": "model not found"}, ["x"], "<html>not found</html>", _TOO_DEEP],
+        ids=["string_error", "list", "not_json", "too_deep"],
     )
     def test_error_body_of_any_shape_is_endpoint_error(self, make_stub, tmp_path, status, body):
         stub = make_stub(lambda payload: StubReply(status=status, error_body=body))
@@ -303,6 +305,11 @@ class TestComplete:
             client.complete(_request())
         assert client.complete(_request()).text == "fine"
 
+    def test_success_body_nested_too_deep_is_malformed(self, tmp_path):
+        client = ChatClient(Endpoint("http://127.0.0.1:1"), tmp_path / "cache")
+        with pytest.raises(EndpointUnreachable, match="malformed completion response"):
+            client._parse_success(_TOO_DEEP.encode(), time.monotonic())
+
     def test_null_content_is_rejected_and_not_cached(self, make_stub, tmp_path):
         stub = make_stub(lambda payload: StubReply(None, completion_tokens=5))
         client = _client(stub, tmp_path)
@@ -321,8 +328,12 @@ class TestComplete:
             # Not UTF-8 JSON, though json.loads of the bytes would read both.
             "\ufeff" + _ENTRY,
             _ENTRY.encode("utf-16"),
+            _TOO_DEEP,
         ],
-        ids=["null_text", "broken_json", "missing_key", "string_tokens", "utf8_bom", "utf16"],
+        ids=[
+            "null_text", "broken_json", "missing_key", "string_tokens", "utf8_bom", "utf16",
+            "too_deep",
+        ],
     )
     def test_unreadable_cache_entry_is_fetched_again(self, make_stub, tmp_path, entry):
         stub = make_stub(lambda payload: StubReply("fresh"))

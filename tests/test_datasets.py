@@ -10,9 +10,10 @@ from typing import get_type_hints
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hicot.cli import EXIT_IO, BenchmarkEntry, ModelOverride, RunConfig, main
+from hicot.cli import EXIT_IO, main
 from hicot.client import CompletionResult, Endpoint, SamplingParams, TokenSource
 from hicot.codec import JsonMismatch, from_json_dict, to_json_dict
+from hicot.config import BenchmarkEntry, ModelOverride, RunConfig
 from hicot.datasets import (
     EvalRecord,
     FieldMap,
@@ -167,8 +168,9 @@ class TestBadLine:
             (b'{"problem": "caf\xe9"}', 300, 257, "not UTF-8: "),
             (b"not json", 2, 2, "not JSON: "),
             (b"[1, 2]", 2, 2, "not a JSON object"),
+            (b"[" * 100_000 + b"]" * 100_000, 2, 2, "not JSON: "),
         ],
-        ids=["not_utf8", "not_utf8_past_first_chunk", "not_json", "not_an_object"],
+        ids=["not_utf8", "not_utf8_past_first_chunk", "not_json", "not_an_object", "too_deep"],
     )
     def test_both_loaders_name_the_line(self, tmp_path, capsys, bad, count, at, detail):
         config_path = write_config(tmp_path, "http://127.0.0.1:1", benchmarks=("toy_int",))
@@ -241,6 +243,12 @@ class TestRegistry:
         path = tmp_path / "reg.json"
         path.write_text(json.dumps({"toy": entry}))
         with pytest.raises(ValueError, match="'toy'"):
+            load_registry(path)
+
+    def test_registry_nested_too_deep_is_a_value_error(self, tmp_path):
+        path = tmp_path / "reg.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match="not JSON: "):
             load_registry(path)
 
 
@@ -586,6 +594,14 @@ _entries = st.builds(
 )
 
 
+def _nested(depth: int) -> list:
+    """A list nested ``depth`` deep: more than ``json.dumps`` can encode."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 def _required(cls, where=()) -> list:
     """The key path of every required field of ``cls`` and of its nested dataclasses."""
     paths = []
@@ -631,6 +647,7 @@ class TestDecoder:
             (Endpoint, {"base_url": "ftp://x"}, "base_url"),
             (SamplingParams, {"max_tokens": 0}, "max_tokens"),
             (ModelOverride, {"extra_body": {"x": float("nan")}}, "extra_body"),
+            (ModelOverride, {"extra_body": {"x": _nested(100_000)}}, "extra_body"),
             (
                 RunConfig,
                 {
@@ -643,7 +660,7 @@ class TestDecoder:
                 "concurrency",
             ),
         ],
-        ids=["Endpoint", "SamplingParams", "ModelOverride", "RunConfig"],
+        ids=["Endpoint", "SamplingParams", "ModelOverride", "ModelOverride_deep", "RunConfig"],
     )
     def test_post_init_check_still_refuses(self, cls, data, refused):
         with pytest.raises(JsonMismatch, match=re.escape(f"config.{refused} ")):

@@ -3,9 +3,11 @@
 No function body imports a package module, the package's runtime imports
 form no cycle, and no module imports another's private name. Imports under
 ``if TYPE_CHECKING:`` never run and do not count. The JSON codec imports
-nothing from the package, and the client nothing but the codec and prompts.
-Importing the command line loads the standard library only, and it and the
-commands that build no client leave the network stack unloaded.
+nothing from the package, the client nothing but the codec and prompts, and
+metrics nothing of the record schema. Importing a module loads exactly the
+package modules its imports reach. Importing the command line loads the
+standard library only, and it and the commands that build no client leave
+the network stack unloaded.
 """
 
 import ast
@@ -19,10 +21,16 @@ from pathlib import Path
 import pytest
 
 import hicot
-from hicot import EXECUTION_MARKER, INSTRUCTION_MARKER, AnswerKind, PromptStrategy
 from hicot.cli import EXIT_OK, EXIT_VALIDATION, score_completion
 from hicot.datasets import EvalRecord, Problem, write_records
-from hicot.traces import DEFAULT_THINK_CLOSE, DEFAULT_THINK_OPEN
+from hicot.judge import AnswerKind
+from hicot.prompts import PromptStrategy
+from hicot.traces import (
+    DEFAULT_THINK_CLOSE,
+    DEFAULT_THINK_OPEN,
+    EXECUTION_MARKER,
+    INSTRUCTION_MARKER,
+)
 
 PACKAGE = Path(hicot.__file__).resolve().parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
@@ -78,6 +86,16 @@ def _package_imports() -> dict:
     return imports
 
 
+def _closure(graph: dict, name: str) -> set:
+    """``name`` and every package module its imports reach."""
+    reached, queue = {name}, [name]
+    while queue:
+        for target in graph[queue.pop()] - reached:
+            reached.add(target)
+            queue.append(target)
+    return reached
+
+
 def test_no_function_body_imports_a_package_module():
     imports = _package_imports()
     offenders = {name: sorted(nested) for name, (_, nested) in imports.items() if nested}
@@ -115,20 +133,46 @@ def test_client_imports_only_the_codec_and_prompts():
     imports = _package_imports()
     graph = {name: top | nested for name, (top, nested) in imports.items()}
     assert graph["client"] <= {"codec", "prompts", "__init__"}
-    loaded, queue = set(), ["client"]
-    while queue:  # what importing the client loads, through every module it loads
-        for target in graph[queue.pop()] - loaded:
-            loaded.add(target)
-            queue.append(target)
-    assert "datasets" not in loaded
+    assert "datasets" not in _closure(graph, "client")
+
+
+def test_metrics_reaches_no_record_schema_or_scoring():
+    # Metrics names ``EvalRecord`` only in annotations, so it needs no module of
+    # the record schema or of scoring a completion.
+    graph = {name: top | nested for name, (top, nested) in _package_imports().items()}
+    assert not {"datasets", "judge", "traces"} & _closure(graph, "metrics")
 
 
 def test_scanner_sees_the_import_forms_in_use():
-    # The guard is only as good as its reading of the source: every module
-    # that the package root re-exports must show up as an edge.
-    top, nested = _package_imports()["__init__"]
-    assert {"judge", "prompts", "traces"} <= top
+    # The guard is only as good as its reading of the source: every module the
+    # command line imports from, by a one-line, a multi-line or an aliased
+    # (``judge as judge_completion``) import, must show up as an edge.
+    top, nested = _package_imports()["cli"]
+    assert {"judge", "prompts", "traces", "client", "datasets", "metrics"} <= top
     assert not nested
+
+
+# ``__main__`` is left out: importing it runs the command line.
+@pytest.mark.parametrize("name", sorted(MODULES - {"__main__"}))
+def test_import_loads_exactly_the_static_closure(name):
+    graph = {module: top | nested for module, (top, nested) in _package_imports().items()}
+    # Importing a submodule first loads the package, ``hicot``: a package root
+    # that imported its modules would load them with every submodule.
+    expected = {
+        "hicot" if module == "__init__" else f"hicot.{module}"
+        for module in _closure(graph, name) | {"__init__"}
+    }
+    target = "hicot" if name == "__init__" else f"hicot.{name}"
+    # A fresh interpreter, so modules loaded by the test run do not show up.
+    probe = (
+        f"import sys, {target}; "
+        "print('\\n'.join(m for m in sys.modules if m.partition('.')[0] == 'hicot'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert sorted(loaded) == sorted(expected)
 
 
 # The modules a command that builds no client must not load: the network stack

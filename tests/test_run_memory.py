@@ -13,7 +13,8 @@ third of a completion here, so the bound is half.
 import json
 import tracemalloc
 
-from hicot.cli import cmd_run, load_run_config
+from hicot.cli import cmd_run
+from hicot.config import load_run_config
 
 from stub_server import StubReply
 
