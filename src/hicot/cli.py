@@ -4,18 +4,19 @@ Progress and diagnostics go to standard error; machine-readable results go
 to files or standard output, so output can be piped. Exit codes: 0 success,
 1 validation failure (non-compliant trace), 2 invalid configuration or
 usage, 3 file/schema errors.
+
+``argparse``, ``concurrent.futures`` and ``traceback`` are imported by the
+functions that use them (the parser, ``cmd_run`` and a harness fault), so a
+program that imports this module to score or report does not load them.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import threading
-import traceback
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional, Tuple, TYPE_CHECKING
 
 from .client import (
     ChatClient,
@@ -56,6 +57,9 @@ from .traces import (
     scan_blocks,
     validate_format,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -112,6 +116,8 @@ def _evaluate_one(
             error = exc
     if error is not None:
         if not isinstance(error, ClientError):  # a fault in the harness: show where it arose
+            import traceback
+
             _progress(
                 f"item {problem.benchmark}/{problem.id} of {model_id}/{strategy.value} failed:\n"
                 + "".join(traceback.format_exception(error)).rstrip()
@@ -156,6 +162,8 @@ def cmd_run(config: RunConfig) -> Path:
     ``OSError``. Records are fsynced in groups, whenever the next miss is not
     fetched yet, and once at the end.
     """
+    from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+
     problems = {
         name: load_dataset(path, name, spec.field_map, spec.kind)
         for name, (path, spec) in config.benchmarks.items()
@@ -288,6 +296,8 @@ def cmd_validate(text: str, think_open: str, think_close: str) -> FormatReport:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hicot",
         description="Prompting and evaluation harness for hierarchical reasoning traces.",

@@ -37,7 +37,7 @@ USER_AGENT = f"hicot-eval/{__version__}"
 
 _TRANSIENT_STATUSES = frozenset({429}) | frozenset(range(500, 600))
 # The statuses whose delta-seconds ``Retry-After`` header sets the wait before the
-# next attempt, and the longest wait it may ask for.
+# next attempt, and the longest wait before any retry, asked for or backed off.
 _RETRY_AFTER_STATUSES = frozenset({429, 503})
 RETRY_AFTER_CAP_S = 60.0
 _DELTA_SECONDS = re.compile(r"[0-9]+")
@@ -92,8 +92,10 @@ class Endpoint:
             raise ValueError(f"timeout_s must be a positive number of at most {MAX_TIMEOUT_S:g}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be a positive integer")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be a non-negative number")
+        if not 0 <= self.backoff_base_s <= RETRY_AFTER_CAP_S:
+            raise ValueError(
+                f"backoff_base_s must be a non-negative number of at most {RETRY_AFTER_CAP_S:g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -359,7 +361,9 @@ class ChatClient:
         for attempt in range(self.endpoint.max_attempts):
             if attempt:
                 if wait_s is None:  # full jitter: workers that failed together spread out
-                    wait_s = random.uniform(0, self.endpoint.backoff_base_s * 2 ** (attempt - 1))
+                    # At most the cap; 2.0 ** 1024 would overflow a float.
+                    ceiling = self.endpoint.backoff_base_s * 2.0 ** min(attempt - 1, 1023)
+                    wait_s = random.uniform(0, min(ceiling, RETRY_AFTER_CAP_S))
                 time.sleep(wait_s)
             wait_s = None
             try:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -205,7 +205,9 @@ class EvalRecord:
 
 
 def now_timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    """The current UTC time as ISO 8601 to the second, as
+    ``datetime.now(timezone.utc).isoformat(timespec="seconds")`` writes it."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _record_line(record: EvalRecord) -> str:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .datasets import Problem
 
 _BOX = "\\boxed{"
@@ -150,17 +151,19 @@ def parse_int(s: str) -> Optional[int]:
 
 def _parse_rational(s: str) -> Optional[Fraction]:
     """Exact rational value of an integer, decimal, or ``\\frac{a}{b}``."""
+    import fractions  # only math-expression answers that differ get here
+
     match = _FRAC_RE.fullmatch(s)
     if match:
         sign, num, den = match.group(1), int(match.group(2)), int(match.group(3))
         if den == 0:
             return None
-        value = Fraction(num, den)
+        value = fractions.Fraction(num, den)
         return -value if sign == "-" else value
     if _INT_RE.fullmatch(s):
-        return Fraction(int(s))
+        return fractions.Fraction(int(s))
     if _DECIMAL_RE.fullmatch(s):
-        return Fraction(s)
+        return fractions.Fraction(s)
     return None
 
 

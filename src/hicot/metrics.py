@@ -13,11 +13,9 @@ deterministic for identical input.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
 from itertools import groupby
 from operator import attrgetter
@@ -83,7 +81,10 @@ class MacroSummary:
 
 def display_round(value: float) -> str:
     """One-decimal display string, rounding halves away from zero."""
-    return str(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    import decimal
+
+    tenth = decimal.Decimal("0.1")
+    return str(decimal.Decimal(repr(value)).quantize(tenth, rounding=decimal.ROUND_HALF_UP))
 
 
 def cell_order(summary: MetricsSummary) -> tuple:
@@ -279,6 +280,8 @@ def emit_table(
 def _csv_text(rows) -> str:
     """CSV with ``\\n`` line ends; ``None`` is written as an empty field and
     floats at full precision (``repr``)."""
+    import csv
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, run/resume semantics."""
 
+import concurrent.futures
 import dataclasses
 import errno
 import io
@@ -9,7 +10,6 @@ import shutil
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -123,6 +123,10 @@ _KEYED_FAULTS = {
     "timeout_too_large": (  # a socket refuses it, so every request would fail
         lambda config: {**config, "endpoint": {**config["endpoint"], "timeout_s": 1e10}},
         "endpoint.timeout_s",
+    ),
+    "backoff_too_large": (  # its wait would pass the cap on the first retry
+        lambda config: {**config, "endpoint": {**config["endpoint"], "backoff_base_s": 1e300}},
+        "endpoint.backoff_base_s",
     ),
     "override_unknown_model": (
         lambda config: {**config, "model_overrides": {"sim-Alpha": {"prompt_as_system": True}}},
@@ -836,7 +840,7 @@ class TestRunCommand:
         config = load_run_config(write_config(tmp_path, "http://127.0.0.1:1", concurrency=2))
         third_ended = threading.Event()
 
-        class StaggeredPool(ThreadPoolExecutor):
+        class StaggeredPool(concurrent.futures.ThreadPoolExecutor):
             submitted = 0
 
             def submit(self, fn, *args):
@@ -861,7 +865,7 @@ class TestRunCommand:
             return CompletionResult("\\boxed{42}", 3, TokenSource.API_USAGE, 0)
 
         fetched = []
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", StaggeredPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", StaggeredPool)
         monkeypatch.setattr(ChatClient, "fetch", fetch)
         with pytest.raises(OSError, match="No space left"):
             cmd_run(config)

@@ -212,6 +212,43 @@ class TestComplete:
         assert slept == [value for _, _, value in draws]
         assert all(0 <= value <= high for _, high, value in draws)
 
+    def test_backoff_at_the_largest_base_waits_at_most_the_cap(
+        self, make_stub, tmp_path, monkeypatch
+    ):
+        slept = []
+        monkeypatch.setattr(client_module.time, "sleep", slept.append)
+        replies = [StubReply(status=500), StubReply("ok")]
+        stub = make_stub(lambda payload: replies.pop(0))
+        client = _client(stub, tmp_path, backoff_base_s=RETRY_AFTER_CAP_S)
+        assert client.complete(_request()).text == "ok"
+        assert len(slept) == 1 and 0 <= slept[0] <= RETRY_AFTER_CAP_S
+
+    def test_backoff_two_thousand_retries_in_waits_at_most_the_cap(self, tmp_path, monkeypatch):
+        # 0.001 * 2**1100 does not fit a float: the wait before retry 2,000 must
+        # still be drawn, and from no more than the cap.
+        slept, ceilings = [], []
+
+        def uniform(low, high):
+            ceilings.append(high)
+            return high
+
+        monkeypatch.setattr(client_module.random, "uniform", uniform)
+        monkeypatch.setattr(client_module.time, "sleep", slept.append)
+        endpoint = Endpoint("http://127.0.0.1:1", max_attempts=2001, backoff_base_s=0.001)
+        client = ChatClient(endpoint, tmp_path / "cache")
+        ok = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode("utf-8")
+        replies = [(500, b"", None)] * 2000 + [(200, ok, None)]
+        monkeypatch.setattr(client, "_post", lambda body: replies.pop(0))
+        assert client.complete(_request()).text == "ok"
+        assert len(slept) == 2000
+        assert max(slept) == slept[-1] == RETRY_AFTER_CAP_S
+        assert ceilings[:3] == [0.001, 0.002, 0.004]
+
+    @pytest.mark.parametrize("base", [RETRY_AFTER_CAP_S * 1.01, 1e300, float("inf"), float("nan")])
+    def test_backoff_base_past_the_cap_is_refused(self, base):
+        with pytest.raises(ValueError, match="backoff_base_s"):
+            Endpoint("http://127.0.0.1:1", backoff_base_s=base)
+
     @pytest.mark.parametrize(
         "status,retry_after,wait_s",
         [

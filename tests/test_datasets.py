@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import get_type_hints
 
@@ -23,6 +24,7 @@ from hicot.datasets import (
     load_dataset,
     load_registry,
     load_resumable,
+    now_timestamp,
     read_records,
     write_records,
 )
@@ -342,6 +344,18 @@ _ROW_NULLABLE = {
 
 
 class TestRecordsRoundTrip:
+    def test_timestamp_is_utc_iso_to_the_second(self):
+        # The form records have always carried: that of
+        # ``datetime.now(timezone.utc).isoformat(timespec="seconds")``.
+        reference = datetime.now(timezone.utc)
+        stamp = now_timestamp()
+        form = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00"
+        assert re.fullmatch(form, reference.isoformat(timespec="seconds"))
+        assert re.fullmatch(form, stamp)
+        parsed = datetime.fromisoformat(stamp)
+        assert parsed.utcoffset() == timedelta(0)
+        assert timedelta(0) <= parsed - reference.replace(microsecond=0) <= timedelta(seconds=5)
+
     def test_hundred_records_round_trip(self, tmp_path):
         records = [make_record(i) for i in range(100)]
         path = tmp_path / "records.jsonl"

@@ -7,7 +7,8 @@ nothing from the package, the client nothing but the codec and prompts, and
 metrics nothing of the record schema. Importing a module loads exactly the
 package modules its imports reach. Importing the command line loads the
 standard library only, and it and the commands that build no client leave
-the network stack unloaded.
+the network stack unloaded. Standard-library modules that only one command
+or a harness fault uses load with that command, not with the import.
 """
 
 import ast
@@ -199,11 +200,30 @@ def test_cli_imports_only_the_standard_library():
     assert sorted(set(loaded) & set(NETWORK_STACK)) == []
 
 
+# Standard-library modules that only one command or the harness-fault path
+# uses, so importing the command line must not load them: ``argparse`` (with
+# ``gettext``) builds the parser, ``concurrent.futures`` (with ``logging`` and
+# ``queue``) runs the grid, ``traceback`` shows a harness fault, ``fractions``
+# (with ``numbers``) compares rational answers, ``decimal`` rounds for display
+# and ``csv`` writes CSV. ``datetime`` is not needed at all.
+STARTUP_DEFERRED = (
+    "argparse", "gettext", "concurrent.futures", "logging", "queue", "traceback",
+    "fractions", "numbers", "decimal", "csv", "datetime",
+)
+# The standard-library modules the package needs at import. What they load on
+# their own, which differs between Python versions, is not the package's doing.
+STARTUP_PREREQUISITES = (
+    "dataclasses", "json", "re", "enum", "pathlib", "typing", "importlib.resources",
+    "threading", "random", "urllib.parse",
+)
+
 _STARTUP_PROBE = """
 import json, sys
 from hicot import cli
+from hicot.datasets import load_registry
+load_registry()
+loaded = {"import": set(sys.modules)}
 before = set(sys.modules)
-loaded = {}
 codes = [cli.main(["validate", sys.argv[1]])]
 loaded["validate"] = set(sys.modules) - before
 codes.append(cli.main(["score", sys.argv[2]]))
@@ -211,13 +231,30 @@ loaded["score"] = set(sys.modules) - before
 from hicot.client import ChatClient, Endpoint
 ChatClient(Endpoint("http://127.0.0.1:1"), sys.argv[3])
 loaded["client"] = set(sys.modules) - before
+codes.append(cli.main(["report", sys.argv[2], "--format", "csv", "--output-dir", sys.argv[3]]))
+loaded["report"] = set(sys.modules) - before
+codes.append(cli.main(["run", "--config", sys.argv[4]]))
+loaded["run"] = set(sys.modules) - before
 print(json.dumps({"codes": codes, **{stage: sorted(names) for stage, names in loaded.items()}}))
 """
 
 
-def test_commands_without_a_client_leave_the_network_stack_unloaded(tmp_path):
+def _fresh_interpreter(probe: str, *args) -> dict:
+    """The JSON that ``probe`` prints last, run in a fresh interpreter that
+    imports the package under test, so modules loaded by the test run do not
+    show up."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    command = [sys.executable, "-c", probe, *map(str, args)]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def startup(tmp_path_factory) -> dict:
+    """What each stage of ``_STARTUP_PROBE`` loaded, and its exit codes."""
+    root = tmp_path_factory.mktemp("startup")
     text = f"{INSTRUCTION_MARKER} Add.\n{EXECUTION_MARKER} 1 + 1 = 2.\n\\boxed{{2}}"
-    completion = tmp_path / "completion.txt"
+    completion = root / "completion.txt"
     completion.write_text(text, encoding="utf-8")
     problem = Problem("1", "toy", "What is 1 + 1?", "2", AnswerKind.INTEGER_EXACT)
     judgment, report, compliant = score_completion(
@@ -228,18 +265,49 @@ def test_commands_without_a_client_leave_the_network_stack_unloaded(tmp_path):
         completion_text=text, completion_tokens=9, token_source="api_usage",
         judgment=judgment, format_report=report, compliant=compliant,
     )
-    records = tmp_path / "records.jsonl"
+    records = root / "records.jsonl"
     write_records([record], records)
-
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    command = [sys.executable, "-c", _STARTUP_PROBE, str(completion), str(records), str(tmp_path)]
-    result = json.loads(
-        subprocess.run(command, env=env, capture_output=True, text=True, check=True)
-        .stdout.splitlines()[-1]
+    # A one-item grid whose one request is refused: the run writes its error record.
+    dataset = root / "toy.jsonl"
+    dataset.write_text(
+        json.dumps({"problem": "What is 1 + 1?", "answer": "2"}) + "\n", encoding="utf-8"
     )
-    assert result["codes"][0] in (EXIT_OK, EXIT_VALIDATION)
-    assert result["codes"][1] == EXIT_OK
-    assert sorted(set(result["validate"]) & set(NETWORK_STACK)) == []
-    assert sorted(set(result["score"]) & set(NETWORK_STACK)) == []
+    config = root / "run_config.json"
+    config.write_text(json.dumps({
+        "endpoint": {"base_url": "http://127.0.0.1:1", "max_attempts": 1},
+        "models": ["m"],
+        "strategies": ["standard"],
+        "benchmarks": {"toy": {"path": str(dataset), "kind": "integer_exact"}},
+        "output_dir": str(root / "run"),
+    }), encoding="utf-8")
+    return _fresh_interpreter(_STARTUP_PROBE, completion, records, root / "out", config)
+
+
+def test_commands_without_a_client_leave_the_network_stack_unloaded(startup):
+    assert startup["codes"][0] in (EXIT_OK, EXIT_VALIDATION)
+    assert startup["codes"][1] == EXIT_OK
+    assert sorted(set(startup["validate"]) & set(NETWORK_STACK)) == []
+    assert sorted(set(startup["score"]) & set(NETWORK_STACK)) == []
     # The control: building a client is what loads the network stack.
-    assert "http.client" in result["client"]
+    assert "http.client" in startup["client"]
+
+
+def test_start_up_leaves_the_deferred_modules_unloaded(startup):
+    baseline = _fresh_interpreter(
+        "import json, sys\n"
+        f"import {', '.join(STARTUP_PREREQUISITES)}\n"
+        "base = sorted(sys.modules)\n"
+        "import argparse\n"
+        "print(json.dumps({'base': base, 'argparse': sorted(sys.modules)}))"
+    )
+    deferred = set(STARTUP_DEFERRED) - set(baseline["base"])
+    assert sorted(set(startup["import"]) & deferred) == []
+    # ``main`` builds the parser, so every command loads ``argparse`` and what it imports.
+    parser = set(baseline["argparse"]) - set(baseline["base"])
+    assert "argparse" in parser
+    assert sorted((set(startup["validate"]) - parser) & deferred) == []
+    assert sorted((set(startup["score"]) - parser) & deferred) == []
+    # The controls: the commands that use them load them.
+    assert startup["codes"][2:] == [EXIT_OK, EXIT_OK]
+    assert {"csv", "decimal"} <= set(startup["report"])
+    assert "concurrent.futures" in startup["run"]
