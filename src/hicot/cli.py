@@ -28,7 +28,6 @@ from .client import (
 from .codec import to_json_dict
 from .config import NO_OVERRIDE, ConfigInvalid, RunConfig, load_run_config
 from .datasets import (
-    DatasetError,
     EvalRecord,
     Problem,
     RecordWriter,
@@ -39,7 +38,6 @@ from .datasets import (
 )
 from .judge import Judgment, judge as judge_completion
 from .metrics import (
-    DuplicateKey,
     PlotKind,
     TableFormat,
     Tally,
@@ -350,14 +348,7 @@ def main(argv: Optional[list] = None) -> int:
             return EXIT_OK
 
         if args.command == "validate":
-            if args.file:
-                try:
-                    text = Path(args.file).read_text(encoding="utf-8")
-                except OSError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return EXIT_IO
-            else:
-                text = sys.stdin.read()
+            text = Path(args.file).read_text(encoding="utf-8") if args.file else sys.stdin.read()
             report = cmd_validate(text, args.think_open, args.think_close)
             print(json.dumps(report.as_json_dict()))
             return EXIT_OK if report.compliant else EXIT_VALIDATION
@@ -365,8 +356,7 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DatasetError, DuplicateKey, OSError, ValueError) as exc:
-        # ValueError: e.g. reporting over an empty records file
+    except (OSError, ValueError) as exc:  # a file that cannot be read or written, or bad data
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

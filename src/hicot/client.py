@@ -25,7 +25,7 @@ from typing import Mapping, Optional, TYPE_CHECKING
 from urllib.parse import unquote, urlsplit
 
 from . import __version__
-from .codec import from_json_dict, to_json_dict
+from .codec import from_json_dict, parse_json, to_json_dict
 from .prompts import PromptBundle
 
 if TYPE_CHECKING:
@@ -175,7 +175,11 @@ def approximate_tokens(text: str) -> int:
 
 
 def _sanitize_for_path(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", name) or "_"
+    """``name`` as one directory name inside the cache: each run of characters
+    outside ``[A-Za-z0-9._-]`` becomes ``_``, and so does each dot of a name of
+    dots alone, which would name the cache directory itself or its parent."""
+    name = re.sub(r"[^A-Za-z0-9._-]+", "_", name)
+    return name if name.strip(".") else "_" * len(name) or "_"
 
 
 class ChatClient:
@@ -299,10 +303,9 @@ class ChatClient:
         """
         try:
             with open(path, "rb") as fh:
-                data = json.loads(fh.read().decode("utf-8"))
+                data = parse_json(fh.read().decode("utf-8"))
             entry = from_json_dict(CompletionResult, data, "cache entry")
-        # ValueError: not UTF-8, not JSON, a JsonMismatch; RecursionError: nested too deep.
-        except (FileNotFoundError, ValueError, RecursionError):
+        except (FileNotFoundError, ValueError):  # ValueError: not UTF-8, not JSON, a JsonMismatch
             return None
         return replace(entry, from_cache=True)
 
@@ -395,9 +398,9 @@ class ChatClient:
     def _parse_success(self, reply: bytes, started: float) -> CompletionResult:
         latency_ms = int((time.monotonic() - started) * 1000)
         try:
-            body = json.loads(reply)
+            body = parse_json(reply)
             text = body["choices"][0]["message"]["content"]
-        except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise EndpointUnreachable(f"malformed completion response: {exc}") from exc
         if not isinstance(text, str):
             raise EndpointUnreachable(
@@ -423,8 +426,8 @@ def _retry_after_s(value: Optional[str]) -> Optional[float]:
 def _error_detail(reply: bytes) -> tuple:
     """``(code, message)`` of an error response body; it may be any JSON, or none."""
     try:
-        error = json.loads(reply)["error"]
-    except (ValueError, RecursionError, KeyError, TypeError):  # not JSON, or no "error" member
+        error = parse_json(reply)["error"]
+    except (ValueError, KeyError, TypeError):  # not JSON, or no "error" member
         error = None
     code = ""
     if isinstance(error, dict):

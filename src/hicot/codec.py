@@ -1,7 +1,9 @@
-"""The JSON codec: ``to_json_dict`` and ``from_json_dict`` map dataclasses to JSON
-objects and back for every schema (the run config, benchmark registry entries,
-records and cache entries). It imports nothing from the package."""
+"""The JSON codec: ``parse_json`` parses every JSON text the package reads, and
+``to_json_dict`` and ``from_json_dict`` map dataclasses to JSON objects and back
+for every schema (the run config, benchmark registry entries, records and cache
+entries). It imports nothing from the package."""
 
+import json
 import math
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
@@ -10,9 +12,20 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 
-def unique_keys(pairs: list) -> dict:
-    """The ``object_pairs_hook`` that reads a JSON object into a dict, refusing a
-    key repeated in it (plain ``json.loads`` keeps the last value) with ValueError."""
+def parse_json(text, unique: bool = False):
+    """``json.loads(text)``, except that JSON nested too deep to parse raises
+    ValueError like any other malformed JSON. With ``unique``, an object that
+    repeats a key raises ValueError too; plain ``json.loads`` keeps its last value.
+    """
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys) if unique else json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"nested too deep to parse ({exc})") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The ``object_pairs_hook`` of ``parse_json(text, unique=True)``: a JSON
+    object as a dict, refusing a repeated key with ValueError."""
     data = {}
     for key, value in pairs:
         if key in data:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .client import CLIENT_KEYS, Endpoint, SamplingParams
-from .codec import JsonMismatch, from_json_dict, unique_keys
+from .codec import JsonMismatch, from_json_dict, parse_json
 from .datasets import BenchmarkSpec, load_registry
 from .prompts import PromptStrategy
 from .traces import DEFAULT_THINK_CLOSE, DEFAULT_THINK_OPEN
@@ -91,10 +91,10 @@ class RunConfig:
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a run configuration file (JSON)."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+        raw = parse_json(Path(path).read_text(encoding="utf-8"), unique=True)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to parse
+    except ValueError as exc:
         raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
 
     try:

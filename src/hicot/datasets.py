@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .codec import JsonMismatch, from_json_dict, to_json_dict, unique_keys
+from .codec import JsonMismatch, from_json_dict, parse_json, to_json_dict
 from .judge import AnswerKind, Judgment, normalize_math, parse_int
 from .prompts import PromptStrategy
 from .traces import FormatReport
@@ -25,20 +25,12 @@ from .traces import FormatReport
 SCHEMA_VERSION = 1
 
 
-class DatasetError(Exception):
-    """Base class for dataset and record-file failures."""
-
-
-class MalformedLine(DatasetError):
+class MalformedLine(ValueError):
     """A line of a benchmark or records file that cannot be read: ``path:line: detail``."""
 
     def __init__(self, path, line_no: int, detail: str):
         super().__init__(f"{path}:{line_no}: {detail}")
         self.line_no = line_no
-
-
-class IoFailure(DatasetError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -91,8 +83,8 @@ def load_registry(path: Optional[str | Path] = None) -> dict:
     else:
         text = Path(path).read_text("utf-8")
     try:
-        raw = json.loads(text, object_pairs_hook=unique_keys)
-    except RecursionError as exc:  # nested too deep to parse: as malformed as any bad JSON
+        raw = parse_json(text, unique=True)
+    except ValueError as exc:
         raise ValueError(f"not JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("a benchmark registry must be a JSON object")
@@ -143,11 +135,7 @@ _READ_BUFFER = 1 << 18
 def _json_lines(path):
     """``(line_no, object)`` for each non-blank line of the UTF-8 JSON-lines file
     ``path``; a line that is not UTF-8, not JSON or not an object raises MalformedLine."""
-    try:
-        fh = open(path, "rb", buffering=_READ_BUFFER)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    with fh:
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
@@ -156,8 +144,8 @@ def _json_lines(path):
             if line.isspace():
                 continue
             try:
-                value = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+                value = parse_json(line)
+            except ValueError as exc:
                 raise MalformedLine(path, line_no, f"not JSON: {exc}") from exc
             if not isinstance(value, dict):
                 raise MalformedLine(path, line_no, "not a JSON object")
@@ -216,12 +204,9 @@ def _record_line(record: EvalRecord) -> str:
 
 def write_records(records: Iterable[EvalRecord], path: str | Path) -> None:
     """Write records as JSON lines (overwrites ``path``)."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(_record_line(record) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write records to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(_record_line(record) + "\n")
 
 
 def iter_records(path: str | Path) -> Iterator[EvalRecord]:
@@ -269,8 +254,6 @@ def load_resumable(path: str | Path) -> Iterator[EvalRecord]:
             os.truncate(path, keep)
     except FileNotFoundError:
         return
-    except OSError as exc:
-        raise IoFailure(f"cannot read records from {path}: {exc}") from exc
     yield from iter_records(path)
 
 
@@ -286,10 +269,7 @@ class RecordWriter:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._unsynced = False
-        try:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        except OSError as exc:
-            raise IoFailure(f"cannot open records file {path}: {exc}") from exc
+        self._fh = open(self.path, "a", encoding="utf-8")
 
     def append(self, record: EvalRecord) -> None:
         self._fh.write(_record_line(record) + "\n")

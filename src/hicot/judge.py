@@ -138,32 +138,42 @@ def _unwrap_text_like(s: str) -> str:
 
 
 _INT_RE = re.compile(r"[+-]?\d+")
-_DECIMAL_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+)")
+# An integer or a decimal: its sign, the digits before the point and, after a
+# point, those after it. The lookahead asks for a digit on one side.
+_NUMBER_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?")
 _FRAC_RE = re.compile(r"([+-]?)\\frac\{(-?\d+)\}\{(-?\d+)\}")
+
+
+def to_int(numeral: str) -> Optional[int]:
+    """``int(numeral)`` for a numeral that ``int`` reads, or None when it has more
+    digits than ``int`` converts (``sys.get_int_max_str_digits()``, 4,300 by default)."""
+    try:
+        return int(numeral)
+    except ValueError:
+        return None
 
 
 def parse_int(s: str) -> Optional[int]:
     """The base-10 integer that the normalized answer ``s`` spells, or None."""
-    if _INT_RE.fullmatch(s):
-        return int(s)
-    return None
+    return to_int(s) if _INT_RE.fullmatch(s) else None
 
 
 def _parse_rational(s: str) -> Optional[Fraction]:
-    """Exact rational value of an integer, decimal, or ``\\frac{a}{b}``."""
-    import fractions  # only math-expression answers that differ get here
+    """Exact rational value of an integer, decimal, or ``\\frac{a}{b}``; None for
+    any other answer, or one with more digits than ``to_int`` converts."""
+    from fractions import Fraction  # only math-expression answers that differ get here
 
     match = _FRAC_RE.fullmatch(s)
     if match:
-        sign, num, den = match.group(1), int(match.group(2)), int(match.group(3))
-        if den == 0:
+        num, den = to_int(match[2]), to_int(match[3])
+        if num is None or not den:
             return None
-        value = fractions.Fraction(num, den)
-        return -value if sign == "-" else value
-    if _INT_RE.fullmatch(s):
-        return fractions.Fraction(int(s))
-    if _DECIMAL_RE.fullmatch(s):
-        return fractions.Fraction(s)
+        return Fraction(-num if match[1] == "-" else num, den)
+    match = _NUMBER_RE.fullmatch(s)
+    if match:
+        sign, whole, decimals = match[1], match[2], match[3] or ""
+        value = to_int(sign + whole + decimals)
+        return None if value is None else Fraction(value, 10 ** len(decimals))
     return None
 
 

@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 PARTIAL_MARK = "†"
 
 
-class DuplicateKey(Exception):
+class DuplicateKey(ValueError):
     """A (problem, benchmark, model, strategy) tuple appeared twice."""
 
 

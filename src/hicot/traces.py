@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from .judge import extract_boxed
+from .judge import extract_boxed, to_int
 from .prompts import PromptStrategy
 
 INSTRUCTION_MARKER = "<|instruction|>"
@@ -151,12 +151,8 @@ def scan_blocks(
     for match, end in zip(matches, ends):
         body_start = match.end()
         step_match = _STEP_RE.match(raw, body_start, end)
-        step = 0  # a step of 0 is unset, like none
-        if step_match:
-            try:
-                step = int(step_match[1])
-            except ValueError:  # more digits than int() reads: unset, so alignment fails
-                pass
+        # Unset: no label, a step of 0, or more digits than ``to_int`` converts.
+        step = to_int(step_match[1]) if step_match else None
         blocks.append(
             Block(_KIND_OF_MARKER[match[1]], raw[body_start:end], (match.start(), end), step or None)
         )

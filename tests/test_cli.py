@@ -28,6 +28,7 @@ from hicot.client import (
 from hicot.codec import to_json_dict
 from hicot.config import ConfigInvalid, ModelOverride, RunConfig, load_run_config
 from hicot.datasets import RecordWriter, load_dataset, read_records
+from hicot.judge import JudgeReason
 from hicot.prompts import PromptStrategy, build_prompt
 from hicot.traces import scan_blocks, validate_format
 
@@ -62,8 +63,10 @@ class TestValidateCommand:
         assert code == EXIT_VALIDATION
         assert payload["compliant"] is False
 
-    def test_missing_file_is_io_error(self, tmp_path):
-        assert main(["validate", str(tmp_path / "absent.txt")]) == EXIT_IO
+    def test_missing_file_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.txt"
+        assert main(["validate", str(path)]) == EXIT_IO
+        assert str(path) in capsys.readouterr().err
 
     def test_step_label_past_the_digit_limit(self, tmp_path, capsys):
         path = tmp_path / "trace.txt"
@@ -583,6 +586,21 @@ class TestRunCommand:
         progress = ("run grid:", "progress:", "cell ")  # no item failed, so no traceback
         assert all(line.startswith(progress) for line in capsys.readouterr().err.splitlines())
 
+    def test_answer_past_the_digit_limit_is_judged(self, tmp_path, make_stub, capsys):
+        # int() refuses more than 4,300 digits: the answer is no number, and no fault.
+        text = "The answer is \\boxed{" + "9" * 5000 + "}"
+        stub = make_stub(lambda payload: StubReply(text))
+        config_path = write_config(tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",))
+        records = read_records(cmd_run(load_run_config(config_path)))
+        assert len(records) == 6
+        reasons = {"toy_int": JudgeReason.UNPARSEABLE_INTEGER, "toy_expr": JudgeReason.MISMATCH}
+        for record in records:
+            assert record.client_error is None
+            assert record.completion_text == text
+            assert record.judgment.reason is reasons[record.benchmark]
+        progress = ("run grid:", "progress:", "cell ")
+        assert all(line.startswith(progress) for line in capsys.readouterr().err.splitlines())
+
     def test_model_override_is_applied(self, tmp_path, make_stub):
         seen = []
 
@@ -1083,8 +1101,12 @@ class TestScoreAndReport:
         }
         assert macro[("sim-alpha", "hicot")] == 100.0
 
-    def test_score_missing_file_is_io_error(self, tmp_path):
-        assert main(["score", str(tmp_path / "none.jsonl")]) == EXIT_IO
+    def test_score_missing_file_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        # The second path's parent is a regular file: open raises NotADirectoryError.
+        for path in (tmp_path / "none.jsonl", tmp_path / "file" / "records.jsonl"):
+            assert main(["score", str(path)]) == EXIT_IO
+            assert str(path) in capsys.readouterr().err
 
     def test_report_writes_three_files(self, records_path, tmp_path, capsys):
         out_dir = tmp_path / "report"

@@ -736,6 +736,19 @@ class TestCacheKey:
         assert entry.exists()
         assert json.loads(entry.read_text())["text"] == "ok"
 
+    @pytest.mark.parametrize("model", [".", ".."], ids=["dot", "dot_dot"])
+    def test_model_of_dots_stays_in_its_own_directory(self, make_stub, tmp_path, model):
+        # Kept as they are, "." would name the cache directory and ".." its parent.
+        stub = make_stub(lambda payload: StubReply("ok"))
+        client = _client(stub, tmp_path)
+        request = _request(model=model)
+        client.complete(request)
+        entry = tmp_path / "cache" / ("_" * len(model)) / f"{request.cache_key()}.json"
+        assert json.loads(entry.read_text())["text"] == "ok"
+        assert [path.name for path in (tmp_path / "cache").iterdir()] == [entry.parent.name]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cache"]
+        assert client.cached(request, request.cache_key()).from_cache
+
 
 class TestConcurrency:
     def test_partial_cache_entries_never_observable(self, make_stub, tmp_path):

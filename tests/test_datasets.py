@@ -138,8 +138,9 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize(
         "gold,loads",
-        [(100.0, False), ("\\boxed{5}", False), (100, True), ("042", True), ("$42$", True)],
-        ids=["float", "boxed", "int", "leading_zero", "dollars"],
+        [(100.0, False), ("\\boxed{5}", False), (100, True), ("042", True), ("$42$", True),
+         ("9" * 5000, False)],
+        ids=["float", "boxed", "int", "leading_zero", "dollars", "past_the_digit_limit"],
     )
     def test_integer_gold_must_read_as_an_integer(self, tmp_path, capsys, gold, loads):
         # The judge's own rule decides: normalize, then parse a base-10 integer.

@@ -180,6 +180,20 @@ class TestJudge:
         in_range = judge(extract_boxed("\\boxed{500}"), _problem("500", AnswerKind.INTEGER_EXACT))
         assert in_range.correct and not in_range.out_of_range
 
+    @pytest.mark.parametrize(
+        "numeral",
+        ["9" * 5000, "0." + "9" * 5000, "\\frac{" + "9" * 5000 + "}{7}"],
+        ids=["integer", "decimal", "frac"],
+    )
+    def test_numeral_past_the_digit_limit_is_no_number(self, numeral):
+        # int() refuses more than 4,300 digits: such a numeral is judged, not raised.
+        verdict = judge(numeral, _problem("42", AnswerKind.INTEGER_EXACT))
+        assert verdict.reason is JudgeReason.UNPARSEABLE_INTEGER
+        for predicted, gold in ((numeral, "1"), ("1", numeral)):
+            verdict = judge(predicted, _problem(gold, AnswerKind.MATH_EXPRESSION))
+            assert verdict.reason is JudgeReason.MISMATCH
+        assert judge(numeral, _problem(numeral, AnswerKind.MATH_EXPRESSION)).correct
+
     def test_correct_implies_match(self):
         for pred, gold, kind, _ in VECTORS:
             verdict = judge(extract_boxed(f"\\boxed{{{pred}}}"), _problem(gold, kind))
