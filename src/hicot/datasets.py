@@ -118,7 +118,10 @@ def load_dataset(
             problem_id = str(len(problems) + 1)
         problem = Problem(problem_id, benchmark, statement, answer, kind)
         if kind is AnswerKind.INTEGER_EXACT and parse_int(problem.gold_normalized) is None:
-            detail = f"field {field_map.answer!r} is not an integer: {answer!r}"
+            shown = repr(answer)
+            if len(answer) > 20:  # a long gold is named by its head and length
+                shown = f"{answer[:20]!r}... ({len(answer)} characters)"
+            detail = f"field {field_map.answer!r} is not an integer: {shown}"
             raise MalformedLine(path, line_no, detail)
         if problem_id in seen_ids:
             raise MalformedLine(path, line_no, f"duplicate problem id {problem_id!r}")

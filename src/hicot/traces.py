@@ -1,9 +1,12 @@
 """Tokenizing completions into instruction/execution blocks and validating them.
 
 A completion is split at every occurrence of the two markers; each marker
-starts a block whose body runs to the next marker or end of text. The parse
-is lossless: think segment + preamble + markers + bodies reconstruct the raw
-input byte for byte.
+starts a block whose body runs to the next marker or end of text. The scan
+records one mark per block, ``(kind, marker offset, step)``, and copies no
+body: ``ReasoningTrace.blocks`` builds the ``Block`` objects from the raw
+text and the marks the first time it is read. Validation reads the marks
+alone. The parse is lossless: think segment + preamble + markers + bodies
+reconstruct the raw input byte for byte.
 
 Validation covers three dimensions: strict instruction/execution alternation,
 step-number alignment, and presence of a boxed final answer.
@@ -14,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .judge import extract_boxed, to_int
@@ -25,12 +29,11 @@ EXECUTION_MARKER = "<|execution|>"
 DEFAULT_THINK_OPEN = "<think>"
 DEFAULT_THINK_CLOSE = "</think>"
 
-_MARKER_RE = re.compile(r"<\|(instruction|execution)\|>")
-
-# Step labels must sit at the head of a block body: optional whitespace, the
-# case-sensitive word "Step", one space, digits, then a colon. Anything else
-# leaves the step unset. Matched in place, from the body's start to its end.
-_STEP_RE = re.compile(r"\s*Step (\d+):")
+# A marker and the step label at the head of its body, if any: optional
+# whitespace, the case-sensitive word "Step", one space, digits, then a colon.
+# Anything else leaves the step unset. No character of a label can be the
+# ``<`` that opens the next marker, so a label never runs past its body.
+_MARK_RE = re.compile(r"<\|(instruction|execution)\|>(?:\s*Step (\d+):)?")
 
 
 class BlockKind(Enum):
@@ -60,16 +63,28 @@ class Block:
 class ReasoningTrace:
     """A completion plus its parsed block structure.
 
-    ``think_segment`` holds one leading tag-delimited think span (stripped
-    before block scanning, kept so ``reconstruct`` is lossless); ``preamble``
-    is the text between the think segment and the first marker.
+    ``marks`` holds one ``(kind, marker offset, step)`` per block, in text
+    order; ``blocks`` are built from them on first read. ``think_segment``
+    holds one leading tag-delimited think span (stripped before block
+    scanning, kept so ``reconstruct`` is lossless); ``preamble`` is the text
+    between the think segment and the first marker.
     """
 
     raw: str
     preamble: str
-    blocks: Tuple[Block, ...]
+    marks: Tuple[Tuple[BlockKind, int, Optional[int]], ...]
     boxed_answer: Optional[str]
     think_segment: str = ""
+
+    @cached_property
+    def blocks(self) -> Tuple[Block, ...]:
+        """One ``Block`` per mark, built from ``raw`` on first read."""
+        raw = self.raw
+        ends = [offset for _, offset, _ in self.marks[1:]] + [len(raw)]
+        return tuple(
+            Block(kind, raw[start + len(_MARKER_TEXT[kind]) : end], (start, end), step)
+            for (kind, start, step), end in zip(self.marks, ends)
+        )
 
     def reconstruct(self) -> str:
         """Reassemble the raw completion from the parse (lossless check)."""
@@ -136,31 +151,30 @@ def scan_blocks(
     think_open: str = DEFAULT_THINK_OPEN,
     think_close: str = DEFAULT_THINK_CLOSE,
 ) -> ReasoningTrace:
-    """Split a completion into marker-delimited blocks.
+    """Mark each marker-delimited block of a completion: its kind, the offset
+    of its marker and its step.
 
-    Scanning never fails; text without markers yields zero blocks. The boxed
+    Scanning never fails; text without markers yields zero marks. The boxed
     answer is extracted from the full raw text (including any think segment)
     so a boxed value is never lost to tag stripping.
     """
     think_segment, start = _split_think(raw, think_open, think_close)
-    matches = list(_MARKER_RE.finditer(raw, start))
-    preamble = raw[start : matches[0].start()] if matches else raw[start:]
-
-    blocks = []
-    ends = [match.start() for match in matches[1:]] + [len(raw)]
-    for match, end in zip(matches, ends):
-        body_start = match.end()
-        step_match = _STEP_RE.match(raw, body_start, end)
-        # Unset: no label, a step of 0, or more digits than ``to_int`` converts.
-        step = to_int(step_match[1]) if step_match else None
-        blocks.append(
-            Block(_KIND_OF_MARKER[match[1]], raw[body_start:end], (match.start(), end), step or None)
+    # The step is unset for no label, a step of 0, or more digits than
+    # ``to_int`` converts.
+    marks = tuple(
+        (
+            _KIND_OF_MARKER[match[1]],
+            match.start(),
+            (to_int(match[2]) or None) if match[2] else None,
         )
+        for match in _MARK_RE.finditer(raw, start)
+    )
+    preamble = raw[start : marks[0][1]] if marks else raw[start:]
 
     return ReasoningTrace(
         raw=raw,
         preamble=preamble,
-        blocks=tuple(blocks),
+        marks=marks,
         boxed_answer=extract_boxed(raw),
         think_segment=think_segment,
     )
@@ -175,16 +189,16 @@ def validate_format(trace: ReasoningTrace) -> FormatReport:
     number and the k-th instruction/execution pair to both carry k, starting
     at 1. Text after the final block is ignored.
     """
-    blocks = trace.blocks
-    alternation_ok = step_alignment_ok = bool(blocks) and len(blocks) % 2 == 0
-    instructions = 0
-    for i, block in enumerate(blocks):
-        is_instruction = block.kind is BlockKind.INSTRUCTION
-        instructions += is_instruction
-        if is_instruction != (i % 2 == 0):
-            alternation_ok = False
-        if block.step != i // 2 + 1:
-            step_alignment_ok = False
+    marks = trace.marks
+    kinds, _, steps = zip(*marks) if marks else ((), (), ())
+    pairs = len(marks) // 2
+    paired = bool(marks) and len(marks) % 2 == 0
+    instructions = kinds.count(BlockKind.INSTRUCTION)
+    # Blocks 0, 2, 4, ... open the pairs and 1, 3, 5, ... close them. With an
+    # even count, alternation holds when the openers are all instructions and
+    # no other block is; alignment, when both halves of pair k carry step k.
+    alternation_ok = paired and kinds[0::2].count(BlockKind.INSTRUCTION) == pairs == instructions
+    step_alignment_ok = paired and steps[0::2] == steps[1::2] == tuple(range(1, pairs + 1))
 
     boxed_present = trace.boxed_answer is not None
 
@@ -194,7 +208,7 @@ def validate_format(trace: ReasoningTrace) -> FormatReport:
         boxed_present=boxed_present,
         compliant=alternation_ok and step_alignment_ok and boxed_present,
         instruction_count=instructions,
-        execution_count=len(blocks) - instructions,
+        execution_count=len(marks) - instructions,
     )
 
 

@@ -157,6 +157,8 @@ class TestLoadDataset:
         with pytest.raises(MalformedLine, match=f":2: {re.escape(detail)}") as excinfo:
             load_dataset(path, "b", FIELDS, AnswerKind.INTEGER_EXACT)
         assert excinfo.value.line_no == 2
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}:2: {detail}") and len(message) < 200, message
         assert main(["run", "--config", str(config_path)]) == EXIT_IO
         assert f"{path}:2: {detail}" in capsys.readouterr().err
 

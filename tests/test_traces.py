@@ -2,27 +2,32 @@
 
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hicot import traces
+from hicot.cli import score_completion
+from hicot.datasets import AnswerKind, Problem
 from hicot.judge import extract_boxed
 from hicot.prompts import PromptStrategy
 from hicot.traces import (
+    DEFAULT_THINK_CLOSE,
+    DEFAULT_THINK_OPEN,
     Block,
     BlockKind,
     EXECUTION_MARKER,
     FormatReport,
     INSTRUCTION_MARKER,
     ReasoningTrace,
-    _MARKER_RE,
     _split_think,
     compliance_mode,
     scan_blocks,
     validate_format,
 )
 
-from trace_samples import RELAXED_OUTPUT, WORKED_HICOT_OUTPUT
+from trace_samples import APPLES_GOLD, APPLES_PROBLEM, RELAXED_OUTPUT, WORKED_HICOT_OUTPUT
 
 
 class TestScanBlocks:
@@ -170,26 +175,23 @@ class TestScanBlocks:
 
 def _synthetic_trace(kinds, steps=None, boxed=None):
     """Build a ReasoningTrace from a kind sequence (for validator tests)."""
-    blocks = []
+    marks = []
+    pieces = []
     cursor = 0
     for i, kind in enumerate(kinds):
         marker = INSTRUCTION_MARKER if kind == "I" else EXECUTION_MARKER
         body = f" Step {steps[i]}: x " if steps else " x "
-        blocks.append(
-            Block(
-                kind=BlockKind.INSTRUCTION if kind == "I" else BlockKind.EXECUTION,
-                body=body,
-                span=(cursor, cursor + len(marker) + len(body)),
-                step=steps[i] if steps else None,
+        marks.append(
+            (
+                BlockKind.INSTRUCTION if kind == "I" else BlockKind.EXECUTION,
+                cursor,
+                steps[i] if steps else None,
             )
         )
+        pieces.append(marker + body)
         cursor += len(marker) + len(body)
-    raw = "".join(
-        (INSTRUCTION_MARKER if k == "I" else EXECUTION_MARKER) + b.body
-        for k, b in zip(kinds, blocks)
-    )
     return ReasoningTrace(
-        raw=raw, preamble="", blocks=tuple(blocks), boxed_answer=boxed, think_segment=""
+        raw="".join(pieces), preamble="", marks=tuple(marks), boxed_answer=boxed, think_segment=""
     )
 
 
@@ -324,8 +326,34 @@ class TestComplianceMode:
         assert not compliance_mode(strategy, nothing)
 
 
+class TestBlocksOnDemand:
+    def test_scoring_builds_no_block(self, monkeypatch):
+        built = []
+
+        class CountingBlock(Block):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(traces, "Block", CountingBlock)
+        problem = Problem("1", "toy", APPLES_PROBLEM, APPLES_GOLD, AnswerKind.INTEGER_EXACT)
+        think_tags = (DEFAULT_THINK_OPEN, DEFAULT_THINK_CLOSE)
+        judgment, report, compliant = score_completion(
+            WORKED_HICOT_OUTPUT, problem, PromptStrategy.HICOT, think_tags
+        )
+        assert judgment.correct and report.compliant and compliant
+        assert built == []
+        trace = scan_blocks(WORKED_HICOT_OUTPUT)
+        validate_format(trace)
+        assert "blocks" not in trace.__dict__
+        assert len(trace.blocks) == 8 and len(built) == 8  # built on first read
+
+
 # Reference: the block scan and validation as first written, kept verbatim as
-# the oracle for the leaner ``scan_blocks`` and ``validate_format``.
+# the oracle for the leaner ``scan_blocks`` and ``validate_format``. Only the
+# container ``_reference_scan_blocks`` returns is new: ``ReasoningTrace`` holds
+# marks, not blocks.
+_MARKER_RE = re.compile(r"<\|(instruction|execution)\|>")
 _REFERENCE_STEP_RE = re.compile(r"^\s*Step (\d+):")
 
 
@@ -358,7 +386,7 @@ def _reference_scan_blocks(raw, think_open="<think>", think_close="</think>"):
             )
         )
 
-    return ReasoningTrace(
+    return SimpleNamespace(
         raw=raw,
         preamble=preamble,
         blocks=tuple(blocks),
@@ -444,7 +472,10 @@ def test_scan_and_validate_match_the_reference(lead, pairs, pieces, tail):
     )
     raw = lead + aligned + "".join(pieces) + tail
     trace, reference = scan_blocks(raw), _reference_scan_blocks(raw)
+    assert trace.marks == tuple((b.kind, b.span[0], b.step) for b in reference.blocks)
     assert trace.blocks == reference.blocks  # kind, body, span and step of each block
+    assert trace.blocks is trace.blocks  # built once, on first read
+    assert trace.reconstruct() == raw
     assert (trace.raw, trace.preamble, trace.think_segment, trace.boxed_answer) == (
         reference.raw,
         reference.preamble,
