@@ -42,6 +42,9 @@ _RETRY_AFTER_STATUSES = frozenset({429, 503})
 RETRY_AFTER_CAP_S = 60.0
 _DELTA_SECONDS = re.compile(r"[0-9]+")
 _CONTEXT_OVERFLOW_HINTS = ("context_length", "maximum context length", "prompt is too long")
+# A surrogate code point that is not half of a pair, as a server that cuts an
+# emoji's pair at ``max_tokens`` may send; no UTF-8 file can hold it.
+_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 # The longest ``Endpoint.timeout_s``: a socket refuses a timeout past about 9.2e9 s
 # (2**63 ns), and would fail every request.
 MAX_TIMEOUT_S = 1e9
@@ -406,6 +409,7 @@ class ChatClient:
             raise EndpointUnreachable(
                 f"malformed completion response: content is {type(text).__name__}"
             )
+        text = _LONE_SURROGATE.sub("\ufffd", text)  # U+FFFD, the replacement character
         usage = body.get("usage")
         tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
         if type(tokens) is int and tokens >= 0:  # a JSON true is not a count

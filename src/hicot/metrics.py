@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
@@ -95,21 +96,58 @@ def cell_order(summary: MetricsSummary) -> tuple:
 _row = attrgetter("model_id", "strategy")  # the cells of one table row are adjacent in cell order
 
 
-class Tally:
-    """Per-cell counts of records, folded in one record at a time; no record is kept.
+@dataclass(slots=True)
+class CellCounts:
+    """The counts of one (model, strategy, benchmark) cell: n and correct over
+    its records, the scored records (those without a client error) and their
+    token sum, then n, correct and the token sum over its compliant ones. An
+    error record counts toward n (it is simply incorrect), so accuracy
+    denominators never shrink; its tokens are no trace length, so token means
+    leave them out."""
 
+    n: int = 0
+    correct: int = 0
+    scored: int = 0
+    tokens: int = 0
+    compliant: int = 0
+    compliant_correct: int = 0
+    compliant_tokens: int = 0
+
+    def add(self, record: EvalRecord) -> None:
+        self.n += 1
+        self.correct += record.judgment.correct
+        if record.client_error is None:
+            self.scored += 1
+            self.tokens += record.completion_tokens
+        if record.compliant:  # an error record never is: an empty completion has no boxed answer
+            self.compliant += 1
+            self.compliant_correct += record.judgment.correct
+            self.compliant_tokens += record.completion_tokens
+
+    def summary(self, model_id: str, strategy: PromptStrategy, benchmark: str) -> MetricsSummary:
+        """The cell's metrics; each mean is one division."""
+        compliant = self.compliant
+        return MetricsSummary(
+            model_id=model_id,
+            strategy=strategy,
+            benchmark=benchmark,
+            n=self.n,
+            pass_at_1=100.0 * self.correct / self.n,
+            avg_completion_tokens=self.tokens / self.scored if self.scored else None,
+            compliance_rate=100.0 * compliant / self.n,
+            conditional_pass_at_1=100.0 * self.compliant_correct / compliant if compliant else None,
+            conditional_avg_tokens=self.compliant_tokens / compliant if compliant else None,
+        )
+
+
+class Tally:
+    """Per-cell ``CellCounts``, folded in one record at a time; no record is kept.
     ``keys`` holds the uniqueness key of every record folded, and a repeat
-    raises DuplicateKey. Each (model, strategy, benchmark) cell holds integer
-    counts: n and correct over its records, the scored records (those without
-    a client error) and their token sum, then n, correct and the token sum
-    over its compliant ones. Error records count toward n like any other
-    record (they are simply incorrect), so accuracy denominators never shrink;
-    their tokens are no trace length, so token means leave them out.
-    """
+    raises DuplicateKey."""
 
     def __init__(self, records: Iterable[EvalRecord] = ()):
         self.keys: set = set()
-        self._cells: dict = {}
+        self._cells: dict = defaultdict(CellCounts)
         for record in records:
             self.add(record)
 
@@ -118,39 +156,11 @@ class Tally:
         if key in self.keys:
             raise DuplicateKey(f"duplicate record for {key}")
         self.keys.add(key)
-        cell = (record.model_id, record.strategy, record.benchmark)
-        counts = self._cells.get(cell)
-        if counts is None:
-            counts = self._cells[cell] = [0] * 7
-        correct, tokens = record.judgment.correct, record.completion_tokens
-        counts[0] += 1
-        counts[1] += correct
-        if record.client_error is None:
-            counts[2] += 1
-            counts[3] += tokens
-        if record.compliant:  # an error record never is: an empty completion has no boxed answer
-            counts[4] += 1
-            counts[5] += correct
-            counts[6] += tokens
+        self._cells[record.model_id, record.strategy, record.benchmark].add(record)
 
     def summaries(self) -> list:
-        """One MetricsSummary per cell, in cell order; each mean is one division."""
-        summaries = [
-            MetricsSummary(
-                model_id=model_id,
-                strategy=strategy,
-                benchmark=benchmark,
-                n=n,
-                pass_at_1=100.0 * correct / n,
-                avg_completion_tokens=tokens / scored if scored else None,
-                compliance_rate=100.0 * compliant / n,
-                conditional_pass_at_1=100.0 * compliant_correct / compliant if compliant else None,
-                conditional_avg_tokens=compliant_tokens / compliant if compliant else None,
-            )
-            for (model_id, strategy, benchmark), (
-                n, correct, scored, tokens, compliant, compliant_correct, compliant_tokens
-            ) in self._cells.items()
-        ]
+        """One MetricsSummary per cell, in cell order."""
+        summaries = [counts.summary(*cell) for cell, counts in self._cells.items()]
         return sorted(summaries, key=cell_order)
 
 
@@ -312,23 +322,12 @@ def emit_plot_data(summaries: Sequence[MetricsSummary], kind: PlotKind) -> str:
             rows.append([model, strategy.value, "macro_avg", macro])
         return _csv_text(rows)
 
-    header = (
-        "model,strategy,benchmark,n,pass_at_1,conditional_pass_at_1,"
-        "avg_completion_tokens,conditional_avg_tokens,compliance_rate"
+    # Each column after the benchmark is the MetricsSummary field of its name.
+    fields = (
+        "n", "pass_at_1", "conditional_pass_at_1", "avg_completion_tokens",
+        "conditional_avg_tokens", "compliance_rate",
     )
-    rows = [header.split(",")]
-    for cell in cells:
-        rows.append(
-            [
-                cell.model_id,
-                cell.strategy.value,
-                cell.benchmark,
-                cell.n,
-                cell.pass_at_1,
-                cell.conditional_pass_at_1,
-                cell.avg_completion_tokens,
-                cell.conditional_avg_tokens,
-                cell.compliance_rate,
-            ]
-        )
+    values = attrgetter(*fields)
+    rows = [["model", "strategy", "benchmark", *fields]]
+    rows += [[c.model_id, c.strategy.value, c.benchmark, *values(c)] for c in cells]
     return _csv_text(rows)

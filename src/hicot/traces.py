@@ -3,10 +3,10 @@
 A completion is split at every occurrence of the two markers; each marker
 starts a block whose body runs to the next marker or end of text. The scan
 records one mark per block, ``(kind, marker offset, step)``, and copies no
-body: ``ReasoningTrace.blocks`` builds the ``Block`` objects from the raw
-text and the marks the first time it is read. Validation reads the marks
-alone. The parse is lossless: think segment + preamble + markers + bodies
-reconstruct the raw input byte for byte.
+text; validation reads the marks alone. The parse is lossless by
+construction: ``scan_start`` and the mark offsets partition the raw text
+into the think span ``raw[:scan_start]``, the preamble up to the first
+offset, and one marker plus body from each offset to the next.
 
 Validation covers three dimensions: strict instruction/execution alternation,
 step-number alignment, and presence of a boxed final answer.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional, Tuple
 
 from .judge import extract_boxed, to_int
@@ -45,60 +44,21 @@ _KIND_OF_MARKER = {kind.value: kind for kind in BlockKind}
 
 
 @dataclass(frozen=True)
-class Block:
-    """One marker-delimited segment of a completion.
-
-    ``span`` is the half-open [start, end) character range in the raw
-    completion covering the marker and the body; ``body`` excludes the
-    marker itself.
-    """
-
-    kind: BlockKind
-    body: str
-    span: Tuple[int, int]
-    step: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class ReasoningTrace:
-    """A completion plus its parsed block structure.
+    """A completion plus the offsets of its parsed block structure.
 
     ``marks`` holds one ``(kind, marker offset, step)`` per block, in text
-    order; ``blocks`` are built from them on first read. ``think_segment``
-    holds one leading tag-delimited think span (stripped before block
-    scanning, kept so ``reconstruct`` is lossless); ``preamble`` is the text
-    between the think segment and the first marker.
+    order. ``scan_start`` is where block scanning began: the end of one
+    leading tag-delimited think span, or 0 when there is none. The offsets
+    partition ``raw``: the think span is ``raw[:scan_start]``, the preamble
+    runs from ``scan_start`` to the first offset (or the end), and each body
+    runs from the end of its marker to the next offset (or the end).
     """
 
     raw: str
-    preamble: str
     marks: Tuple[Tuple[BlockKind, int, Optional[int]], ...]
     boxed_answer: Optional[str]
-    think_segment: str = ""
-
-    @cached_property
-    def blocks(self) -> Tuple[Block, ...]:
-        """One ``Block`` per mark, built from ``raw`` on first read."""
-        raw = self.raw
-        ends = [offset for _, offset, _ in self.marks[1:]] + [len(raw)]
-        return tuple(
-            Block(kind, raw[start + len(_MARKER_TEXT[kind]) : end], (start, end), step)
-            for (kind, start, step), end in zip(self.marks, ends)
-        )
-
-    def reconstruct(self) -> str:
-        """Reassemble the raw completion from the parse (lossless check)."""
-        parts = [self.think_segment, self.preamble]
-        for block in self.blocks:
-            parts.append(_MARKER_TEXT[block.kind])
-            parts.append(block.body)
-        return "".join(parts)
-
-
-_MARKER_TEXT = {
-    BlockKind.INSTRUCTION: INSTRUCTION_MARKER,
-    BlockKind.EXECUTION: EXECUTION_MARKER,
-}
+    scan_start: int = 0
 
 
 @dataclass(frozen=True)
@@ -127,23 +87,23 @@ class FormatReport:
         }
 
 
-def _split_think(raw: str, open_tag: str, close_tag: str) -> Tuple[str, int]:
-    """Return (think_segment, scan_start) for one leading think span.
+def _split_think(raw: str, open_tag: str, close_tag: str) -> int:
+    """The offset where block scanning begins: the end of one leading think
+    span, or 0 when there is none.
 
-    The segment is recognized only when the open tag is the first
+    The span is recognized only when the open tag is the first
     non-whitespace text and the close tag appears later; the leading
-    whitespace is folded into the segment. Otherwise nothing is stripped.
+    whitespace is part of the span. Otherwise nothing is skipped.
     """
     if not open_tag or not close_tag:
-        return "", 0
+        return 0
     lead = len(raw) - len(raw.lstrip())
     if not raw.startswith(open_tag, lead):
-        return "", 0
+        return 0
     end = raw.find(close_tag, lead + len(open_tag))
     if end < 0:
-        return "", 0
-    cut = end + len(close_tag)
-    return raw[:cut], cut
+        return 0
+    return end + len(close_tag)
 
 
 def scan_blocks(
@@ -155,10 +115,10 @@ def scan_blocks(
     of its marker and its step.
 
     Scanning never fails; text without markers yields zero marks. The boxed
-    answer is extracted from the full raw text (including any think segment)
-    so a boxed value is never lost to tag stripping.
+    answer is extracted from the full raw text (including any think span)
+    so a boxed value is never lost to skipping it.
     """
-    think_segment, start = _split_think(raw, think_open, think_close)
+    start = _split_think(raw, think_open, think_close)
     # The step is unset for no label, a step of 0, or more digits than
     # ``to_int`` converts.
     marks = tuple(
@@ -169,15 +129,7 @@ def scan_blocks(
         )
         for match in _MARK_RE.finditer(raw, start)
     )
-    preamble = raw[start : marks[0][1]] if marks else raw[start:]
-
-    return ReasoningTrace(
-        raw=raw,
-        preamble=preamble,
-        marks=marks,
-        boxed_answer=extract_boxed(raw),
-        think_segment=think_segment,
-    )
+    return ReasoningTrace(raw=raw, marks=marks, boxed_answer=extract_boxed(raw), scan_start=start)
 
 
 def validate_format(trace: ReasoningTrace) -> FormatReport:

@@ -726,6 +726,25 @@ class TestRunCommand:
         assert all("HTTP 404: model not found" in r.client_error for r in records)
         assert stub.total_requests == 3
 
+    def test_lone_surrogate_becomes_a_replacement_character(self, tmp_path, make_stub, capsys):
+        # A server that cuts an emoji's surrogate pair at max_tokens sends half of
+        # it; a whole pair (the leading emoji) decodes to one character.
+        stub = make_stub(lambda payload: StubReply("\U0001f600 x \ud83d then \\boxed{42}"))
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
+            benchmarks=("toy_int",),
+        )
+        config = load_run_config(config_path)
+        records = read_records(cmd_run(config))
+        assert len(records) == 3
+        for record in records:
+            assert record.client_error is None
+            assert record.completion_text == "\U0001f600 x \ufffd then \\boxed{42}"
+            assert record.judgment.correct == (record.problem_id in ("1", "2"))  # gold 42
+        assert len(list(config.cache_dir.rglob("*.json"))) == 3
+        progress = ("run grid:", "progress:", "cell ")  # no item failed, so no traceback
+        assert all(line.startswith(progress) for line in capsys.readouterr().err.splitlines())
+
     def test_null_content_becomes_error_record_and_is_not_cached(self, tmp_path, make_stub):
         stub = make_stub(lambda payload: StubReply(None, completion_tokens=5))
         config_path = write_config(

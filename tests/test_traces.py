@@ -2,62 +2,100 @@
 
 import random
 import re
+from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Optional, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hicot import traces
-from hicot.cli import score_completion
-from hicot.datasets import AnswerKind, Problem
 from hicot.judge import extract_boxed
 from hicot.prompts import PromptStrategy
 from hicot.traces import (
-    DEFAULT_THINK_CLOSE,
-    DEFAULT_THINK_OPEN,
-    Block,
     BlockKind,
     EXECUTION_MARKER,
     FormatReport,
     INSTRUCTION_MARKER,
     ReasoningTrace,
-    _split_think,
     compliance_mode,
     scan_blocks,
     validate_format,
 )
 
-from trace_samples import APPLES_GOLD, APPLES_PROBLEM, RELAXED_OUTPUT, WORKED_HICOT_OUTPUT
+from trace_samples import RELAXED_OUTPUT, WORKED_HICOT_OUTPUT
+
+_MARKER_OF_KIND = {BlockKind.INSTRUCTION: INSTRUCTION_MARKER, BlockKind.EXECUTION: EXECUTION_MARKER}
+
+
+@dataclass(frozen=True)
+class Block:
+    """One marker-delimited block: ``span`` is the half-open range of the marker
+    and the body in the raw completion; ``body`` excludes the marker."""
+
+    kind: BlockKind
+    body: str
+    span: Tuple[int, int]
+    step: Optional[int] = None
+
+
+def _blocks(trace):
+    """Each mark as a Block, with the body and span that its offset and the next give."""
+    raw = trace.raw
+    ends = [offset for _, offset, _ in trace.marks[1:]] + [len(raw)]
+    return [
+        Block(kind, raw[start + len(_MARKER_OF_KIND[kind]) : end], (start, end), step)
+        for (kind, start, step), end in zip(trace.marks, ends)
+    ]
+
+
+def _preamble(trace):
+    """The text from ``scan_start`` to the first marker, or to the end."""
+    end = trace.marks[0][1] if trace.marks else len(trace.raw)
+    return trace.raw[trace.scan_start : end]
+
+
+def _assert_partition(trace):
+    """The offsets partition ``raw`` into think span, preamble and blocks: they
+    strictly increase from ``scan_start``, each starts its kind's marker, and
+    every marker after ``scan_start`` has its mark, so no body holds one."""
+    raw, offsets = trace.raw, [offset for _, offset, _ in trace.marks]
+    assert 0 <= trace.scan_start <= len(raw)
+    assert all(a < b for a, b in zip(offsets, offsets[1:]))
+    assert all(offset >= trace.scan_start for offset in offsets)
+    assert all(raw.startswith(_MARKER_OF_KIND[kind], offset) for kind, offset, _ in trace.marks)
+    scanned = raw[trace.scan_start :]
+    assert scanned.count(INSTRUCTION_MARKER) + scanned.count(EXECUTION_MARKER) == len(offsets)
 
 
 class TestScanBlocks:
     def test_worked_output(self):
         trace = scan_blocks(WORKED_HICOT_OUTPUT)
-        assert len(trace.blocks) == 8
-        kinds = [b.kind for b in trace.blocks]
+        assert len(trace.marks) == 8
+        kinds = [kind for kind, _, _ in trace.marks]
         assert kinds == [BlockKind.INSTRUCTION, BlockKind.EXECUTION] * 4
-        assert [b.step for b in trace.blocks] == [1, 1, 2, 2, 3, 3, 4, 4]
+        assert [step for _, _, step in trace.marks] == [1, 1, 2, 2, 3, 3, 4, 4]
         assert trace.boxed_answer == "\\$22"
-        assert trace.preamble == ""
-        assert trace.reconstruct() == WORKED_HICOT_OUTPUT
+        assert trace.scan_start == 0 and _preamble(trace) == ""
+        _assert_partition(trace)
 
     def test_empty_input(self):
         trace = scan_blocks("")
-        assert trace.blocks == ()
+        assert trace.marks == ()
         assert trace.boxed_answer is None
-        assert trace.preamble == ""
-        assert trace.reconstruct() == ""
+        assert trace.scan_start == 0 and _preamble(trace) == ""
+        _assert_partition(trace)
 
     def test_mixed_order_with_preamble(self):
         raw = "abc <|execution|> x <|instruction|> y"
         trace = scan_blocks(raw)
-        assert trace.preamble == "abc "
-        assert [(b.kind, b.body) for b in trace.blocks] == [
+        assert _preamble(trace) == "abc "
+        assert [(b.kind, b.body) for b in _blocks(trace)] == [
             (BlockKind.EXECUTION, " x "),
             (BlockKind.INSTRUCTION, " y"),
         ]
-        assert all(b.step is None for b in trace.blocks)
-        assert trace.reconstruct() == raw
+        assert all(step is None for _, _, step in trace.marks)
+        _assert_partition(trace)
 
     def test_reference_scanner_agreement(self):
         # Independent left-to-right split on marker substrings.
@@ -70,13 +108,13 @@ class TestScanBlocks:
 
     def test_spans_cover_marker_and_body(self):
         raw = "pre<|instruction|>one<|execution|>two"
-        trace = scan_blocks(raw)
-        for block in trace.blocks:
+        blocks = _blocks(scan_blocks(raw))
+        for block in blocks:
             start, end = block.span
             assert start < end
             assert raw[start:end].startswith("<|")
             assert raw[start:end].endswith(block.body)
-        spans = [b.span for b in trace.blocks]
+        spans = [b.span for b in blocks]
         assert spans == sorted(spans)
         # Blocks tile the text from the first marker to the end.
         assert spans[0][0] == len("pre")
@@ -86,38 +124,37 @@ class TestScanBlocks:
     def test_empty_body_block(self):
         raw = "x<|instruction|>"
         trace = scan_blocks(raw)
-        assert len(trace.blocks) == 1
-        assert trace.blocks[0].body == ""
-        start, end = trace.blocks[0].span
+        (block,) = _blocks(trace)
+        assert block.body == ""
+        start, end = block.span
         assert start < end
-        assert trace.reconstruct() == raw
+        _assert_partition(trace)
 
     def test_think_segment_stripped_and_recorded(self):
         raw = "<think>inner <|instruction|> ignored</think><|instruction|> Step 1: go"
         trace = scan_blocks(raw)
-        assert trace.think_segment == "<think>inner <|instruction|> ignored</think>"
-        assert len(trace.blocks) == 1
-        assert trace.blocks[0].step == 1
-        assert trace.reconstruct() == raw
+        assert raw[: trace.scan_start] == "<think>inner <|instruction|> ignored</think>"
+        assert [step for _, _, step in trace.marks] == [1]
+        _assert_partition(trace)
 
     def test_think_segment_allows_leading_whitespace(self):
         raw = "  \n<think>hm</think>tail"
         trace = scan_blocks(raw)
-        assert trace.think_segment == "  \n<think>hm</think>"
-        assert trace.preamble == "tail"
+        assert raw[: trace.scan_start] == "  \n<think>hm</think>"
+        assert _preamble(trace) == "tail"
 
     def test_unterminated_think_tag_is_plain_text(self):
         raw = "<think>never closes <|execution|> x"
         trace = scan_blocks(raw)
-        assert trace.think_segment == ""
-        assert trace.preamble == "<think>never closes "
-        assert len(trace.blocks) == 1
+        assert trace.scan_start == 0
+        assert _preamble(trace) == "<think>never closes "
+        assert len(trace.marks) == 1
 
     def test_think_tags_configurable(self):
         raw = "[[reason]]hidden[[/reason]]<|instruction|> Step 1: a"
         trace = scan_blocks(raw, think_open="[[reason]]", think_close="[[/reason]]")
-        assert trace.think_segment == "[[reason]]hidden[[/reason]]"
-        assert len(trace.blocks) == 1
+        assert raw[: trace.scan_start] == "[[reason]]hidden[[/reason]]"
+        assert len(trace.marks) == 1
 
     def test_boxed_answer_found_inside_think_segment(self):
         raw = "<think>\\boxed{41}</think>no visible answer"
@@ -138,15 +175,15 @@ class TestScanBlocks:
         ],
     )
     def test_step_label_grammar(self, body, step):
-        trace = scan_blocks(INSTRUCTION_MARKER + body)
-        assert trace.blocks[0].step == step
+        ((_, _, parsed),) = scan_blocks(INSTRUCTION_MARKER + body).marks
+        assert parsed == step
 
     def test_step_label_past_the_digit_limit_is_unset(self):
         # int() refuses more than 4,300 digits; the step is left unset, not raised.
         raw = INSTRUCTION_MARKER + "Step " + "1" * 5000 + ": go" + EXECUTION_MARKER + "Step 1: x"
         trace = scan_blocks(raw)
-        assert [b.step for b in trace.blocks] == [None, 1]
-        assert trace.reconstruct() == raw
+        assert [step for _, _, step in trace.marks] == [None, 1]
+        _assert_partition(trace)
         assert not validate_format(trace).step_alignment_ok
 
     def test_losslessness_over_randomized_strings(self):
@@ -170,7 +207,7 @@ class TestScanBlocks:
         ]
         for _ in range(10_000):
             raw = "".join(rng.choice(atoms) for _ in range(rng.randrange(0, 12)))
-            assert scan_blocks(raw).reconstruct() == raw
+            _assert_partition(scan_blocks(raw))
 
 
 def _synthetic_trace(kinds, steps=None, boxed=None):
@@ -190,9 +227,7 @@ def _synthetic_trace(kinds, steps=None, boxed=None):
         )
         pieces.append(marker + body)
         cursor += len(marker) + len(body)
-    return ReasoningTrace(
-        raw="".join(pieces), preamble="", marks=tuple(marks), boxed_answer=boxed, think_segment=""
-    )
+    return ReasoningTrace(raw="".join(pieces), marks=tuple(marks), boxed_answer=boxed)
 
 
 class TestValidateFormat:
@@ -326,33 +361,16 @@ class TestComplianceMode:
         assert not compliance_mode(strategy, nothing)
 
 
-class TestBlocksOnDemand:
-    def test_scoring_builds_no_block(self, monkeypatch):
-        built = []
-
-        class CountingBlock(Block):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(traces, "Block", CountingBlock)
-        problem = Problem("1", "toy", APPLES_PROBLEM, APPLES_GOLD, AnswerKind.INTEGER_EXACT)
-        think_tags = (DEFAULT_THINK_OPEN, DEFAULT_THINK_CLOSE)
-        judgment, report, compliant = score_completion(
-            WORKED_HICOT_OUTPUT, problem, PromptStrategy.HICOT, think_tags
-        )
-        assert judgment.correct and report.compliant and compliant
-        assert built == []
-        trace = scan_blocks(WORKED_HICOT_OUTPUT)
-        validate_format(trace)
-        assert "blocks" not in trace.__dict__
-        assert len(trace.blocks) == 8 and len(built) == 8  # built on first read
-
-
 # Reference: the block scan and validation as first written, kept verbatim as
 # the oracle for the leaner ``scan_blocks`` and ``validate_format``. Only the
 # container ``_reference_scan_blocks`` returns is new: ``ReasoningTrace`` holds
-# marks, not blocks.
+# marks, not blocks. The ``Block`` it builds is the one defined above, and it
+# reads the think split in its first form, the span and the offset after it.
+def _split_think(raw, think_open, think_close):
+    start = traces._split_think(raw, think_open, think_close)
+    return raw[:start], start
+
+
 _MARKER_RE = re.compile(r"<\|(instruction|execution)\|>")
 _REFERENCE_STEP_RE = re.compile(r"^\s*Step (\d+):")
 
@@ -473,13 +491,9 @@ def test_scan_and_validate_match_the_reference(lead, pairs, pieces, tail):
     raw = lead + aligned + "".join(pieces) + tail
     trace, reference = scan_blocks(raw), _reference_scan_blocks(raw)
     assert trace.marks == tuple((b.kind, b.span[0], b.step) for b in reference.blocks)
-    assert trace.blocks == reference.blocks  # kind, body, span and step of each block
-    assert trace.blocks is trace.blocks  # built once, on first read
-    assert trace.reconstruct() == raw
-    assert (trace.raw, trace.preamble, trace.think_segment, trace.boxed_answer) == (
-        reference.raw,
-        reference.preamble,
-        reference.think_segment,
-        reference.boxed_answer,
-    )
+    assert tuple(_blocks(trace)) == reference.blocks  # kind, body, span and step of each block
+    _assert_partition(trace)
+    assert raw[: trace.scan_start] == reference.think_segment
+    assert _preamble(trace) == reference.preamble
+    assert (trace.raw, trace.boxed_answer) == (reference.raw, reference.boxed_answer)
     assert validate_format(trace) == _reference_validate_format(reference)
