@@ -25,7 +25,6 @@ from .client import (
     CompletionResult,
     TokenSource,
 )
-from .codec import to_json_dict
 from .config import NO_OVERRIDE, ConfigInvalid, RunConfig, load_run_config
 from .datasets import (
     EvalRecord,
@@ -35,6 +34,7 @@ from .datasets import (
     load_dataset,
     load_resumable,
     now_timestamp,
+    record_key,
 )
 from .judge import Judgment, judge as judge_completion
 from .metrics import (
@@ -45,6 +45,7 @@ from .metrics import (
     emit_plot_data,
     emit_table,
     macro_average,
+    summary_payload,
 )
 from .prompts import PromptStrategy, build_prompt
 from .traces import (
@@ -175,8 +176,7 @@ def cmd_run(config: RunConfig) -> Path:
         for strategy in config.strategies:
             for benchmark in config.benchmarks:
                 for problem in problems[benchmark]:
-                    key = (problem.id, benchmark, model_id, strategy.value)
-                    if key not in tally.keys:
+                    if record_key(problem.id, benchmark, model_id, strategy) not in tally.keys:
                         tasks.append((model_id, strategy, problem))
 
     total = len(tasks)
@@ -261,11 +261,7 @@ def cmd_run(config: RunConfig) -> Path:
 def cmd_score(records_path: str | Path) -> dict:
     """Aggregate a records file and return the summary payload."""
     summaries = aggregate(iter_records(records_path))
-    macro = macro_average(summaries)
-    return {
-        "summaries": [to_json_dict(s) for s in summaries],
-        "macro": [to_json_dict(m) for m in macro],
-    }
+    return summary_payload(summaries, macro_average(summaries))
 
 
 def cmd_report(records_path: str | Path, fmt: TableFormat, output_dir: str | Path) -> list:
@@ -310,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="emit the accuracy table and plot data")
     report.add_argument("records", help="path to a records JSONL file")
-    report.add_argument("--format", choices=["md", "csv", "json"], default="md")
+    formats = [fmt.value for fmt in TableFormat]
+    report.add_argument("--format", choices=formats, default=TableFormat.MARKDOWN.value)
     report.add_argument("--output-dir", default=None, help="defaults to the records directory")
 
     validate = sub.add_parser("validate", help="validate one completion (file or stdin)")

@@ -18,7 +18,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional, TYPE_CHECKING
@@ -48,8 +48,6 @@ _LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 # The longest ``Endpoint.timeout_s``: a socket refuses a timeout past about 9.2e9 s
 # (2**63 ns), and would fail every request.
 MAX_TIMEOUT_S = 1e9
-# The request-body keys set from a ``CompletionRequest``, which ``extra_body`` may not name.
-CLIENT_KEYS = frozenset({"model", "messages", "temperature", "top_p", "max_tokens", "seed"})
 
 
 class ClientError(Exception):
@@ -103,6 +101,9 @@ class Endpoint:
 
 @dataclass(frozen=True)
 class SamplingParams:
+    """The sampling settings of a request. Each field is sent in the request body
+    under its name (left out when None) and is part of the cache key."""
+
     temperature: float = 0.0
     top_p: float = 1.0
     max_tokens: int = 16384
@@ -111,6 +112,10 @@ class SamplingParams:
     def __post_init__(self):
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be a positive integer")
+
+
+# The request-body keys set from a ``CompletionRequest``, which ``extra_body`` may not name.
+CLIENT_KEYS = frozenset({"model", "messages", *(f.name for f in fields(SamplingParams))})
 
 
 @dataclass(frozen=True)
@@ -137,10 +142,7 @@ class CompletionRequest:
         material = {
             "model_id": self.model_id,
             "rendered": self.prompt.rendered,
-            "temperature": self.sampling.temperature,
-            "top_p": self.sampling.top_p,
-            "max_tokens": self.sampling.max_tokens,
-            "seed": self.sampling.seed,
+            **to_json_dict(self.sampling),
             "as_system": self.as_system,
             "extra_body": dict(self.extra_body) if self.extra_body else None,
         }
@@ -348,15 +350,9 @@ class ChatClient:
         # (``IncompleteRead``). An error status is never one of these: ``_post``
         # returns it.
         retriable_errors = (OSError, http.client.HTTPException)
-        payload = {
-            "model": req.model_id,
-            "messages": req.messages(),
-            "temperature": req.sampling.temperature,
-            "top_p": req.sampling.top_p,
-            "max_tokens": req.sampling.max_tokens,
-        }
-        if req.sampling.seed is not None:
-            payload["seed"] = req.sampling.seed
+        payload = {"model": req.model_id, "messages": req.messages()}
+        # A sampling field that is None, an unset seed, is not sent.
+        payload.update((k, v) for k, v in to_json_dict(req.sampling).items() if v is not None)
         if req.extra_body:
             payload.update(req.extra_body)
         body = json.dumps(payload, allow_nan=False).encode("utf-8")

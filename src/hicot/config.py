@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 from .client import CLIENT_KEYS, Endpoint, SamplingParams
 from .codec import JsonMismatch, from_json_dict, parse_json
 from .datasets import BenchmarkSpec, load_registry
+from .metrics import RESERVED_BENCHMARKS
 from .prompts import PromptStrategy
 from .traces import DEFAULT_THINK_CLOSE, DEFAULT_THINK_OPEN
 
@@ -79,6 +80,9 @@ class RunConfig:
                 raise ValueError(f"{name} must not list an entry twice")
         if self.concurrency < 1:
             raise ValueError("concurrency must be a positive integer")
+        reserved = RESERVED_BENCHMARKS.intersection(self.benchmarks)
+        if reserved:
+            raise ValueError(f"benchmarks.{min(reserved)} is reserved for a report label")
         unknown = self.model_overrides.keys() - set(self.models)
         if unknown:
             raise ValueError(f"model_overrides.{min(unknown)} is not one of the models")

@@ -192,7 +192,12 @@ class EvalRecord:
     schema_version: int = SCHEMA_VERSION
 
     def key(self) -> tuple:
-        return (self.problem_id, self.benchmark, self.model_id, self.strategy.value)
+        return record_key(self.problem_id, self.benchmark, self.model_id, self.strategy)
+
+
+def record_key(problem_id: str, benchmark: str, model_id: str, strategy: PromptStrategy) -> tuple:
+    """The uniqueness key of the record of one (problem, benchmark, model, strategy)."""
+    return (problem_id, benchmark, model_id, strategy.value)
 
 
 def now_timestamp() -> str:

@@ -23,13 +23,18 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .codec import to_json_dict
-from .prompts import TABLE_ORDER, PromptStrategy
+from .prompts import PromptStrategy
 
 if TYPE_CHECKING:
     from .datasets import EvalRecord
 
-# Marks, in the Markdown table, the Avg. of a row that misses a benchmark.
+# Marks a macro average over fewer benchmarks or cells than a full row has.
 PARTIAL_MARK = "†"
+# The report's own column and row names, which no benchmark may take.
+AVG_COLUMN = "avg"
+MACRO_ROW = "macro_avg"
+RESERVED_BENCHMARKS = frozenset({AVG_COLUMN, MACRO_ROW, MACRO_ROW + PARTIAL_MARK})
+_STRATEGY_ORDER = tuple(PromptStrategy)  # a tuple's index beats a dict: Enum hashes in Python
 
 
 class DuplicateKey(ValueError):
@@ -89,8 +94,8 @@ def display_round(value: float) -> str:
 
 
 def cell_order(summary: MetricsSummary) -> tuple:
-    """The report order of cells: by model, by strategy as in ``TABLE_ORDER``, then by benchmark."""
-    return (summary.model_id, TABLE_ORDER.index(summary.strategy), summary.benchmark)
+    """The report order of cells: by model, by strategy in declaration order, then by benchmark."""
+    return (summary.model_id, _STRATEGY_ORDER.index(summary.strategy), summary.benchmark)
 
 
 _row = attrgetter("model_id", "strategy")  # the cells of one table row are adjacent in cell order
@@ -195,7 +200,7 @@ def macro_average(summaries: Sequence[MetricsSummary]) -> list:
 
 
 def _table_rows(summaries, macros):
-    """Columns (the benchmarks, then ``"avg"``) and one row per (model, strategy).
+    """Columns (the benchmarks, then ``AVG_COLUMN``) and one row per (model, strategy).
 
     Each row is ``(model, strategy, values, best)``: ``values`` holds Pass@1
     per benchmark, then the macro Avg, with ``None`` for an absent cell;
@@ -207,8 +212,8 @@ def _table_rows(summaries, macros):
     """
     models = sorted({s.model_id for s in summaries})
     benchmarks = sorted({s.benchmark for s in summaries})
-    strategies = [s for s in TABLE_ORDER if any(x.strategy is s for x in summaries)]
-    columns = benchmarks + ["avg"]
+    strategies = [s for s in _STRATEGY_ORDER if any(x.strategy is s for x in summaries)]
+    columns = benchmarks + [AVG_COLUMN]
     cells = {(s.model_id, s.strategy, s.benchmark): s.pass_at_1 for s in summaries}
     macro_cells = {(m.model_id, m.strategy): m for m in macros}
     rows = []
@@ -234,6 +239,23 @@ def _table_rows(summaries, macros):
     return columns, rows
 
 
+def _check_summaries(summaries: Sequence[MetricsSummary], purpose: str) -> None:
+    """Raise ValueError for no summaries, or for a benchmark in ``RESERVED_BENCHMARKS``."""
+    if not summaries:
+        raise ValueError(f"no summaries to {purpose}")
+    reserved = RESERVED_BENCHMARKS.intersection(s.benchmark for s in summaries)
+    if reserved:
+        raise ValueError(f"benchmark {min(reserved)!r} is reserved for a report label")
+
+
+def summary_payload(summaries: Sequence[MetricsSummary], macro: Sequence[MacroSummary]) -> dict:
+    """The JSON form of the cell summaries and their macro averages."""
+    return {
+        "summaries": [to_json_dict(s) for s in summaries],
+        "macro": [to_json_dict(m) for m in macro],
+    }
+
+
 def emit_table(
     summaries: Sequence[MetricsSummary],
     macro: Sequence[MacroSummary],
@@ -248,8 +270,7 @@ def emit_table(
     carries the summary and macro dicts verbatim (round-trip safe) plus the
     flagged cells.
     """
-    if not summaries:
-        raise ValueError("no summaries to tabulate")
+    _check_summaries(summaries, "tabulate")
     columns, rows = _table_rows(summaries, macro)
 
     if format is TableFormat.MARKDOWN:
@@ -275,15 +296,10 @@ def emit_table(
             table.append([model, strategy.value] + values + [";".join(best)])
         return _csv_text(table)
 
-    payload = {
-        "summaries": [to_json_dict(s) for s in summaries],
-        "macro": [to_json_dict(m) for m in macro],
-        "best": sorted(
-            [model, column, strategy.value]
-            for model, strategy, _, best in rows
-            for column in best
-        ),
-    }
+    payload = summary_payload(summaries, macro)
+    payload["best"] = sorted(
+        [model, column, strategy.value] for model, strategy, _, best in rows for column in best
+    )
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
@@ -302,24 +318,26 @@ def emit_plot_data(summaries: Sequence[MetricsSummary], kind: PlotKind) -> str:
 
     Token plots get one row per (model, strategy, benchmark) plus a macro
     average row per (model, strategy), over the cells that have a token mean;
-    a cell with none leaves its field empty. Conditional plots carry aggregate and
+    a cell with none leaves its field empty. A macro row over fewer cells than a
+    full row (its row misses a benchmark, or a cell has no token mean) is named
+    ``macro_avg`` + ``PARTIAL_MARK``. Conditional plots carry aggregate and
     compliant-subset accuracy/tokens side by side; when a cell has no
     compliant records the conditional columns are left empty, not zero.
     """
-    if not summaries:
-        raise ValueError("no summaries to plot")
+    _check_summaries(summaries, "plot")
     cells = sorted(summaries, key=cell_order)
 
     if kind is PlotKind.AVG_TOKENS_BY_BENCHMARK:
+        partial = {(m.model_id, m.strategy) for m in macro_average(cells) if m.missing}
         rows = [["model", "strategy", "benchmark", "avg_completion_tokens"]]
         for (model, strategy), group in groupby(cells, key=_row):
-            present = []
-            for cell in group:
-                if cell.avg_completion_tokens is not None:
-                    present.append(cell.avg_completion_tokens)
-                rows.append([model, strategy.value, cell.benchmark, cell.avg_completion_tokens])
+            row = [model, strategy.value]
+            means = {cell.benchmark: cell.avg_completion_tokens for cell in group}
+            rows += [row + [benchmark, mean] for benchmark, mean in means.items()]
+            present = [mean for mean in means.values() if mean is not None]
             macro = sum(present) / len(present) if present else None
-            rows.append([model, strategy.value, "macro_avg", macro])
+            full = len(present) == len(means) and (model, strategy) not in partial
+            rows.append(row + [MACRO_ROW if full else MACRO_ROW + PARTIAL_MARK, macro])
         return _csv_text(rows)
 
     # Each column after the benchmark is the MetricsSummary field of its name.

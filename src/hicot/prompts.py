@@ -1,11 +1,12 @@
 """Prompt construction for the five prompting strategies.
 
 Each strategy pairs a fixed instruction preamble with the problem statement.
-The preambles are frozen text: golden copies live in the test suite's
+One table holds each strategy's report label and preamble, and the order in
+which ``PromptStrategy`` declares the strategies is the order of the report's
+rows. The preambles are frozen text: golden copies live in the test suite's
 ``data/templates/`` directory (one UTF-8 file per strategy, named after the
 lowercase variant name) and a test guards byte-for-byte equality between
-those files and the constants used here. Problem text is never escaped or
-rewritten.
+those files and the table. Problem text is never escaped or rewritten.
 """
 
 from __future__ import annotations
@@ -20,18 +21,19 @@ class EmptyProblem(ValueError):
 
 
 class PromptStrategy(Enum):
-    """The five prompting regimes compared by the harness."""
+    """The five prompting regimes compared by the harness, declared in the order
+    of the report's rows."""
 
     STANDARD = "standard"
     COT = "cot"
     PLAN_AND_SOLVE = "planandsolve"
-    HICOT = "hicot"
     HICOT_RELAXED = "hicotrelaxed"
+    HICOT = "hicot"
 
     @property
     def label(self) -> str:
         """Human-readable name used in report tables."""
-        return _LABELS[self]
+        return _STRATEGY_TEXT[self][0]
 
     @classmethod
     def _missing_(cls, value):
@@ -44,77 +46,54 @@ class PromptStrategy(Enum):
         return next((member for member in cls if member.value == key), None)
 
 
-_LABELS = {
-    PromptStrategy.STANDARD: "Standard",
-    PromptStrategy.COT: "CoT",
-    PromptStrategy.PLAN_AND_SOLVE: "Plan-and-Solve",
-    PromptStrategy.HICOT_RELAXED: "Hi-CoT (format-relaxed)",
-    PromptStrategy.HICOT: "Hi-CoT",
-}
-
-
-# Fixed strategy order for report rows.
-TABLE_ORDER = (
-    PromptStrategy.STANDARD,
-    PromptStrategy.COT,
-    PromptStrategy.PLAN_AND_SOLVE,
-    PromptStrategy.HICOT_RELAXED,
-    PromptStrategy.HICOT,
-)
-
-
-STANDARD_TEMPLATE = (
-    "Answer the question directly and put your final answer within \\boxed{}."
-)
-
-COT_TEMPLATE = (
-    "Please reason step by step, and put your final answer within \\boxed{}."
-)
-
-PLAN_AND_SOLVE_TEMPLATE = (
-    "Let’s first understand the problem, extract relevant variables and their "
-    "corresponding numerals, and make a complete plan. Then, let’s carry out the "
-    "plan, calculate intermediate variables (pay attention to correct numerical "
-    "calculation and common sense), solve the problem step by step, and finally put "
-    "your final answer within \\boxed{}."
-)
-
-HICOT_TEMPLATE = (
-    "Please reason hierarchically by alternating between <|instruction|> (planning "
-    "what to do next) and <|execution|> (executing that plan).\n"
-    "\n"
-    "Each <|instruction|> describes the reasoning step or plan, and each <|execution|> "
-    "performs the corresponding reasoning or computation.\n"
-    "\n"
-    "You should start with an instruction and follow this format strictly:\n"
-    "\n"
-    "<|instruction|> Step 1: ...\n"
-    "\n"
-    "<|execution|> Step 1: ...\n"
-    "\n"
-    "<|instruction|> Step 2: ...\n"
-    "\n"
-    "<|execution|> Step 2: ...\n"
-    "\n"
-    "...\n"
-    "\n"
-    "Finally, put your final answer within \\boxed{}."
-)
-
-HICOT_RELAXED_TEMPLATE = (
-    "You are a reasoning assistant that solves problems by alternating between "
-    "<|instruction|> (planning what to do next) and <|execution|> (executing that "
-    "plan). Each <|instruction|> describes the reasoning step or plan, and each "
-    "<|execution|> performs the corresponding reasoning or computation. Finally, put "
-    "your final answer within \\boxed{}."
-)
-
-TEMPLATES = {
-    PromptStrategy.STANDARD: STANDARD_TEMPLATE,
-    PromptStrategy.COT: COT_TEMPLATE,
-    PromptStrategy.PLAN_AND_SOLVE: PLAN_AND_SOLVE_TEMPLATE,
-    PromptStrategy.HICOT: HICOT_TEMPLATE,
-    PromptStrategy.HICOT_RELAXED: HICOT_RELAXED_TEMPLATE,
+# Each strategy's report label and its frozen preamble.
+_STRATEGY_TEXT = {
+    PromptStrategy.STANDARD: (
+        "Standard",
+        "Answer the question directly and put your final answer within \\boxed{}.",
+    ),
+    PromptStrategy.COT: (
+        "CoT",
+        "Please reason step by step, and put your final answer within \\boxed{}.",
+    ),
+    PromptStrategy.PLAN_AND_SOLVE: (
+        "Plan-and-Solve",
+        "Let’s first understand the problem, extract relevant variables and their "
+        "corresponding numerals, and make a complete plan. Then, let’s carry out the "
+        "plan, calculate intermediate variables (pay attention to correct numerical "
+        "calculation and common sense), solve the problem step by step, and finally put "
+        "your final answer within \\boxed{}.",
+    ),
+    PromptStrategy.HICOT_RELAXED: (
+        "Hi-CoT (format-relaxed)",
+        "You are a reasoning assistant that solves problems by alternating between "
+        "<|instruction|> (planning what to do next) and <|execution|> (executing that "
+        "plan). Each <|instruction|> describes the reasoning step or plan, and each "
+        "<|execution|> performs the corresponding reasoning or computation. Finally, put "
+        "your final answer within \\boxed{}.",
+    ),
+    PromptStrategy.HICOT: (
+        "Hi-CoT",
+        "Please reason hierarchically by alternating between <|instruction|> (planning "
+        "what to do next) and <|execution|> (executing that plan).\n"
+        "\n"
+        "Each <|instruction|> describes the reasoning step or plan, and each <|execution|> "
+        "performs the corresponding reasoning or computation.\n"
+        "\n"
+        "You should start with an instruction and follow this format strictly:\n"
+        "\n"
+        "<|instruction|> Step 1: ...\n"
+        "\n"
+        "<|execution|> Step 1: ...\n"
+        "\n"
+        "<|instruction|> Step 2: ...\n"
+        "\n"
+        "<|execution|> Step 2: ...\n"
+        "\n"
+        "...\n"
+        "\n"
+        "Finally, put your final answer within \\boxed{}.",
+    ),
 }
 
 
@@ -134,7 +113,7 @@ class PromptBundle:
 
 def template_text(strategy: PromptStrategy) -> str:
     """Return the frozen preamble for ``strategy``."""
-    return TEMPLATES[strategy]
+    return _STRATEGY_TEXT[strategy][1]
 
 
 def build_prompt(strategy: PromptStrategy, problem: Union[str, "object"]) -> PromptBundle:
@@ -149,7 +128,7 @@ def build_prompt(strategy: PromptStrategy, problem: Union[str, "object"]) -> Pro
     statement = problem if isinstance(problem, str) else problem.statement
     if not statement or not statement.strip():
         raise EmptyProblem("problem statement is empty")
-    preamble = TEMPLATES[strategy]
+    preamble = _STRATEGY_TEXT[strategy][1]
     return PromptBundle(
         instruction_text=preamble,
         problem_text=statement,

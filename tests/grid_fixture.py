@@ -18,7 +18,7 @@ entirely on a wrong problem 3.
 
 import json
 
-from hicot.prompts import PromptStrategy, TEMPLATES
+from hicot.prompts import PromptStrategy, template_text
 
 from stub_server import StubReply
 
@@ -50,7 +50,7 @@ for i, (statement, gold) in enumerate(TOY_EXPR_PROBLEMS, start=1):
     _STATEMENT_INDEX[statement] = ("toy_expr", i, gold)
 
 _PREAMBLES = sorted(
-    ((template, strategy) for strategy, template in TEMPLATES.items()),
+    ((template_text(strategy), strategy) for strategy in PromptStrategy),
     key=lambda pair: -len(pair[0]),
 )
 

@@ -181,7 +181,20 @@ _KEYED_FAULTS = {
             },
             f"config.model_overrides.sim-alpha.extra_body.{key}",
         )
-        for key in ("model", "messages", "temperature", "top_p", "max_tokens", "seed")
+        for key in ("model", "messages", *(f.name for f in dataclasses.fields(SamplingParams)))
+    },
+    # A benchmark named as the report's own column or row.
+    **{
+        f"benchmark_{label}": (
+            lambda config, name=name: {
+                **config,
+                "benchmarks": {**config["benchmarks"], name: config["benchmarks"]["toy_int"]},
+            },
+            f"config.benchmarks.{name}",
+        )
+        for label, name in (
+            ("avg", "avg"), ("macro_avg", "macro_avg"), ("macro_avg_marked", "macro_avg†")
+        )
     },
 }
 
@@ -1151,6 +1164,24 @@ class TestScoreAndReport:
         )
         payload = json.loads((out_dir / "table_accuracy.json").read_text())
         assert payload["summaries"] and payload["macro"] and payload["best"]
+
+    def test_report_format_is_a_table_format(self, records_path, tmp_path):
+        out_dir = tmp_path / "report_csv"
+        assert main(["report", records_path, "--format", "csv", "--output-dir", str(out_dir)]) == 0
+        assert (out_dir / "table_accuracy.csv").read_text().startswith("model,strategy,")
+        assert main(["report", records_path, "--format", "xml"]) == EXIT_CONFIG
+
+    def test_benchmark_named_as_a_report_label_is_io_error(self, records_path, tmp_path, capsys):
+        path = tmp_path / "renamed.jsonl"
+        with open(records_path, encoding="utf-8") as lines, open(path, "w") as out:
+            for line in lines:
+                record = json.loads(line)
+                record["benchmark"] = record["benchmark"].replace("toy_int", "avg")
+                out.write(json.dumps(record) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_IO
+        assert "'avg'" in capsys.readouterr().err
+        assert main(["score", str(path)]) == EXIT_OK
 
     def test_corrupt_records_is_io_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -1,6 +1,7 @@
 """Chat client: caching, retries, token accounting, transport."""
 
 import base64
+import dataclasses
 import errno
 import json
 import random
@@ -45,6 +46,15 @@ def _request(model="stub-model", problem=APPLES_PROBLEM, **sampling):
         prompt=build_prompt(PromptStrategy.HICOT, problem),
         sampling=SamplingParams(**sampling),
     )
+
+
+# Each sampling setting, and a value of it other than its default.
+SAMPLING_FIELDS = [field.name for field in dataclasses.fields(SamplingParams)]
+
+
+def _changed(name):
+    default = getattr(SamplingParams(), name)
+    return 7 if default is None else default + 1
 
 
 def _client(stub, tmp_path, **endpoint):
@@ -525,6 +535,22 @@ class TestComplete:
         assert "Authorization" not in received
         assert received["User-Agent"].startswith("hicot-eval/")
 
+    @pytest.mark.parametrize("name", SAMPLING_FIELDS)
+    def test_every_sampling_field_is_sent(self, make_stub, tmp_path, name):
+        seen = []
+
+        def responder(payload):
+            seen.append(payload)
+            return StubReply("ok")
+
+        client = _client(make_stub(responder), tmp_path)
+        client.complete(_request())
+        client.complete(_request(**{name: _changed(name)}))
+        default = getattr(SamplingParams(), name)
+        assert (name in seen[0]) is (default is not None)  # an unset seed is not sent
+        assert seen[0].get(name) == default
+        assert seen[1][name] == _changed(name)
+
     def test_extra_body_passthrough(self, make_stub, tmp_path):
         seen = {}
 
@@ -711,6 +737,39 @@ class TestTransport:
 class TestCacheKey:
     def test_deterministic(self):
         assert _request().cache_key() == _request().cache_key()
+
+    # Every cache on disk is stored under these keys: a change to the key's
+    # material would leave each entry unread.
+    @pytest.mark.parametrize(
+        "request_, key",
+        [
+            (
+                CompletionRequest("m", build_prompt(PromptStrategy.HICOT, "What is 1+1?")),
+                "4b77d294b47e83d83d5518b68684fda5360f27acf53995f4fee848f5ebe69f72",
+            ),
+            (
+                CompletionRequest(
+                    "m",
+                    build_prompt(PromptStrategy.COT, "x"),
+                    SamplingParams(0.7, 0.9, 64, 11),
+                    True,
+                    {"enable_thinking": False},
+                ),
+                "15135f3b7af351de1f2ba43873fae0c8f005c9589b5ebc847153a66a6e55b8e6",
+            ),
+            (
+                CompletionRequest("org/m", build_prompt(PromptStrategy.STANDARD, "é ✓")),
+                "ccc67d70cb40cc36a4ea3654d2f0296cbbbe160254e8d83dfe5db44d54714df7",
+            ),
+        ],
+        ids=["defaults", "every_field_set", "non_ascii"],
+    )
+    def test_key_is_pinned(self, request_, key):
+        assert request_.cache_key() == key
+
+    @pytest.mark.parametrize("name", SAMPLING_FIELDS)
+    def test_every_sampling_field_is_keyed(self, name):
+        assert _request().cache_key() != _request(**{name: _changed(name)}).cache_key()
 
     def test_distinct_inputs_distinct_keys(self):
         base = _request()

@@ -361,13 +361,36 @@ class TestEmitPlotData:
             record(0, benchmark="a", model="m2", **error),
         ]
         text = emit_plot_data(aggregate(records), PlotKind.AVG_TOKENS_BY_BENCHMARK)
+        # Both macros average fewer cells than a full row has, so both are marked.
         assert text.splitlines()[1:] == [
             "m1,hicot,a,300.0",
             "m1,hicot,b,",
-            "m1,hicot,macro_avg,300.0",
+            "m1,hicot,macro_avg†,300.0",
             "m2,hicot,a,",
-            "m2,hicot,macro_avg,",
+            "m2,hicot,macro_avg†,",
         ]
+
+    def test_token_macro_of_a_row_missing_a_benchmark_is_marked(self):
+        # Hi-CoT's macro is its one math500 cell; CoT's averages both benchmarks.
+        summaries = [
+            MetricsSummary("m", strategy, benchmark, 10, accuracy, tokens, 100.0, None, None)
+            for strategy, benchmark, accuracy, tokens in [
+                (PromptStrategy.COT, "aime24", 20.0, 900.0),
+                (PromptStrategy.COT, "math500", 60.0, 300.0),
+                (PromptStrategy.HICOT, "math500", 82.0, 250.0),
+            ]
+        ]
+        text = emit_plot_data(summaries, PlotKind.AVG_TOKENS_BY_BENCHMARK)
+        assert text.splitlines()[1:] == [
+            "m,cot,aime24,900.0",
+            "m,cot,math500,300.0",
+            "m,cot,macro_avg,600.0",
+            "m,hicot,math500,250.0",
+            "m,hicot,macro_avg†,250.0",
+        ]
+        # The Markdown table marks the same row.
+        table = emit_table(summaries, macro_average(summaries), TableFormat.MARKDOWN)
+        assert "| m | Hi-CoT | - | **82.0** | 82.0† |" in table.splitlines()
 
     def test_conditional_columns_empty_when_no_compliant_records(self):
         records = [record(i, correct=False, compliant=False) for i in range(4)]
@@ -434,6 +457,21 @@ def seeded_records():
         )
         for i in range(60)
     ]
+
+
+@pytest.mark.parametrize("name", ["avg", "macro_avg", "macro_avg†"])
+def test_benchmark_named_as_a_report_label_is_refused(name):
+    summaries = [
+        MetricsSummary("m", PromptStrategy.COT, benchmark, 4, 50.0, 10.0, 100.0, 50.0, 10.0)
+        for benchmark in ("toy", name)
+    ]
+    macro = macro_average(summaries)
+    for fmt in TableFormat:
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            emit_table(summaries, macro, fmt)
+    for kind in PlotKind:
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            emit_plot_data(summaries, kind)
 
 
 class TestEndToEndDeterminism:

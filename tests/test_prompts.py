@@ -7,8 +7,6 @@ import pytest
 from hicot.prompts import (
     EmptyProblem,
     PromptStrategy,
-    TABLE_ORDER,
-    TEMPLATES,
     build_prompt,
     template_text,
 )
@@ -20,8 +18,14 @@ TEMPLATES_DIR = Path(__file__).parent / "data" / "templates"
 
 
 def test_exactly_five_strategies():
-    assert len(PromptStrategy) == 5
-    assert set(TABLE_ORDER) == set(PromptStrategy)
+    # Declaration order is the order of the report's rows.
+    assert list(PromptStrategy) == [
+        PromptStrategy.STANDARD,
+        PromptStrategy.COT,
+        PromptStrategy.PLAN_AND_SOLVE,
+        PromptStrategy.HICOT_RELAXED,
+        PromptStrategy.HICOT,
+    ]
 
 
 @pytest.mark.parametrize("strategy", list(PromptStrategy))
@@ -121,4 +125,6 @@ def test_build_prompt_accepts_problem_objects():
 
 
 def test_templates_cover_all_strategies():
-    assert set(TEMPLATES) == set(PromptStrategy)
+    labels = [strategy.label for strategy in PromptStrategy]
+    assert labels == ["Standard", "CoT", "Plan-and-Solve", "Hi-CoT (format-relaxed)", "Hi-CoT"]
+    assert all(template_text(strategy) for strategy in PromptStrategy)
