@@ -152,8 +152,13 @@ def cmd_run(config: RunConfig) -> Path:
     item up in the completion cache, in task order, and hands each miss to a
     pool of ``config.concurrency`` workers, which only send requests: the pool
     alone bounds the requests in flight. Items that share a cache key share
-    its one fetch and its outcome. The main thread then scores the items and
-    appends their records, in task order. A hit is pure Python work, which
+    its one fetch and its outcome. The lookup only checks that a hit's entry
+    exists: the main thread reads it when it makes the item's record, so no
+    completion is held before its turn, and the record line copies the entry's
+    JSON literal of the text. An entry that cannot be read by then is a late
+    miss, fetched through the pool behind the requests already queued, and its
+    key's later items share that fetch. The main thread scores the items and
+    appends their records in task order. A hit is pure Python work, which
     threads would not run in parallel, so it never goes through the pool.
 
     Per-item failures are recorded as incorrect rather than aborting the
@@ -203,8 +208,9 @@ def cmd_run(config: RunConfig) -> Path:
     with client, RecordWriter(config.records_path) as writer:
         pool = ThreadPoolExecutor(max_workers=config.concurrency)
         try:
-            # Per task: its cached completion, the future of its key's one fetch,
-            # or the exception that building its request raised.
+            # Per task: ``(request, key)`` of a hit, read when its record is made,
+            # the future of its key's one fetch, or the exception that building
+            # its request raised.
             outcomes = []
             fetches = {}  # cache key -> the future of its fetch
             for task in tasks:
@@ -214,14 +220,29 @@ def cmd_run(config: RunConfig) -> Path:
                 except Exception as exc:
                     outcomes.append(exc)
                     continue
-                outcome = fetches.get(key) or client.cached(request, key)
+                outcome = fetches.get(key)
                 if outcome is None:
-                    outcome = fetches[key] = pool.submit(fetch, request, key)
+                    if client.has_entry(request, key):
+                        outcome = (request, key)
+                    else:
+                        outcome = fetches[key] = pool.submit(fetch, request, key)
                 outcomes.append(outcome)
-            del fetches  # a future is held by its items' outcomes alone, so each is freed in turn
+            # A future is held by its items' outcomes alone, so each is freed in
+            # turn. From here ``fetches`` holds the late misses.
+            fetches.clear()
 
             for i, task in enumerate(tasks):
                 completion, outcomes[i] = outcomes[i], None  # not held past its record
+                text_json = None
+                if type(completion) is tuple:  # a hit
+                    request, key = completion
+                    completion = fetches.get(key)
+                    if completion is None:
+                        hit = client.cached(request, key)
+                        if hit is None:  # a late miss: the entry cannot be read now
+                            completion = fetches[key] = pool.submit(fetch, request, key)
+                        else:
+                            completion, text_json = hit
                 if isinstance(completion, Future):
                     if not completion.done():  # idle until it is: make the records so far durable
                         writer.sync()
@@ -235,7 +256,7 @@ def cmd_run(config: RunConfig) -> Path:
                         completion = exc
                 record = _evaluate_one(config, completion, *task)
                 tally.add(record)
-                writer.append(record)
+                writer.append(record, None if record.client_error else text_json)
                 done += 1
                 if done % 10 == 0 or done == total:
                     _progress(f"progress: {done}/{total}")

@@ -20,6 +20,7 @@ import threading
 import time
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from json.decoder import scanstring
 from pathlib import Path
 from typing import Mapping, Optional, TYPE_CHECKING
 from urllib.parse import unquote, urlsplit
@@ -45,6 +46,12 @@ _CONTEXT_OVERFLOW_HINTS = ("context_length", "maximum context length", "prompt i
 # A surrogate code point that is not half of a pair, as a server that cuts an
 # emoji's pair at ``max_tokens`` may send; no UTF-8 file can hold it.
 _LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
+# How ``_write_cache`` begins an entry: ``text`` is ``CompletionResult``'s first field.
+_ENTRY_HEAD = '{"text": "'
+# An escape that ``json.dumps(text, ensure_ascii=False)`` may not have written:
+# ``\uXXXX`` (it writes all but control characters raw) or ``\/``. An escaped
+# backslash before ``u`` or ``/`` matches too, which costs only an encode.
+_FOREIGN_ESCAPE = re.compile(r"\\[u/]")
 # The longest ``Endpoint.timeout_s``: a socket refuses a timeout past about 9.2e9 s
 # (2**63 ns), and would fail every request.
 MAX_TIMEOUT_S = 1e9
@@ -193,7 +200,9 @@ class ChatClient:
     Cache layout: ``<cache_dir>/<model_id>/<hex-hash>.json`` (model ids are
     sanitized for the filesystem). The caller decides which requests go out
     and how many at once: the client neither bounds concurrent requests nor
-    merges concurrent fetches of one key.
+    merges concurrent fetches of one key. ``has_entry`` looks a key up without
+    reading it; ``cached`` reads a hit with its text's JSON literal as the
+    entry holds it, so a record line can copy the text without encoding it.
     """
 
     def __init__(self, endpoint: Endpoint, cache_dir: str | Path):
@@ -298,8 +307,9 @@ class ChatClient:
             self._model_dirs[req.model_id] = model_dir
         return os.path.join(model_dir, f"{key}.json")
 
-    def _read_cache(self, path: str) -> Optional[CompletionResult]:
-        """The cached result, or None on a miss.
+    def _read_cache(self, path: str) -> Optional[tuple]:
+        """``(result, text_json)`` of the cached result, or None on a miss.
+        ``text_json`` is the JSON literal of its text (see ``_parse_entry``), or None.
 
         An entry that is not UTF-8 JSON (one with a byte-order mark, say) or not a
         ``CompletionResult`` (a missing key, a wrongly typed value such as an
@@ -308,11 +318,11 @@ class ChatClient:
         """
         try:
             with open(path, "rb") as fh:
-                data = parse_json(fh.read().decode("utf-8"))
+                data, text_json = _parse_entry(fh.read().decode("utf-8"))
             entry = from_json_dict(CompletionResult, data, "cache entry")
         except (FileNotFoundError, ValueError):  # ValueError: not UTF-8, not JSON, a JsonMismatch
             return None
-        return replace(entry, from_cache=True)
+        return replace(entry, from_cache=True), text_json
 
     def _write_cache(self, path: str, result: CompletionResult) -> None:
         path = Path(path)
@@ -328,12 +338,19 @@ class ChatClient:
     def complete(self, req: CompletionRequest) -> CompletionResult:
         """Return the completion for ``req``, from cache when available."""
         key = req.cache_key()
-        cached = self.cached(req, key)
-        return cached if cached is not None else self.fetch(req, key)
+        hit = self.cached(req, key)
+        return hit[0] if hit is not None else self.fetch(req, key)
 
-    def cached(self, req: CompletionRequest, key: str) -> Optional[CompletionResult]:
-        """The cached completion for ``req``, whose cache key is ``key``, or None on
-        a miss; sends no request."""
+    def has_entry(self, req: CompletionRequest, key: str) -> bool:
+        """Whether the cache holds a file for ``req`` under ``key``, which is not read:
+        ``cached`` may still find it unreadable, a miss."""
+        return os.path.isfile(self._cache_path(req, key))
+
+    def cached(self, req: CompletionRequest, key: str) -> Optional[tuple]:
+        """``(result, text_json)`` of the cached completion for ``req``, whose cache
+        key is ``key``, or None on a miss; sends no request. ``text_json`` is
+        ``json.dumps(result.text, ensure_ascii=False)`` as the entry holds it, or
+        None where the entry's literal is spelled otherwise."""
         return self._read_cache(self._cache_path(req, key))
 
     def fetch(self, req: CompletionRequest, key: str) -> CompletionResult:
@@ -413,6 +430,30 @@ class ChatClient:
         return CompletionResult(
             text, approximate_tokens(text), TokenSource.APPROXIMATE, latency_ms
         )
+
+
+def _parse_entry(raw: str) -> tuple:
+    """``(data, text_json)`` of the cache entry ``raw``: the entry as a dict, and its
+    ``"text"`` literal, sliced from ``raw``, where that is byte for byte what
+    ``json.dumps(text, ensure_ascii=False)`` writes, else None.
+
+    An entry laid out as ``_write_cache`` writes it, ``{"text": "`` then the string
+    then ``, ``, has its text decoded once, by the strict ``scanstring`` that
+    ``json.loads`` uses, and the rest parsed as an object on its own. Any other
+    entry, and one whose rest repeats ``"text"`` (JSON keeps the last value), is
+    parsed whole. A strict string holds no raw control character, so a literal
+    without ``\\u`` or ``\\/`` is spelled as ``json.dumps`` spells it.
+    """
+    if raw.startswith(_ENTRY_HEAD):
+        start = len(_ENTRY_HEAD) - 1  # the opening quote
+        text, end = scanstring(raw, start + 1, True)
+        if raw.startswith(", ", end):
+            data = parse_json("{" + raw[end + 2:])
+            if "text" not in data:
+                data["text"] = text
+                literal = raw[start:end]
+                return data, None if _FOREIGN_ESCAPE.search(literal) else literal
+    return parse_json(raw), None
 
 
 def _retry_after_s(value: Optional[str]) -> Optional[float]:

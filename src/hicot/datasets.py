@@ -206,8 +206,20 @@ def now_timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
-def _record_line(record: EvalRecord) -> str:
-    return json.dumps(to_json_dict(record), ensure_ascii=False, sort_keys=True)
+# The ``completion_text`` member of a record line whose text is empty. It occurs
+# once in the line: a quote inside a string value is always escaped.
+_EMPTY_TEXT = '"completion_text": ""'
+
+
+def _record_line(record: EvalRecord, text_json: Optional[str] = None) -> str:
+    """The JSON line of ``record``. ``text_json``, when given, is spliced in as the
+    literal of its ``completion_text``, which is then not encoded again."""
+    data = to_json_dict(record)
+    if text_json is None:
+        return json.dumps(data, ensure_ascii=False, sort_keys=True)
+    data["completion_text"] = ""
+    head, _, tail = json.dumps(data, ensure_ascii=False, sort_keys=True).partition(_EMPTY_TEXT)
+    return f'{head}"completion_text": {text_json}{tail}'
 
 
 def write_records(records: Iterable[EvalRecord], path: str | Path) -> None:
@@ -279,8 +291,11 @@ class RecordWriter:
         self._unsynced = False
         self._fh = open(self.path, "a", encoding="utf-8")
 
-    def append(self, record: EvalRecord) -> None:
-        self._fh.write(_record_line(record) + "\n")
+    def append(self, record: EvalRecord, text_json: Optional[str] = None) -> None:
+        """Write ``record`` as one line. ``text_json``, when given, must be
+        ``json.dumps(record.completion_text, ensure_ascii=False)``, as a cache entry
+        holds it: the line copies it, so the text is not encoded again."""
+        self._fh.write(_record_line(record, text_json) + "\n")
         self._fh.flush()
         self._unsynced = True
 

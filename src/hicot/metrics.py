@@ -30,10 +30,16 @@ if TYPE_CHECKING:
 
 # Marks a macro average over fewer benchmarks or cells than a full row has.
 PARTIAL_MARK = "†"
-# The report's own column and row names, which no benchmark may take.
+# The report's own column and row names, which no benchmark may take: the CSV
+# table's header names around its benchmark columns, the average column and the
+# macro row. A benchmark named as a header would give ``csv.DictReader`` two
+# columns of one name.
+MODEL_COLUMN, STRATEGY_COLUMN, BEST_COLUMN = "model", "strategy", "best"
 AVG_COLUMN = "avg"
 MACRO_ROW = "macro_avg"
-RESERVED_BENCHMARKS = frozenset({AVG_COLUMN, MACRO_ROW, MACRO_ROW + PARTIAL_MARK})
+RESERVED_BENCHMARKS = frozenset(
+    {MODEL_COLUMN, STRATEGY_COLUMN, BEST_COLUMN, AVG_COLUMN, MACRO_ROW, MACRO_ROW + PARTIAL_MARK}
+)
 _STRATEGY_ORDER = tuple(PromptStrategy)  # a tuple's index beats a dict: Enum hashes in Python
 
 
@@ -291,7 +297,7 @@ def emit_table(
         return "\n".join(lines) + "\n"
 
     if format is TableFormat.CSV:
-        table = [["model", "strategy"] + columns + ["best"]]
+        table = [[MODEL_COLUMN, STRATEGY_COLUMN] + columns + [BEST_COLUMN]]
         for model, strategy, values, best in rows:
             table.append([model, strategy.value] + values + [";".join(best)])
         return _csv_text(table)

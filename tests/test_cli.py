@@ -193,7 +193,8 @@ _KEYED_FAULTS = {
             f"config.benchmarks.{name}",
         )
         for label, name in (
-            ("avg", "avg"), ("macro_avg", "macro_avg"), ("macro_avg_marked", "macro_avg†")
+            ("avg", "avg"), ("macro_avg", "macro_avg"), ("macro_avg_marked", "macro_avg†"),
+            ("model", "model"), ("strategy", "strategy"), ("best", "best"),
         )
     },
 }
@@ -829,6 +830,9 @@ class TestRunCommand:
         failed = [r for r in records if r.client_error]
         assert [r.client_error for r in failed] == ["RuntimeError: judge bug"]
         assert failed[0].problem_id == fault_free[0].problem_id
+        # A cache hit here: its record holds the empty text it was scored as,
+        # not the entry's literal.
+        assert failed[0].completion_text == ""
         assert failed[0].format_report == validate_format(scan_blocks(""))
         assert not failed[0].judgment.correct and not failed[0].compliant
         strip = lambda r: {**to_json_dict(r), "timestamp": ""}
@@ -939,7 +943,7 @@ class TestRunCommand:
         stub = make_stub(gated)
         config = load_run_config(write_config(tmp_path, stub.base_url, concurrency=2))
 
-        def interrupted(self, record):
+        def interrupted(self, record, text_json=None):
             interrupting.set()
             raise KeyboardInterrupt
 
@@ -952,18 +956,89 @@ class TestRunCommand:
     def test_warm_rerun_fetches_nothing_and_keeps_the_order(
         self, tmp_path, make_stub, monkeypatch
     ):
-        stub = make_stub(grid_responder)
+        # One model's completions end in text whose JSON literal the warm run
+        # copies; the other's literals hold a ``\u`` (ESC, and ``\underline``'s
+        # escaped backslash), so the warm run encodes their text again.
+        suffixes = {"sim-alpha": ' é / \u2028 😀 "q" \\ \t', "sim-beta": " \\underline{x} \x1b"}
+
+        def responder(payload):
+            reply = grid_responder(payload)
+            return dataclasses.replace(reply, content=reply.content + suffixes[payload["model"]])
+
+        stub = make_stub(responder)
         config = load_run_config(write_config(tmp_path, stub.base_url, concurrency=2))
-        cold = read_records(cmd_run(config))
-        assert [record.key() for record in cold] == _task_keys(config)
+        cold_path = cmd_run(config)
+        assert [record.key() for record in read_records(cold_path)] == _task_keys(config)
 
         def fetch(self, request, key):
             raise AssertionError("a warm run fetched")
 
         monkeypatch.setattr(ChatClient, "fetch", fetch)
+        warm_path = cmd_run(dataclasses.replace(config, output_dir=tmp_path / "warm"))
+        mask = lambda path: re.sub(rb'"timestamp": "[^"]*"', b"", path.read_bytes())
+        assert mask(warm_path) == mask(cold_path)
+
+    @pytest.mark.parametrize("answered", [True, False], ids=["answered", "failed"])
+    @pytest.mark.parametrize("spoil", ["null_text", "byte_order_mark", "deleted"])
+    def test_entry_unreadable_when_scored_is_one_late_fetch_through_the_pool(
+        self, tmp_path, make_stub, monkeypatch, spoil, answered
+    ):
+        failing = set()  # prompts the stub answers with HTTP 503
+
+        def responder(payload):
+            if payload["messages"][-1]["content"] in failing:
+                return StubReply(status=503)
+            return grid_responder(payload)
+
+        stub = make_stub(responder, delay_s=0.01)
+        config = dataclasses.replace(_shared_key_config(tmp_path, stub.base_url), concurrency=1)
+        cold = read_records(cmd_run(config))
+        client = ChatClient(config.endpoint, config.cache_dir)
+        path, spec = config.benchmarks["toy_int"]
+        requests = [  # one per toy_int problem, whose copy in toy_copy shares its key
+            cli._request(config, "sim-alpha", PromptStrategy.COT, problem)
+            for problem in load_dataset(path, "toy_int", spec.field_map, spec.kind)
+        ]
+        late, gone = (Path(client._cache_path(r, r.cache_key())) for r in requests[::2])
+        written = json.loads(late.read_text(encoding="utf-8"))
+        gone.unlink()  # a miss at lookup, queued first: the late fetch waits behind it
+        if spoil == "null_text":
+            late.write_text(json.dumps({**written, "text": None}), encoding="utf-8")
+        elif spoil == "byte_order_mark":
+            late.write_bytes(b"\xef\xbb\xbf" + late.read_bytes())
+        else:  # deleted after the lookup found it, before the first read
+            cached = ChatClient.cached
+
+            def deleting(self, request, key):
+                late.unlink(missing_ok=True)
+                monkeypatch.setattr(ChatClient, "cached", cached)
+                return cached(self, request, key)
+
+            monkeypatch.setattr(ChatClient, "cached", deleting)
+        if not answered:
+            failing.add(requests[0].prompt.rendered)
+
+        stub.reset_counters()
         warm = read_records(cmd_run(dataclasses.replace(config, output_dir=tmp_path / "warm")))
+        # Each key is fetched once for its two items: the miss, then the late one.
+        late_attempts = 1 if answered else config.endpoint.max_attempts
+        assert stub.total_requests == 1 + late_attempts
+        assert stub.high_water <= config.concurrency
         strip = lambda r: {**to_json_dict(r), "timestamp": ""}
-        assert list(map(strip, warm)) == list(map(strip, cold))
+        if answered:
+            assert list(map(strip, warm)) == list(map(strip, cold))
+            rewritten = json.loads(late.read_text(encoding="utf-8"))  # UTF-8 JSON, no mark
+            assert {**rewritten, "latency_ms": 0} == {**written, "latency_ms": 0}
+        else:
+            failed = [record for record in warm if record.client_error]
+            assert [(r.benchmark, r.problem_id) for r in failed] == [
+                ("toy_int", "1"), ("toy_copy", "1")
+            ]
+            assert "HTTP 503" in failed[0].client_error
+            assert failed[0].client_error == failed[1].client_error
+            assert [strip(r) for r in warm if not r.client_error] == [
+                strip(r) for r in cold if r.problem_id != "1"
+            ]
 
     def test_half_cached_grid_fetches_each_miss_once_in_task_order(self, tmp_path, make_stub):
         stub = make_stub(grid_responder)
@@ -1094,10 +1169,10 @@ class TestRunCommand:
         append = RecordWriter.append
         appended = []
 
-        def interrupted(self, record):
+        def interrupted(self, record, text_json=None):
             if len(appended) == 5:
                 raise KeyboardInterrupt
-            append(self, record)
+            append(self, record, text_json)
             appended.append(record)
 
         monkeypatch.setattr(RecordWriter, "append", interrupted)
@@ -1172,16 +1247,19 @@ class TestScoreAndReport:
         assert main(["report", records_path, "--format", "xml"]) == EXIT_CONFIG
 
     def test_benchmark_named_as_a_report_label_is_io_error(self, records_path, tmp_path, capsys):
-        path = tmp_path / "renamed.jsonl"
-        with open(records_path, encoding="utf-8") as lines, open(path, "w") as out:
-            for line in lines:
-                record = json.loads(line)
-                record["benchmark"] = record["benchmark"].replace("toy_int", "avg")
-                out.write(json.dumps(record) + "\n")
-        capsys.readouterr()
-        assert main(["report", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_IO
-        assert "'avg'" in capsys.readouterr().err
-        assert main(["score", str(path)]) == EXIT_OK
+        # The average column, and the CSV header names, which ``csv.DictReader``
+        # would read in place of the benchmark's column.
+        for name in ("avg", "model", "strategy", "best"):
+            path = tmp_path / f"{name}.jsonl"
+            with open(records_path, encoding="utf-8") as lines, open(path, "w") as out:
+                for line in lines:
+                    record = json.loads(line)
+                    record["benchmark"] = record["benchmark"].replace("toy_int", name)
+                    out.write(json.dumps(record) + "\n")
+            capsys.readouterr()
+            assert main(["report", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_IO
+            assert f"benchmark {name!r} is reserved" in capsys.readouterr().err
+            assert main(["score", str(path)]) == EXIT_OK
 
     def test_corrupt_records_is_io_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"

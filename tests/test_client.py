@@ -410,7 +410,7 @@ class TestComplete:
         path = tmp_path / "cache" / "stub-model" / f"{request.cache_key()}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(entry), encoding="utf-8")
-        assert client.cached(request, request.cache_key()).text == "cached"
+        assert client.cached(request, request.cache_key())[0].text == "cached"
         path.write_text(json.dumps(spoiled), encoding="utf-8")
         assert client.cached(request, request.cache_key()) is None
 
@@ -422,8 +422,9 @@ class TestComplete:
         client._write_cache(client._cache_path(request, key), result)
         path = tmp_path / "cache" / "stub-model" / f"{key}.json"
         assert path.read_bytes() == _ENTRY.encode("utf-8")
-        assert client.cached(request, key) == CompletionResult(
-            result.text, 5, TokenSource.API_USAGE, 12, from_cache=True
+        assert client.cached(request, key) == (
+            CompletionResult(result.text, 5, TokenSource.API_USAGE, 12, from_cache=True),
+            json.dumps(result.text, ensure_ascii=False),
         )
 
     def test_entry_without_from_cache_key_is_a_hit(self, make_stub, tmp_path):
@@ -449,8 +450,8 @@ class TestComplete:
         assert client.cached(request, key) is None
         assert stub.total_requests == 0
         assert client.fetch(request, key).text == "fetched"
-        hit = client.cached(request, key)
-        assert (hit.text, hit.from_cache) == ("fetched", True)
+        hit, text_json = client.cached(request, key)
+        assert (hit.text, hit.from_cache, text_json) == ("fetched", True, '"fetched"')
         assert stub.total_requests == 1
 
     def test_failed_cache_write_leaves_no_temp_file(self, make_stub, tmp_path, monkeypatch):
@@ -806,7 +807,7 @@ class TestCacheKey:
         assert json.loads(entry.read_text())["text"] == "ok"
         assert [path.name for path in (tmp_path / "cache").iterdir()] == [entry.parent.name]
         assert sorted(path.name for path in tmp_path.iterdir()) == ["cache"]
-        assert client.cached(request, request.cache_key()).from_cache
+        assert client.cached(request, request.cache_key())[0].from_cache
 
 
 class TestConcurrency:

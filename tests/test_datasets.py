@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hicot.cli import EXIT_IO, main
-from hicot.client import CompletionResult, Endpoint, SamplingParams, TokenSource
-from hicot.codec import JsonMismatch, from_json_dict, to_json_dict
+from hicot.client import ChatClient, CompletionResult, Endpoint, SamplingParams, TokenSource
+from hicot.codec import JsonMismatch, from_json_dict, parse_json, to_json_dict
 from hicot.config import BenchmarkEntry, ModelOverride, RunConfig
 from hicot.datasets import (
     EvalRecord,
@@ -599,6 +599,91 @@ class TestGroupCommit:
                 writer.append(make_record(0))
                 raise KeyboardInterrupt
         assert fsync_sizes == [path.stat().st_size] and len(read_records(path)) == 1
+
+
+# Text weighted to what a JSON string literal must escape or may spell in more
+# than one way: a backslash, a quote, a slash and ``u``, control characters,
+# non-ASCII, U+2028 and astral characters.
+_literal_texts = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('\\"/u'),
+        st.characters(max_codepoint=0x1F),
+        st.characters(min_codepoint=0x7F, max_codepoint=0xFFFF, exclude_categories=("Cs",)),
+        st.just("\u2028"),
+        st.characters(min_codepoint=0x10000),
+    ),
+    max_size=40,
+)
+
+
+def _other_spellings(entry: dict) -> dict:
+    """Cache entries holding ``entry``'s values, spelled as ``_write_cache`` does not."""
+    written = json.dumps(entry, ensure_ascii=False)
+    ascii_only = json.dumps(entry)
+    return {
+        "ensure_ascii": ascii_only,
+        "escaped_slash": written.replace("/", "\\/"),
+        "uppercase_hex": re.sub(
+            r"\\u[0-9a-f]{4}", lambda m: "\\u" + m[0][2:].upper(), ascii_only
+        ),
+        "keys_reordered": json.dumps(dict(reversed(entry.items())), ensure_ascii=False),
+        "repeated_text_first": '{"text": "decoy", ' + written[1:],
+        "repeated_text_last": written[:-1] + ', "text": "last"}',
+        "extra_whitespace": json.dumps(entry, ensure_ascii=False, separators=(" ,  ", " :  ")),
+        "spaced_members": json.dumps(entry, ensure_ascii=False, separators=(",  ", ": ")),
+    }
+
+
+class TestCacheHitLine:
+    """A cache hit's text, and the record line that copies its JSON literal."""
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(text=_literal_texts, record=_records)
+    def test_hit_reads_as_parsed_and_its_line_as_encoded(self, tmp_path, text, record):
+        client = ChatClient(Endpoint("http://127.0.0.1:1"), tmp_path / "cache")
+        entry_path = tmp_path / "entry.json"
+        result = CompletionResult(text, 5, TokenSource.API_USAGE, 12)
+        client._write_cache(entry_path, result)
+        entries = {
+            "written": entry_path.read_text(encoding="utf-8"),
+            **_other_spellings(to_json_dict(result)),
+        }
+        records, literals = [], {}
+        for name, raw in entries.items():
+            entry_path.write_text(raw, encoding="utf-8")
+            hit, literals[name] = client._read_cache(entry_path)
+            assert hit.text == parse_json(raw)["text"], name
+            if literals[name] is not None:
+                assert literals[name] == json.dumps(hit.text, ensure_ascii=False), name
+            records.append(dataclasses.replace(record, completion_text=hit.text))
+
+        # As written, only a literal holding ``\\u`` or ``\\/`` is encoded again.
+        written = json.dumps(text, ensure_ascii=False)
+        assert (literals["written"] is None) == bool(re.search(r"\\[u/]", written))
+        out = tmp_path / "records.jsonl"
+        out.unlink(missing_ok=True)
+        with RecordWriter(out) as writer:
+            for line_record, text_json in zip(records, literals.values()):
+                writer.append(line_record, text_json)
+        assert out.read_text(encoding="utf-8") == "".join(
+            json.dumps(to_json_dict(r), ensure_ascii=False, sort_keys=True) + "\n" for r in records
+        )
+
+    def test_line_copies_the_literal_past_a_lookalike_member(self, tmp_path):
+        lookalike = '"completion_text": ""'
+        record = make_record(
+            0,
+            problem_id=lookalike,
+            completion_text='say "hi"\n',
+            judgment=Judgment(lookalike, lookalike, False, JudgeReason.MISMATCH),
+        )
+        out = tmp_path / "records.jsonl"
+        with RecordWriter(out) as writer:
+            writer.append(record, json.dumps(record.completion_text, ensure_ascii=False))
+        line = json.dumps(to_json_dict(record), ensure_ascii=False, sort_keys=True)
+        assert out.read_text(encoding="utf-8") == line + "\n"
 
 
 _entries = st.builds(

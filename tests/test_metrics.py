@@ -459,7 +459,7 @@ def seeded_records():
     ]
 
 
-@pytest.mark.parametrize("name", ["avg", "macro_avg", "macro_avg†"])
+@pytest.mark.parametrize("name", ["avg", "macro_avg", "macro_avg†", "model", "strategy", "best"])
 def test_benchmark_named_as_a_report_label_is_refused(name):
     summaries = [
         MetricsSummary("m", PromptStrategy.COT, benchmark, 4, 50.0, 10.0, 100.0, 50.0, 10.0)
