@@ -148,18 +148,14 @@ def cmd_run(config: RunConfig) -> Path:
     interrupted run picks up where it stopped. They are folded into a
     ``Tally``, as is each new record when it is appended, so the run keeps
     keys and per-cell counts, not records; a key the records file repeats
-    raises DuplicateKey before any request is sent. The main thread looks every
-    item up in the completion cache, in task order, and hands each miss to a
-    pool of ``config.concurrency`` workers, which only send requests: the pool
-    alone bounds the requests in flight. Items that share a cache key share
-    its one fetch and its outcome. The lookup only checks that a hit's entry
-    exists: the main thread reads it when it makes the item's record, so no
-    completion is held before its turn, and the record line copies the entry's
-    JSON literal of the text. An entry that cannot be read by then is a late
-    miss, fetched through the pool behind the requests already queued, and its
-    key's later items share that fetch. The main thread scores the items and
-    appends their records in task order. A hit is pure Python work, which
-    threads would not run in parallel, so it never goes through the pool.
+    raises DuplicateKey before any request is sent. The main thread builds
+    each item's request in task order and hands one fetch per cache key with
+    no entry to a pool of ``config.concurrency`` workers, which only send
+    requests: the pool alone bounds the requests in flight. It then makes the
+    records in task order, each from its key's fetch, else from its key's entry,
+    read then (a hit is pure Python work, so it is never pooled), else from a
+    late fetch. A key's later items read the entry its fetch wrote, or share
+    its failure. A record line copies the text's JSON literal from either.
 
     Per-item failures are recorded as incorrect rather than aborting the
     grid; a cache that cannot be read or written aborts it with the
@@ -195,7 +191,7 @@ def cmd_run(config: RunConfig) -> Path:
 
     ending = threading.Event()  # set once the grid ends: a fetch not yet started sends nothing
 
-    def fetch(request: CompletionRequest, key: str) -> CompletionResult:
+    def fetch(request: CompletionRequest, key: str) -> tuple:
         if ending.is_set():
             raise CancelledError  # the loop below skips it, then raises the failure at its item
         try:
@@ -208,52 +204,46 @@ def cmd_run(config: RunConfig) -> Path:
     with client, RecordWriter(config.records_path) as writer:
         pool = ThreadPoolExecutor(max_workers=config.concurrency)
         try:
-            # Per task: ``(request, key)`` of a hit, read when its record is made,
-            # the future of its key's one fetch, or the exception that building
-            # its request raised.
-            outcomes = []
-            fetches = {}  # cache key -> the future of its fetch
+            # Per task: ``(request, key)``, or the exception that building its request raised.
+            lookups = []
+            fetches = {}  # cache key -> its pending fetch until taken, then its failure
             for task in tasks:
                 try:
                     request = _request(config, *task)
                     key = request.cache_key()
                 except Exception as exc:
-                    outcomes.append(exc)
+                    lookups.append(exc)
                     continue
-                outcome = fetches.get(key)
-                if outcome is None:
-                    if client.has_entry(request, key):
-                        outcome = (request, key)
-                    else:
-                        outcome = fetches[key] = pool.submit(fetch, request, key)
-                outcomes.append(outcome)
-            # A future is held by its items' outcomes alone, so each is freed in
-            # turn. From here ``fetches`` holds the late misses.
-            fetches.clear()
+                if key not in fetches and not client.has_entry(request, key):
+                    fetches[key] = pool.submit(fetch, request, key)
+                lookups.append((request, key))
 
             for i, task in enumerate(tasks):
-                completion, outcomes[i] = outcomes[i], None  # not held past its record
-                text_json = None
-                if type(completion) is tuple:  # a hit
+                completion, lookups[i] = lookups[i], None  # not held past its record
+                if type(completion) is tuple:
                     request, key = completion
-                    completion = fetches.get(key)
-                    if completion is None:
-                        hit = client.cached(request, key)
-                        if hit is None:  # a late miss: the entry cannot be read now
-                            completion = fetches[key] = pool.submit(fetch, request, key)
-                        else:
-                            completion, text_json = hit
-                if isinstance(completion, Future):
-                    if not completion.done():  # idle until it is: make the records so far durable
-                        writer.sync()
-                    try:
-                        completion = completion.result()
-                    except CancelledError:  # not sent: a later item's fetch ended the grid
-                        continue
-                    except OSError:
-                        raise
-                    except Exception as exc:
-                        completion = exc
+                    # Its key's pending fetch or failure, else its entry, else a late
+                    # miss: the entry existed at lookup but cannot be read now.
+                    completion = (
+                        fetches.pop(key, None)
+                        or client.cached(request, key)
+                        or pool.submit(fetch, request, key)
+                    )
+                    if isinstance(completion, Future):
+                        if not completion.done():  # idle until it is: make the records durable
+                            writer.sync()
+                        try:
+                            completion = completion.result()
+                        except CancelledError:  # not sent: a later item's fetch ended the grid
+                            continue
+                        except OSError:
+                            raise
+                        except Exception as exc:
+                            completion = exc
+                    if isinstance(completion, Exception):
+                        fetches[key] = completion  # the key's later items share it
+                    else:
+                        completion, text_json = completion
                 record = _evaluate_one(config, completion, *task)
                 tally.add(record)
                 writer.append(record, None if record.client_error else text_json)

@@ -18,7 +18,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from json.decoder import scanstring
 from pathlib import Path
@@ -46,8 +46,8 @@ _CONTEXT_OVERFLOW_HINTS = ("context_length", "maximum context length", "prompt i
 # A surrogate code point that is not half of a pair, as a server that cuts an
 # emoji's pair at ``max_tokens`` may send; no UTF-8 file can hold it.
 _LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
-# How ``_write_cache`` begins an entry: ``text`` is ``CompletionResult``'s first field.
-_ENTRY_HEAD = '{"text": "'
+# How ``_write_cache`` begins an entry: its text's JSON literal comes first.
+_ENTRY_HEAD = '{"text": '
 # An escape that ``json.dumps(text, ensure_ascii=False)`` may not have written:
 # ``\uXXXX`` (it writes all but control characters raw) or ``\/``. An escaped
 # backslash before ``u`` or ``/`` matches too, which costs only an encode.
@@ -319,27 +319,33 @@ class ChatClient:
         try:
             with open(path, "rb") as fh:
                 data, text_json = _parse_entry(fh.read().decode("utf-8"))
-            entry = from_json_dict(CompletionResult, data, "cache entry")
+            if isinstance(data, dict) and type(data.get("from_cache", False)) is bool:
+                data["from_cache"] = True  # a stored flag of another type is refused below
+            return from_json_dict(CompletionResult, data, "cache entry"), text_json
         except (FileNotFoundError, ValueError):  # ValueError: not UTF-8, not JSON, a JsonMismatch
             return None
-        return replace(entry, from_cache=True), text_json
 
-    def _write_cache(self, path: str, result: CompletionResult) -> None:
+    def _write_cache(self, path: str, result: CompletionResult) -> str:
+        """Write ``result`` as the entry at ``path`` and return its text's JSON literal,
+        which the entry holds first, where ``_parse_entry`` looks for it."""
+        data = to_json_dict(result)
+        text_json = json.dumps(data.pop("text"), ensure_ascii=False)
+        entry = f"{_ENTRY_HEAD}{text_json}, {json.dumps(data, ensure_ascii=False)[1:]}"
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
-            tmp.write_text(json.dumps(to_json_dict(result), ensure_ascii=False), encoding="utf-8")
+            tmp.write_text(entry, encoding="utf-8")
             os.replace(tmp, path)
         except BaseException:  # a full disk, say: leave no temp file behind
             tmp.unlink(missing_ok=True)
             raise
+        return text_json
 
     def complete(self, req: CompletionRequest) -> CompletionResult:
         """Return the completion for ``req``, from cache when available."""
         key = req.cache_key()
-        hit = self.cached(req, key)
-        return hit[0] if hit is not None else self.fetch(req, key)
+        return (self.cached(req, key) or self.fetch(req, key))[0]
 
     def has_entry(self, req: CompletionRequest, key: str) -> bool:
         """Whether the cache holds a file for ``req`` under ``key``, which is not read:
@@ -353,12 +359,12 @@ class ChatClient:
         None where the entry's literal is spelled otherwise."""
         return self._read_cache(self._cache_path(req, key))
 
-    def fetch(self, req: CompletionRequest, key: str) -> CompletionResult:
-        """The completion for ``req`` from the endpoint, written to the cache under
-        ``key``; the cache is not read."""
+    def fetch(self, req: CompletionRequest, key: str) -> tuple:
+        """``(result, text_json)``, as ``cached`` returns them, of the completion for
+        ``req`` from the endpoint, which is written to the cache under ``key``; the
+        cache is not read. ``text_json`` is the literal the entry holds."""
         result = self._complete_uncached(req)
-        self._write_cache(self._cache_path(req, key), result)
-        return result
+        return result, self._write_cache(self._cache_path(req, key), result)
 
     def _complete_uncached(self, req: CompletionRequest) -> CompletionResult:
         import http.client
@@ -444,8 +450,8 @@ def _parse_entry(raw: str) -> tuple:
     parsed whole. A strict string holds no raw control character, so a literal
     without ``\\u`` or ``\\/`` is spelled as ``json.dumps`` spells it.
     """
-    if raw.startswith(_ENTRY_HEAD):
-        start = len(_ENTRY_HEAD) - 1  # the opening quote
+    start = len(_ENTRY_HEAD)  # the opening quote of the text
+    if raw.startswith(_ENTRY_HEAD) and raw.startswith('"', start):
         text, end = scanstring(raw, start + 1, True)
         if raw.startswith(", ", end):
             data = parse_json("{" + raw[end + 2:])

@@ -203,7 +203,8 @@ def record_key(problem_id: str, benchmark: str, model_id: str, strategy: PromptS
 def now_timestamp() -> str:
     """The current UTC time as ISO 8601 to the second, as
     ``datetime.now(timezone.utc).isoformat(timespec="seconds")`` writes it."""
-    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+    # ``time.time()``, not ``gmtime()``'s own coarser clock, which can lag ``datetime.now``.
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(time.time()))
 
 
 # The ``completion_text`` member of a record line whose text is empty. It occurs
@@ -212,13 +213,14 @@ _EMPTY_TEXT = '"completion_text": ""'
 
 
 def _record_line(record: EvalRecord, text_json: Optional[str] = None) -> str:
-    """The JSON line of ``record``. ``text_json``, when given, is spliced in as the
-    literal of its ``completion_text``, which is then not encoded again."""
+    """The JSON line of ``record``, encoded with an empty ``completion_text`` into
+    which the text's JSON literal ``text_json`` is spliced; when it is None, the
+    text is encoded here."""
     data = to_json_dict(record)
-    if text_json is None:
-        return json.dumps(data, ensure_ascii=False, sort_keys=True)
     data["completion_text"] = ""
     head, _, tail = json.dumps(data, ensure_ascii=False, sort_keys=True).partition(_EMPTY_TEXT)
+    if text_json is None:
+        text_json = json.dumps(record.completion_text, ensure_ascii=False)
     return f'{head}"completion_text": {text_json}{tail}'
 
 
@@ -293,8 +295,8 @@ class RecordWriter:
 
     def append(self, record: EvalRecord, text_json: Optional[str] = None) -> None:
         """Write ``record`` as one line. ``text_json``, when given, must be
-        ``json.dumps(record.completion_text, ensure_ascii=False)``, as a cache entry
-        holds it: the line copies it, so the text is not encoded again."""
+        ``json.dumps(record.completion_text, ensure_ascii=False)``, which the line
+        copies, as ``ChatClient.cached`` and ``fetch`` return it."""
         self._fh.write(_record_line(record, text_json) + "\n")
         self._fh.flush()
         self._unsynced = True

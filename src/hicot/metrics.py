@@ -334,15 +334,15 @@ def emit_plot_data(summaries: Sequence[MetricsSummary], kind: PlotKind) -> str:
     cells = sorted(summaries, key=cell_order)
 
     if kind is PlotKind.AVG_TOKENS_BY_BENCHMARK:
-        partial = {(m.model_id, m.strategy) for m in macro_average(cells) if m.missing}
-        rows = [["model", "strategy", "benchmark", "avg_completion_tokens"]]
+        benchmark_count = len({cell.benchmark for cell in cells})
+        rows = [[MODEL_COLUMN, STRATEGY_COLUMN, "benchmark", "avg_completion_tokens"]]
         for (model, strategy), group in groupby(cells, key=_row):
             row = [model, strategy.value]
             means = {cell.benchmark: cell.avg_completion_tokens for cell in group}
             rows += [row + [benchmark, mean] for benchmark, mean in means.items()]
             present = [mean for mean in means.values() if mean is not None]
             macro = sum(present) / len(present) if present else None
-            full = len(present) == len(means) and (model, strategy) not in partial
+            full = len(present) == benchmark_count  # a token mean for every benchmark
             rows.append(row + [MACRO_ROW if full else MACRO_ROW + PARTIAL_MARK, macro])
         return _csv_text(rows)
 
@@ -352,6 +352,6 @@ def emit_plot_data(summaries: Sequence[MetricsSummary], kind: PlotKind) -> str:
         "conditional_avg_tokens", "compliance_rate",
     )
     values = attrgetter(*fields)
-    rows = [["model", "strategy", "benchmark", *fields]]
+    rows = [[MODEL_COLUMN, STRATEGY_COLUMN, "benchmark", *fields]]
     rows += [[c.model_id, c.strategy.value, c.benchmark, *values(c)] for c in cells]
     return _csv_text(rows)

@@ -877,7 +877,7 @@ class TestRunCommand:
             if (request.model_id, request.prompt.rendered) != ("sim-alpha", first_prompt):
                 raise OSError(errno.ENOSPC, "No space left on device")
             time.sleep(0.05)
-            return CompletionResult("\\boxed{42}", 3, TokenSource.API_USAGE, 0)
+            return CompletionResult("\\boxed{42}", 3, TokenSource.API_USAGE, 0), None
 
         monkeypatch.setattr(ChatClient, "fetch", fetch)
         with pytest.raises(OSError, match="No space left"):
@@ -916,7 +916,7 @@ class TestRunCommand:
             fetched.append(request.prompt.problem_text)
             if len(fetched) == 2:
                 raise OSError(errno.ENOSPC, "No space left on device")
-            return CompletionResult("\\boxed{42}", 3, TokenSource.API_USAGE, 0)
+            return CompletionResult("\\boxed{42}", 3, TokenSource.API_USAGE, 0), None
 
         fetched = []
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", StaggeredPool)

@@ -449,7 +449,7 @@ class TestComplete:
         key = request.cache_key()
         assert client.cached(request, key) is None
         assert stub.total_requests == 0
-        assert client.fetch(request, key).text == "fetched"
+        assert client.fetch(request, key)[0].text == "fetched"
         hit, text_json = client.cached(request, key)
         assert (hit.text, hit.from_cache, text_json) == ("fetched", True, '"fetched"')
         assert stub.total_requests == 1

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import get_type_hints
@@ -359,6 +360,13 @@ class TestRecordsRoundTrip:
         assert parsed.utcoffset() == timedelta(0)
         assert timedelta(0) <= parsed - reference.replace(microsecond=0) <= timedelta(seconds=5)
 
+    def test_timestamp_is_the_second_of_the_clock_datetime_reads(self, monkeypatch):
+        # ``time.gmtime()`` with no argument reads a coarser clock, which can lag
+        # ``time.time()`` by a tick just after a second boundary.
+        instant = datetime(2026, 8, 8, 12, 34, 56, 900000, tzinfo=timezone.utc).timestamp()
+        monkeypatch.setattr(time, "time", lambda: instant)
+        assert now_timestamp() == "2026-08-08T12:34:56+00:00"
+
     def test_hundred_records_round_trip(self, tmp_path):
         records = [make_record(i) for i in range(100)]
         path = tmp_path / "records.jsonl"
@@ -645,7 +653,13 @@ class TestCacheHitLine:
         client = ChatClient(Endpoint("http://127.0.0.1:1"), tmp_path / "cache")
         entry_path = tmp_path / "entry.json"
         result = CompletionResult(text, 5, TokenSource.API_USAGE, 12)
-        client._write_cache(entry_path, result)
+        # The entry as earlier versions wrote it, so their entries stay hits, and
+        # the text's literal as ``json.dumps`` spells it.
+        written = json.dumps(text, ensure_ascii=False)
+        assert client._write_cache(entry_path, result) == written
+        assert entry_path.read_text(encoding="utf-8") == json.dumps(
+            to_json_dict(result), ensure_ascii=False
+        )
         entries = {
             "written": entry_path.read_text(encoding="utf-8"),
             **_other_spellings(to_json_dict(result)),
@@ -658,9 +672,11 @@ class TestCacheHitLine:
             if literals[name] is not None:
                 assert literals[name] == json.dumps(hit.text, ensure_ascii=False), name
             records.append(dataclasses.replace(record, completion_text=hit.text))
+        # An error record, like any line of ``write_records``, has its text encoded.
+        records.append(dataclasses.replace(record, completion_text=text, client_error="HTTP 503"))
+        literals["error_record"] = None
 
         # As written, only a literal holding ``\\u`` or ``\\/`` is encoded again.
-        written = json.dumps(text, ensure_ascii=False)
         assert (literals["written"] is None) == bool(re.search(r"\\[u/]", written))
         out = tmp_path / "records.jsonl"
         out.unlink(missing_ok=True)
