@@ -18,13 +18,7 @@ import threading
 from pathlib import Path
 from typing import Optional, Tuple, TYPE_CHECKING
 
-from .client import (
-    ChatClient,
-    ClientError,
-    CompletionRequest,
-    CompletionResult,
-    TokenSource,
-)
+from .client import ChatClient, ClientError, CompletionRequest, CompletionResult, TokenSource
 from .config import NO_OVERRIDE, ConfigInvalid, RunConfig, load_run_config
 from .datasets import (
     EvalRecord,
@@ -132,7 +126,7 @@ def _evaluate_one(
         strategy=strategy,
         completion_text=text,
         completion_tokens=tokens,
-        token_source=token_source.value,
+        token_source=token_source,
         judgment=judgment,
         format_report=report,
         compliant=compliant,

@@ -68,13 +68,13 @@ class JsonMismatch(ValueError):
     unknown or missing key, a value of the wrong type, or one the class refuses."""
 
 
-def from_json_dict(cls, data, where: str, base=None):
+def from_json_dict(cls, data, where: str):
     """The dataclass ``cls`` from the JSON object ``data``: the inverse of ``to_json_dict``.
 
-    A key that ``data`` lacks takes the value of the same field of ``base``, if
-    it has one, else the field default. Nested dataclasses are read likewise,
-    lists and fixed-length tuples item by item, an Enum by its constructor and a
-    Path from a non-empty string; a boolean is never a number, and a float is
+    It reads only ``data``: a key that ``data`` lacks takes its field default,
+    and no other value. Nested dataclasses are read likewise, lists and
+    fixed-length tuples item by item, an Enum by its constructor and a Path
+    from a non-empty string; a boolean is never a number, and a float is
     finite. Any other value, or a required key that is missing, raises
     JsonMismatch naming its key below ``where``; the ``ValueError`` of a
     ``__post_init__`` check begins with the field it refuses.
@@ -86,16 +86,13 @@ def from_json_dict(cls, data, where: str, base=None):
         _CONSTRUCTORS[cls] = _constructor(cls)  # first: a class with readers has one
         hints = get_type_hints(cls)
         readers = _READERS[cls] = {f.name: _reader(hints[f.name]) for f in fields(cls)}
-    values = {} if base is None else {k: getattr(base, k) for k in readers if hasattr(base, k)}
+    values = {}
     for key, value in data.items():
         try:
             passes, read = readers[key]
         except KeyError:
             raise JsonMismatch(f"{where}.{key} is not a known key") from None
-        if type(value) not in passes:
-            inherited = None if base is None else getattr(base, key, None)
-            value = read(value, f"{where}.{key}", inherited)
-        values[key] = value
+        values[key] = value if type(value) in passes else read(value, f"{where}.{key}")
     required, build = _CONSTRUCTORS[cls]
     if len(values) < len(readers):  # a key is absent: it must have a default
         for name in required:
@@ -154,7 +151,8 @@ _JSON_NAMES = {bool: "true or false", int: "an integer", str: "a string", dict: 
 
 def _reader(hint) -> tuple:
     """``(passes, read)`` for a field of type ``hint``: a value whose type is in
-    ``passes`` is taken as it is, any other goes through ``read(value, where, base)``."""
+    ``passes`` is taken as it is, any other through ``read(value, where)``; an
+    absent key of a nested dataclass takes its field default."""
     args = get_args(hint)
     if type(None) in args:  # Optional[X]
         passes, read = _reader(args[0])
@@ -172,7 +170,7 @@ def _reader(hint) -> tuple:
     raise TypeError(f"no JSON reader for a field of type {hint!r}")
 
 
-def _read_array(origin, items: list, value, where: str, base):
+def _read_array(origin, items: list, value, where: str):
     """A list (``items`` holds the one item reader) or a fixed-length tuple (one
     reader per item) from a JSON array."""
     if not isinstance(value, list) or (origin is tuple and len(value) != len(items)):
@@ -181,21 +179,21 @@ def _read_array(origin, items: list, value, where: str, base):
     readers = items if origin is tuple else items * len(value)
     values = []
     for i, (item, (passes, read)) in enumerate(zip(value, readers)):
-        values.append(item if type(item) in passes else read(item, f"{where}[{i}]", None))
+        values.append(item if type(item) in passes else read(item, f"{where}[{i}]"))
     return origin(values)
 
 
-def _read_enum(hint, members: dict, value, where: str, base):
+def _read_enum(hint, members: dict, value, where: str):
     """The member of the Enum ``hint`` whose value is ``value``, found in
     ``members``; any other value, such as another spelling that the class
     accepts, goes through ``_convert``."""
     try:
         return members[value]
     except (KeyError, TypeError):  # TypeError: a list or an object is not hashable
-        return _convert(hint, value, where, base)
+        return _convert(hint, value, where)
 
 
-def _convert(hint, value, where: str, base):
+def _convert(hint, value, where: str):
     """``value`` read as a ``hint``: a finite float, a Path or an Enum; a value of
     any other field type here has the wrong JSON type."""
     if hint in _JSON_NAMES:

@@ -3,8 +3,9 @@
 A run config is a JSON file whose keys are the fields of ``RunConfig``; its
 ``endpoint``, ``sampling`` and each ``model_overrides`` entry are read from
 the fields of their dataclasses, and each benchmark entry from those of
-``BenchmarkEntry``.
-"""
+``BenchmarkEntry``. Only the loader inherits: it merges a benchmark entry
+over its registry entry, and an override's ``sampling`` over the top level,
+before ``from_json_dict`` reads either."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .client import CLIENT_KEYS, Endpoint, SamplingParams
-from .codec import JsonMismatch, from_json_dict, parse_json
+from .codec import JsonMismatch, from_json_dict, parse_json, to_json_dict
 from .datasets import BenchmarkSpec, load_registry
 from .metrics import RESERVED_BENCHMARKS
 from .prompts import PromptStrategy
@@ -111,19 +112,18 @@ def load_run_config(path: str | Path) -> RunConfig:
         benchmarks = {}
         for name, entry in config.benchmarks.items():
             entry = {"path": entry} if isinstance(entry, str) else entry
-            where = f"config.benchmarks.{name}"
-            spec = from_json_dict(BenchmarkEntry, entry, where, registry.get(name))
+            entry = _inherit(entry, registry.get(name))
+            spec = from_json_dict(BenchmarkEntry, entry, f"config.benchmarks.{name}")
             if not spec.path.exists():
                 raise ConfigInvalid(f"dataset for benchmark {name!r} not found: {spec.path}")
             benchmarks[name] = (spec.path, spec)
 
-        inherited = ModelOverride(sampling=config.sampling)
-        model_overrides = {
-            model_id: from_json_dict(
-                ModelOverride, entry, f"config.model_overrides.{model_id}", inherited
-            )
-            for model_id, entry in config.model_overrides.items()
-        }
+        model_overrides = {}
+        for model_id, entry in config.model_overrides.items():
+            if isinstance(entry, dict):  # an absent ``sampling`` inherits as ``{}`` does
+                entry = {**entry, "sampling": _inherit(entry.get("sampling", {}), config.sampling)}
+            where = f"config.model_overrides.{model_id}"
+            model_overrides[model_id] = from_json_dict(ModelOverride, entry, where)
     except JsonMismatch as exc:
         raise ConfigInvalid(str(exc)) from exc
     return dataclasses.replace(
@@ -132,3 +132,10 @@ def load_run_config(path: str | Path) -> RunConfig:
         cache_dir=config.cache_dir or config.output_dir / "cache",
         model_overrides=model_overrides,
     )
+
+
+def _inherit(entry, base):
+    """A JSON object ``entry`` with the keys it lacks taken from ``to_json_dict(base)``."""
+    if isinstance(entry, dict) and base is not None:
+        return {**entry, **{k: v for k, v in to_json_dict(base).items() if k not in entry}}
+    return entry  # ``null`` or a non-object, for ``from_json_dict`` to take or refuse

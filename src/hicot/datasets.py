@@ -17,6 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
+from .client import TokenSource
 from .codec import JsonMismatch, from_json_dict, parse_json, to_json_dict
 from .judge import AnswerKind, Judgment, normalize_math, parse_int
 from .prompts import PromptStrategy
@@ -183,7 +184,7 @@ class EvalRecord:
     strategy: PromptStrategy
     completion_text: str
     completion_tokens: int
-    token_source: str
+    token_source: TokenSource
     judgment: Judgment
     format_report: FormatReport
     compliant: bool

@@ -27,8 +27,8 @@ from hicot.client import (
 )
 from hicot.codec import to_json_dict
 from hicot.config import ConfigInvalid, ModelOverride, RunConfig, load_run_config
-from hicot.datasets import RecordWriter, load_dataset, read_records
-from hicot.judge import JudgeReason
+from hicot.datasets import BenchmarkSpec, Problem, RecordWriter, load_dataset, read_records
+from hicot.judge import AnswerKind, JudgeReason
 from hicot.prompts import PromptStrategy, build_prompt
 from hicot.traces import scan_blocks, validate_format
 
@@ -211,6 +211,23 @@ def _with_registry(config, entries) -> dict:
     path = Path(config["benchmarks"]["toy_int"]["path"]).with_name("registry.json")
     path.write_text(json.dumps(entries), encoding="utf-8")
     return {**config, "registry": str(path)}
+
+
+# A subset of a ``BenchmarkSpec``'s keys and of a ``SamplingParams``'s keys, each
+# with a value of its field's type.
+_field_name = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+_spec_keys = st.fixed_dictionaries({}, optional={
+    "statement_field": _field_name,
+    "answer_field": _field_name,
+    "id_field": st.one_of(st.none(), _field_name),
+    "kind": st.sampled_from([kind.value for kind in AnswerKind]),
+})
+_sampling_keys = st.fixed_dictionaries({}, optional={
+    "temperature": st.floats(min_value=0, max_value=2),
+    "top_p": st.floats(min_value=0, max_value=1),
+    "max_tokens": st.integers(min_value=1, max_value=10**6),
+    "seed": st.one_of(st.none(), st.integers(min_value=0, max_value=2**31)),
+})
 
 
 class TestConfigValidation:
@@ -506,6 +523,59 @@ class TestConfigValidation:
             keys.add(CompletionRequest("sim-alpha", prompt, sampling).cache_key())
         assert len(keys) == 1
 
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        registry_entry=_spec_keys,
+        config_entry=st.one_of(st.none(), _spec_keys),  # None: the entry is a path string
+        sampling=_sampling_keys,
+        # An override without ``sampling``, or with a null one or a subset of its keys.
+        override=st.one_of(
+            st.just({}), st.fixed_dictionaries({"sampling": st.one_of(st.none(), _sampling_keys)})
+        ),
+    )
+    def test_inherited_values_come_from_the_config_then_the_registry_or_top_level(
+        self, tmp_path, registry_entry, config_entry, sampling, override
+    ):
+        # Each loaded value is the config's own, else the inherited one, else the default.
+        dataset = tmp_path / "bench.jsonl"
+        dataset.write_text(json.dumps({"problem": "1 + 1?", "answer": "2"}) + "\n")
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"bench": registry_entry}))
+        config = {
+            "endpoint": {"base_url": "http://127.0.0.1:1"},
+            "models": ["m"],
+            "strategies": ["hicot"],
+            "benchmarks": {
+                "bench": str(dataset) if config_entry is None
+                else {**config_entry, "path": str(dataset)},
+            },
+            "registry": str(registry),
+            "sampling": sampling,
+            "model_overrides": {"m": override},
+        }
+        loaded = load_run_config(_dump(tmp_path, config))
+
+        path, spec = loaded.benchmarks["bench"]
+        expected_spec = {**to_json_dict(BenchmarkSpec()), **registry_entry, **(config_entry or {})}
+        assert path == dataset
+        assert to_json_dict(spec) == {**expected_spec, "path": dataset}
+        top = {**to_json_dict(SamplingParams()), **sampling}
+        assert to_json_dict(loaded.sampling) == top
+        override_sampling = override.get("sampling", {})  # absent counts as {}
+        expected_sampling = {**top, **(override_sampling or {})}
+        if override_sampling is None:
+            assert loaded.model_overrides["m"].sampling is None
+        else:
+            assert to_json_dict(loaded.model_overrides["m"].sampling) == expected_sampling
+
+        problem = Problem("1", "bench", "1 + 1?", "2", AnswerKind(expected_spec["kind"]))
+        strategy = PromptStrategy.HICOT
+        prompt = build_prompt(strategy, problem)
+        by_hand = CompletionRequest("m", prompt, SamplingParams(**expected_sampling))
+        assert cli._request(loaded, "m", strategy, problem).cache_key() == by_hand.cache_key()
+
     def test_bad_json_config(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         # The second is nested deeper than json.loads can parse: a RecursionError.
@@ -783,7 +853,7 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == EXIT_OK
         records_path = Path(capsys.readouterr().out.strip())
         records = read_records(records_path)
-        assert [r.token_source for r in records] == [TokenSource.APPROXIMATE.value] * 3
+        assert [r.token_source for r in records] == [TokenSource.APPROXIMATE] * 3
         assert main(["score", str(records_path)]) == EXIT_OK
         assert main(["run", "--config", str(config_path)]) == EXIT_OK
         records_path.unlink()

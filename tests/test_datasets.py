@@ -266,7 +266,7 @@ def make_record(i=0, **overrides):
         strategy=PromptStrategy.HICOT,
         completion_text=f"\\boxed{{{i}}}",
         completion_tokens=10 + i,
-        token_source="api_usage",
+        token_source=TokenSource.API_USAGE,
         judgment=Judgment(str(i), str(i), True, JudgeReason.MATCH),
         format_report=FormatReport(True, True, True, True, 2, 2),
         compliant=True,
@@ -303,7 +303,7 @@ _records = st.builds(
     strategy=st.sampled_from(list(PromptStrategy)),
     completion_text=st.text(max_size=200),
     completion_tokens=st.integers(min_value=0, max_value=10**6),
-    token_source=st.sampled_from(["api_usage", "approximate"]),
+    token_source=st.sampled_from(list(TokenSource)),
     judgment=_judgments,
     format_report=_reports,
     compliant=st.booleans(),
@@ -501,6 +501,21 @@ class TestRecordsRoundTrip:
         path.write_text(json.dumps(row) + "\n")
         with pytest.raises(MalformedLine, match=":1: unknown record version 99"):
             read_records(path)
+
+    def test_unknown_token_source_is_schema_mismatch(self, tmp_path, capsys):
+        # The client sets one of two token sources: any other is a bad line, not a third.
+        path = tmp_path / "records.jsonl"
+        row = to_json_dict(make_record(1))
+        path.write_text(
+            json.dumps(to_json_dict(make_record(0))) + "\n"
+            + json.dumps({**row, "token_source": "bogus"}) + "\n"
+        )
+        with pytest.raises(MalformedLine, match=re.escape(":2: record.token_source")):
+            read_records(path)
+        assert main(["score", str(path)]) == EXIT_IO
+        assert f"{path}:2: record.token_source" in capsys.readouterr().err
+        path.write_text(json.dumps(row) + "\n")
+        assert read_records(path)[0].token_source is TokenSource.API_USAGE
 
 
 class TestResume:
