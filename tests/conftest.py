@@ -3,8 +3,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# CI selects this profile with --hypothesis-profile=ci: a property that sets no
+# max_examples of its own then draws ten times the default.
+settings.register_profile("ci", max_examples=1000)
 
 from hicot import datasets  # noqa: E402
 from stub_server import StubChatServer  # noqa: E402

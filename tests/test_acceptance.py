@@ -351,6 +351,24 @@ def test_c9_extract_boxed_growth(tail):
     announce("C9", f"extract_boxed x{growth:.1f} for 4x the openings")
 
 
+@pytest.mark.parametrize(
+    "answer,size,normalized",
+    [
+        (lambda n: "\\$" * n + "5", 2_000, "5"),
+        (lambda n: "\\text{" * n + "x" + "}" * n, 250, "x"),
+        (lambda k: "\\le" * k + "\\left" + "ft" * k, 500, ""),
+    ],
+    ids=["leading_currency_dollars", "nested_text", "left_rebuilt_by_its_removal"],
+)
+def test_c9_normalize_math_growth(answer, size, normalized):
+    # Each pass peels one layer, so 4x the layers take 4x the passes.
+    small, large = answer(size), answer(4 * size)
+    assert normalize_math(small) == normalize_math(large) == normalized
+    growth = _growth(normalize_math, small, large)
+    assert growth < GROWTH_LIMIT
+    announce("C9", f"normalize_math x{growth:.1f} for 4x the layers")
+
+
 def test_c9_scan_and_validate_growth():
     def scan_and_validate(raw):
         return validate_format(scan_blocks(raw))

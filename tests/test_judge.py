@@ -4,12 +4,14 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hicot.datasets import Problem
 from hicot.judge import (
     AnswerKind,
     JudgeReason,
     Judgment,
+    _later_passes,
     _normalized_equal,
     answers_equal,
     extract_boxed,
@@ -39,6 +41,122 @@ def oracle_extract_boxed(text):
                     best = text[start:i]
                     break
     return best
+
+
+def reference_normalize_math(s):
+    """``normalize_math`` as it was while every pass ran on the whole string,
+    kept verbatim (its helpers renamed) as the reference."""
+    current = s
+    previous = None
+    while current != previous:
+        previous = current
+        current = _reference_normalize_pass(current)
+    return current
+
+
+def _reference_normalize_pass(s):
+    s = s.strip()
+    while len(s) >= 2 and s.startswith("$") and s.endswith("$"):
+        s = s[1:-1]
+    s = s.replace("\\left", "").replace("\\right", "")
+    s = _reference_unwrap_text_like(s)
+    if re.fullmatch(r"[+-]?\d{1,3}(?:,\d{3})+", s):
+        s = s.replace(",", "")
+    if s.endswith("."):
+        s = s[:-1]
+    s = "".join(s.split())
+    s = s.replace("\\dfrac", "\\frac")
+    if s.startswith("\\$"):
+        s = s[2:]
+    elif s.startswith("$"):
+        s = s[1:]
+    return s
+
+
+def _reference_unwrap_text_like(s):
+    for prefix in ("\\text{", "\\mathrm{"):
+        if s.startswith(prefix) and s.endswith("}"):
+            inner = _reference_balanced_content(s, len(prefix))
+            if inner is not None and len(prefix) + len(inner) + 1 == len(s):
+                return inner
+    return s
+
+
+def _reference_balanced_content(text, start):
+    depth = 1
+    for i in range(start, len(text)):
+        c = text[i]
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                return text[start:i]
+    return None
+
+
+# Answers drawn from the pieces the normalization rules look at, as cores
+# wrapped in layers that each take one pass to peel, and side by side, so most
+# need three passes or more. A split layer is \left, \right or \dfrac cut in
+# two: once what lies between its halves is gone, they join into an occurrence
+# that the next pass removes.
+_ANSWER_PIECES = st.one_of(
+    st.sampled_from([
+        "$", "\\$", "\\", "{", "}", "text", "mathrm", "left", "right", "le", "ft",
+        "dfrac", "\\text{", "\\mathrm{", "\\left", "\\right", "\\le", "\\dfrac", "\\d",
+        "frac", ",", ".", ",000", " ", "\t", "\n", "0", "1", "234", "+", "-",
+    ]),
+    st.characters(),
+)
+_PATTERNS = ["\\left", "\\right", "\\dfrac"]
+_SPLIT_LAYERS = [(p[:cut], p[cut:]) for p in _PATTERNS for cut in range(1, len(p))]
+_PEEL_LAYERS = [
+    ("$", "$"), ("\\text{", "}"), ("\\mathrm{", "}"), ("\\$", ""), ("$", ""), ("", "."),
+    ("", "$"), (" ", " "), ("{", ""), ("", "}"), ("1,", ""), ("", ",000"),
+]
+
+
+def _nested(core, layers):
+    return st.recursive(
+        core,
+        lambda inner: st.one_of(
+            st.builds(lambda core, layer: layer[0] + core + layer[1], inner, st.sampled_from(layers)),
+            st.lists(inner, min_size=2, max_size=3).map("".join),
+        ),
+        max_leaves=16,
+    )
+
+
+# A chain of split layers ends the answer, and leading "$" race it: one "$"
+# goes in each pass, and the enclosing pair goes only in a pass that begins
+# after the chain is gone, so the answer shows in which pass each layer joins.
+_RACES = st.builds(
+    lambda dollars, chain: "$" * dollars + "5$" + chain,
+    st.integers(1, 4),
+    _nested(st.sampled_from(_PATTERNS), _SPLIT_LAYERS),
+)
+_ANSWERS = _nested(
+    st.one_of(st.sampled_from(_PATTERNS), st.lists(_ANSWER_PIECES, max_size=4).map("".join)),
+    _SPLIT_LAYERS + _PEEL_LAYERS,
+) | _RACES
+# The output of a pass has no whitespace and no \dfrac: what _later_passes takes.
+_PASS_OUTPUTS = _ANSWERS.map(lambda s: "".join(s.split()).replace("\\dfrac", "\\frac"))
+
+
+# A run of unclosed openings, and a lone "}" just before or after it: where the
+# search jumps from one "}" back to the last opening before it.
+_BOX_RUNS = st.builds(
+    lambda before, k, after: before + "\\boxed{ " * k + after,
+    st.sampled_from(["", "}"]), st.integers(1, 12), st.sampled_from(["", "}"]),
+)
+_BOX_PIECES = st.one_of(
+    _BOX_RUNS,
+    st.sampled_from(["\\boxed{", "}", "{}", "{", "\\boxed", "boxed{", "\\boxed}", "x", " "]),
+)
+_BOX_TEXTS = st.one_of(
+    st.lists(_BOX_PIECES, max_size=12).map("".join),
+    st.lists(_BOX_PIECES, max_size=12).map(lambda pieces: "".join(pieces).replace("}", "")),
+)
 
 
 class TestExtractBoxed:
@@ -83,6 +201,16 @@ class TestExtractBoxed:
             text = "".join(rng.choice(atoms) for _ in range(rng.randrange(0, 20)))
             assert extract_boxed(text) == oracle_extract_boxed(text), repr(text)
 
+    @settings(deadline=None)
+    @given(text=_BOX_TEXTS)
+    @example(text="")
+    @example(text="\\boxed{a}" + "\\boxed{ " * 3)
+    @example(text="\\boxed{a}}" + "\\boxed{ " * 3)
+    @example(text="\\boxed{" + "\\boxed{ " * 3 + "}")
+    @example(text="\\boxed{a}\\boxed{ ")  # the "}" the search jumps to is next to the opening
+    def test_agrees_with_oracle_around_the_skip(self, text):
+        assert extract_boxed(text) == oracle_extract_boxed(text)
+
 
 class TestNormalizeMath:
     @pytest.mark.parametrize(
@@ -122,6 +250,32 @@ class TestNormalizeMath:
             s = "".join(rng.choice(atoms) for _ in range(rng.randrange(0, 10)))
             once = normalize_math(s)
             assert normalize_math(once) == once, repr(s)
+
+    @settings(deadline=None)
+    @given(s=_ANSWERS)
+    @example(s="\\$" * 5 + "5")
+    @example(s="\\text{" * 4 + "x" + "}" * 4)
+    @example(s="\\le" * 3 + "\\left" + "ft" * 3)
+    @example(s="\\le " * 3 + "ft" * 3)
+    def test_matches_the_reference(self, s):
+        assert normalize_math(s) == reference_normalize_math(s)
+
+    @settings(deadline=None)
+    @given(t=_PASS_OUTPUTS)
+    # Which "$" a pass peels depends on when a \left goes: a \left that a
+    # \left removal joins goes in the next pass, and one joined by two
+    # removals goes after the later, whichever lies between which of its
+    # characters; it depends too on how many periods are left at the end. A \text{ whose brace closes early wraps nothing;
+    # thousands separators go once nothing but the numeral is left.
+    @example(t="$5$\\le\\leftft")
+    @example(t="$$5$\\le\\leftft")
+    @example(t="$$$5$\\lef\\le\\leftft\\leftt")
+    @example(t="$$$5$\\\\le\\leftftle\\leftft")
+    @example(t="$$5$..")
+    @example(t="\\text{a}{b}")
+    @example(t="1,000\\le\\leftft")
+    def test_later_passes_match_the_reference(self, t):
+        assert _later_passes(t) == reference_normalize_math(t)
 
 
 class TestAnswersEqual:
