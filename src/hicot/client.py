@@ -203,6 +203,12 @@ class ChatClient:
     merges concurrent fetches of one key. ``has_entry`` looks a key up without
     reading it; ``cached`` reads a hit with its text's JSON literal as the
     entry holds it, so a record line can copy the text without encoding it.
+
+    A client writes one cache entry at a time: creating a file locks its
+    directory in the kernel, and a thread that waited there would spin, where
+    one that waits on the client's lock sleeps. An entry is encoded before the
+    lock is taken. A model's cache directory is made by its first entry, and
+    again by the next entry after it was removed; no other write makes one.
     """
 
     def __init__(self, endpoint: Endpoint, cache_dir: str | Path):
@@ -244,6 +250,7 @@ class ChatClient:
         # Open connections that no request is using: at most one per calling thread.
         self._idle = collections.deque()
         self._model_dirs = {}  # model id -> its cache directory, worked out once
+        self._write_lock = threading.Lock()  # held to create and rename an entry's file
 
     def close(self) -> None:
         """Close the connections kept open for later requests; call it once no
@@ -330,16 +337,25 @@ class ChatClient:
         which the entry holds first, where ``_parse_entry`` looks for it."""
         data = to_json_dict(result)
         text_json = json.dumps(data.pop("text"), ensure_ascii=False)
-        entry = f"{_ENTRY_HEAD}{text_json}, {json.dumps(data, ensure_ascii=False)[1:]}"
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            tmp.write_text(entry, encoding="utf-8")
-            os.replace(tmp, path)
-        except BaseException:  # a full disk, say: leave no temp file behind
-            tmp.unlink(missing_ok=True)
-            raise
+        entry = f"{_ENTRY_HEAD}{text_json}, {json.dumps(data, ensure_ascii=False)[1:]}".encode()
+        model_dir, name = os.path.split(path)
+        tmp = os.path.join(model_dir, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        with self._write_lock:
+            try:
+                fh = open(tmp, "wb")
+            except FileNotFoundError:  # the model's first entry, or its directory was removed
+                os.makedirs(model_dir, exist_ok=True)
+                fh = open(tmp, "wb")
+            try:
+                with fh:
+                    fh.write(entry)
+                os.replace(tmp, path)
+            except BaseException:  # a full disk, say: leave no temp file behind
+                try:
+                    os.unlink(tmp)
+                except FileNotFoundError:
+                    pass
+                raise
         return text_json
 
     def complete(self, req: CompletionRequest) -> CompletionResult:

@@ -5,11 +5,13 @@ import dataclasses
 import errno
 import io
 import json
+import os
 import re
 import shutil
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -759,8 +761,6 @@ class TestRunCommand:
 
         # Drop the records but keep the response cache: the rerun rebuilds the
         # identical record set with zero requests reaching the server.
-        import os
-
         os.unlink(records_path)
         stub.reset_counters()
         assert main(["run", "--config", str(config_path)]) == EXIT_OK
@@ -932,6 +932,60 @@ class TestRunCommand:
         assert not list(config.cache_dir.rglob("*.json"))
         # The queued items are cancelled: only those already started send a request.
         assert stub.total_requests <= 2 * config.concurrency
+
+    def test_workers_write_one_cache_entry_at_a_time(self, tmp_path, make_stub, monkeypatch):
+        # Every latency is 0 ms, so two runs of the grid write the same bytes.
+        monkeypatch.setattr("hicot.client.time", types.SimpleNamespace(
+            monotonic=lambda: 0.0, sleep=time.sleep,
+        ))
+        counter = threading.Lock()
+        writes = {"open": 0, "most_open": 0, "done": 0}
+        real_replace = os.replace
+
+        def counted_open(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            if str(file).endswith(".tmp"):
+                with counter:
+                    writes["open"] += 1
+                    writes["most_open"] = max(writes["most_open"], writes["open"])
+                time.sleep(0.002)  # room for another worker's write to begin
+            return fh
+
+        def counted_replace(src, dst):
+            real_replace(src, dst)
+            if str(src).endswith(".tmp"):
+                with counter:
+                    writes["open"] -= 1
+                    writes["done"] += 1
+
+        stub = make_stub(grid_responder)
+        config = load_run_config(write_config(tmp_path, stub.base_url, concurrency=4))
+        serial = dataclasses.replace(
+            config, concurrency=1, output_dir=tmp_path / "serial",
+            cache_dir=tmp_path / "serial" / "cache",
+        )
+        serial_records = read_records(cmd_run(serial))
+        monkeypatch.setattr("hicot.client.open", counted_open, raising=False)
+        monkeypatch.setattr("hicot.client.os.replace", counted_replace)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # 4 workers on fewer cores, switched often
+        try:
+            records = read_records(cmd_run(config))
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+        entries = sorted(path for path in config.cache_dir.rglob("*") if path.is_file())
+        assert writes == {"open": 0, "most_open": 1, "done": len(entries)} and entries
+        assert [path.relative_to(config.cache_dir) for path in entries] == sorted(
+            path.relative_to(serial.cache_dir)
+            for path in serial.cache_dir.rglob("*") if path.is_file()
+        )
+        for path in entries:
+            twin = serial.cache_dir / path.relative_to(config.cache_dir)
+            assert path.read_bytes() == twin.read_bytes()
+        strip = lambda r: {**to_json_dict(r), "timestamp": ""}
+        assert list(map(strip, records)) == list(map(strip, serial_records))
+        assert not list(config.cache_dir.rglob("*.tmp"))
 
     def test_item_that_ends_the_grid_starts_no_later_item(self, tmp_path, monkeypatch):
         # The grid's first fetch takes a while and succeeds; every other sim-alpha

@@ -5,6 +5,7 @@ import dataclasses
 import errno
 import json
 import random
+import shutil
 import socket
 import socketserver
 import ssl
@@ -465,6 +466,39 @@ class TestComplete:
         with pytest.raises(OSError, match="No space left"):
             client.complete(_request())
         assert not [path for path in (tmp_path / "cache").rglob("*") if path.is_file()]
+
+    def test_model_directory_is_made_by_its_first_entry(self, tmp_path, monkeypatch):
+        client = ChatClient(Endpoint("http://127.0.0.1:1"), tmp_path / "cache")
+        made = []
+        for name in ("mkdir", "makedirs"):
+            real = getattr(client_module.os, name)
+
+            def spy(path, *args, _real=real, **kwargs):
+                made.append(str(path))
+                return _real(path, *args, **kwargs)
+
+            monkeypatch.setattr(client_module.os, name, spy)
+        model_dir = tmp_path / "cache" / "stub-model"
+        result = CompletionResult("\\boxed{7}", 5, TokenSource.API_USAGE, 12)
+
+        def write(problem):
+            request = _request(problem=problem)
+            key = request.cache_key()
+            client._write_cache(client._cache_path(request, key), result)
+            assert client.cached(request, key)[0].text == result.text
+
+        write("first")
+        assert model_dir.is_dir() and str(model_dir) in made
+        made.clear()
+        for problem in ("second", "third"):
+            write(problem)
+        assert made == []
+        shutil.rmtree(model_dir)
+        write("after the directory was removed")
+        assert [path.name for path in model_dir.iterdir()] == [
+            f"{_request(problem='after the directory was removed').cache_key()}.json"
+        ]
+        assert str(model_dir) in made
 
     def test_token_fallback_when_usage_missing(self, make_stub, tmp_path):
         stub = make_stub(lambda payload: StubReply("4 × 3 = 12", include_usage=False))
