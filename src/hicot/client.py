@@ -18,7 +18,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from json.decoder import scanstring
 from pathlib import Path
@@ -45,7 +45,7 @@ _DELTA_SECONDS = re.compile(r"[0-9]+")
 _CONTEXT_OVERFLOW_HINTS = ("context_length", "maximum context length", "prompt is too long")
 # A surrogate code point that is not half of a pair, as a server that cuts an
 # emoji's pair at ``max_tokens`` may send; no UTF-8 file can hold it.
-_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
+LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 # How ``_write_cache`` begins an entry: its text's JSON literal comes first.
 _ENTRY_HEAD = '{"text": '
 # An escape that ``json.dumps(text, ensure_ascii=False)`` may not have written:
@@ -328,9 +328,14 @@ class ChatClient:
                 data, text_json = _parse_entry(fh.read().decode("utf-8"))
             if isinstance(data, dict) and type(data.get("from_cache", False)) is bool:
                 data["from_cache"] = True  # a stored flag of another type is refused below
-            return from_json_dict(CompletionResult, data, "cache entry"), text_json
+            result = from_json_dict(CompletionResult, data, "cache entry")
         except (FileNotFoundError, ValueError):  # ValueError: not UTF-8, not JSON, a JsonMismatch
             return None
+        # Only an escaped literal, which ``_parse_entry`` does not keep, can spell a
+        # lone surrogate; it is replaced as in a fetched completion.
+        if text_json is None and LONE_SURROGATE.search(result.text):
+            result = replace(result, text=LONE_SURROGATE.sub("\ufffd", result.text))
+        return result, text_json
 
     def _write_cache(self, path: str, result: CompletionResult) -> str:
         """Write ``result`` as the entry at ``path`` and return its text's JSON literal,
@@ -444,7 +449,7 @@ class ChatClient:
             raise EndpointUnreachable(
                 f"malformed completion response: content is {type(text).__name__}"
             )
-        text = _LONE_SURROGATE.sub("\ufffd", text)  # U+FFFD, the replacement character
+        text = LONE_SURROGATE.sub("\ufffd", text)  # U+FFFD, the replacement character
         usage = body.get("usage")
         tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
         if type(tokens) is int and tokens >= 0:  # a JSON true is not a count

@@ -1,7 +1,10 @@
 """The JSON codec: ``parse_json`` parses every JSON text the package reads, and
 ``to_json_dict`` and ``from_json_dict`` map dataclasses to JSON objects and back
 for every schema (the run config, benchmark registry entries, records and cache
-entries). It imports nothing from the package."""
+entries). A plain record class, one whose ``__init__`` would only assign, is
+read by a reader compiled once per class from its fields; any object that reader
+does not take is read by the one loop that fills defaults and names errors. It
+imports nothing from the package."""
 
 import json
 import math
@@ -78,14 +81,24 @@ def from_json_dict(cls, data, where: str):
     finite. Any other value, or a required key that is missing, raises
     JsonMismatch naming its key below ``where``; the ``ValueError`` of a
     ``__post_init__`` check begins with the field it refuses.
+
+    A class that ``build`` fills without its ``__init__`` is read first by its
+    compiled reader (see ``_compile``), which takes an object naming every
+    field once, each with a value of its field's own JSON type. Any other
+    object goes through the loop over its keys below, which alone fills
+    defaults and names the first bad key in the object's order.
     """
+    try:
+        compiled = _COMPILED[cls]
+    except KeyError:
+        compiled = _prepare(cls)
+    if compiled is not None:
+        obj = compiled(data)
+        if obj is not _MISS:
+            return obj
     if not isinstance(data, dict):
         raise JsonMismatch(f"{where} must be an object")
-    readers = _READERS.get(cls)
-    if readers is None:  # built once per class: ``(passes, read)`` per field, see ``_reader``
-        _CONSTRUCTORS[cls] = _constructor(cls)  # first: a class with readers has one
-        hints = get_type_hints(cls)
-        readers = _READERS[cls] = {f.name: _reader(hints[f.name]) for f in fields(cls)}
+    readers = _READERS[cls]
     values = {}
     for key, value in data.items():
         try:
@@ -108,17 +121,40 @@ def from_json_dict(cls, data, where: str):
 _FIELD_NAMES: dict = {}  # dataclass -> its field names, in declaration order
 _READERS: dict = {}  # dataclass -> {field name: its reader}
 _CONSTRUCTORS: dict = {}  # dataclass -> (its required field names, ``build(values)``)
+_COMPILED: dict = {}  # dataclass -> its compiled reader, or None where it has none
+_MISS = object()  # what a compiled reader returns for an object it does not take
+
+
+def _prepare(cls):
+    """Build the field readers, the constructor and the compiled reader of
+    ``cls`` (None for a class that ``build`` does not fill), and return the last."""
+    _CONSTRUCTORS[cls] = _constructor(cls)  # first: a class with readers has one
+    hints = get_type_hints(cls)
+    _READERS[cls] = {f.name: _reader(hints[f.name]) for f in fields(cls)}
+    _COMPILED[cls] = None  # until compiled: a class nested in itself is read by the loop
+    if _fills_without_init(cls):
+        _COMPILED[cls] = _compile(cls, hints)
+    return _COMPILED[cls]
+
+
+def _fills_without_init(cls) -> bool:
+    """Whether the generated ``__init__`` of ``cls`` would only assign: there is
+    no ``__post_init__``, ``default_factory``, ``init=False`` field or ``__slots__``."""
+    return not (
+        hasattr(cls, "__post_init__")
+        or hasattr(cls, "__slots__")
+        or any(not f.init or f.default_factory is not MISSING for f in fields(cls))
+    )
 
 
 def _constructor(cls) -> tuple:
     """``(required, build)`` for the dataclass ``cls``: the fields a JSON object
     must name, and ``build(values)``, the instance from a dict of field values.
 
-    Where the generated ``__init__`` would only assign (no ``__post_init__``,
-    ``default_factory``, ``init=False`` field or ``__slots__``), ``build`` skips
-    it, as ``copy`` and ``pickle`` do: it fills a bare instance's ``__dict__``
-    in field order, taking absent fields from their defaults. That is several
-    times cheaper than a frozen ``__init__``, which sets each field through
+    Where ``_fills_without_init``, ``build`` skips the ``__init__``, as ``copy``
+    and ``pickle`` do: it fills a bare instance's ``__dict__`` in field order,
+    taking absent fields from their defaults. That is several times cheaper
+    than a frozen ``__init__``, which sets each field through
     ``object.__setattr__``. Any other class is called, so its checks run.
     """
     cls_fields = fields(cls)
@@ -127,11 +163,7 @@ def _constructor(cls) -> tuple:
         for f in cls_fields
         if f.init and f.default is MISSING and f.default_factory is MISSING
     )
-    if (
-        hasattr(cls, "__post_init__")
-        or hasattr(cls, "__slots__")
-        or any(not f.init or f.default_factory is not MISSING for f in cls_fields)
-    ):  # the generated ``__init__`` does more than assign
+    if not _fills_without_init(cls):
         return required, lambda values: cls(**values)
     defaults = {f.name: f.default for f in cls_fields}
 
@@ -143,6 +175,61 @@ def _constructor(cls) -> tuple:
         return obj
 
     return required, build
+
+
+def _compile(cls, hints: dict):
+    """The compiled reader of ``cls``: ``read(data)``, the instance that the loop
+    of ``from_json_dict`` would build from ``data``, or ``_MISS``.
+
+    It takes only a dict with one key per field, and fetches each field by
+    name: a str, int, bool or dict field (or None, where it is Optional)
+    passes when ``type(value)`` is its type, an Enum field maps its value
+    through ``{value: member}``, a nested dataclass goes through that class's
+    compiled reader, and any other field through its ``_reader``. It then
+    fills a bare instance's ``__dict__`` in field order, as ``build`` does.
+    Whatever it does not take (an absent or unknown key, a value of another
+    type, an Enum spelling other than its value) is ``_MISS``, for the loop to
+    read or refuse. Its source is written once per class, from the fields and
+    type hints of ``cls`` alone, and skips the per-key lookups and calls of
+    the loop.
+    """
+    cls_fields = fields(cls)
+    scope = {"MISS": _MISS, "JsonMismatch": JsonMismatch, "new": object.__new__, "cls": cls}
+    body = [f"if type(data) is not dict or len(data) != {len(cls_fields)}: return MISS"]
+    for i, f in enumerate(cls_fields):
+        hint = hints[f.name]
+        args = get_args(hint)
+        optional = type(None) in args
+        inner = args[0] if optional else hint
+        value = f"data[{f.name!r}]"
+        if inner in _JSON_NAMES:
+            scope[f"t{i}"] = inner
+            test = f"type(v{i}) is not t{i}" + (f" and v{i} is not None" if optional else "")
+            body += [f"v{i} = {value}", f"if {test}: return MISS"]
+        elif not optional and isinstance(hint, type) and issubclass(hint, Enum):
+            scope[f"m{i}"] = {member.value: member for member in hint}
+            body.append(f"v{i} = m{i}[{value}]")  # KeyError, or TypeError if unhashable
+        elif not optional and is_dataclass(hint) and (
+            _COMPILED[hint] if hint in _COMPILED else _prepare(hint)
+        ):
+            scope[f"r{i}"] = _COMPILED[hint]
+            body += [f"v{i} = r{i}({value})", f"if v{i} is MISS: return MISS"]
+        else:
+            scope[f"p{i}"], scope[f"c{i}"] = _READERS[cls][f.name]
+            body += [f"v{i} = {value}", f"if type(v{i}) not in p{i}: v{i} = c{i}(v{i}, '')"]
+    source = "\n".join([
+        "def read(data):",
+        "    try:",
+        *(f"        {line}" for line in body),
+        "    except (KeyError, TypeError, JsonMismatch):",
+        "        return MISS",
+        "    obj = new(cls)",
+        "    state = obj.__dict__",
+        *(f"    state[{f.name!r}] = v{i}" for i, f in enumerate(cls_fields)),
+        "    return obj",
+    ])
+    exec(source, scope)
+    return scope["read"]
 
 
 # The field types a JSON value of the same type passes as it is.

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .client import CLIENT_KEYS, Endpoint, SamplingParams
+from .client import CLIENT_KEYS, LONE_SURROGATE, Endpoint, SamplingParams
 from .codec import JsonMismatch, from_json_dict, parse_json, to_json_dict
 from .datasets import BenchmarkSpec, load_registry
 from .metrics import RESERVED_BENCHMARKS
@@ -79,6 +79,9 @@ class RunConfig:
             entries = getattr(self, name)
             if len(set(entries)) < len(entries):
                 raise ValueError(f"{name} must not list an entry twice")
+        for name in ("models", "benchmarks"):  # a name no UTF-8 record line can hold
+            if any(LONE_SURROGATE.search(entry) for entry in getattr(self, name)):
+                raise ValueError(f"{name} must not name an entry with a lone surrogate")
         if self.concurrency < 1:
             raise ValueError("concurrency must be a positive integer")
         reserved = RESERVED_BENCHMARKS.intersection(self.benchmarks)

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .client import TokenSource
+from .client import LONE_SURROGATE, TokenSource
 from .codec import JsonMismatch, from_json_dict, parse_json, to_json_dict
 from .judge import AnswerKind, Judgment, normalize_math, parse_int
 from .prompts import PromptStrategy
@@ -157,7 +157,8 @@ def _json_lines(path):
 
 
 def _text(row: dict, key: str, path, line_no: int) -> str:
-    """``row[key]``: a JSON string that is not blank, or a number, as text."""
+    """``row[key]``: a JSON string that is not blank and holds no lone surrogate,
+    or a number, as text."""
     if key not in row:
         raise MalformedLine(path, line_no, f"missing field {key!r}")
     value = row[key]
@@ -166,6 +167,9 @@ def _text(row: dict, key: str, path, line_no: int) -> str:
     value = str(value)
     if not value.strip():
         raise MalformedLine(path, line_no, f"field {key!r} is empty")
+    # No UTF-8 cache key or record line can hold a lone surrogate; ASCII text skips the scan.
+    if not value.isascii() and LONE_SURROGATE.search(value):
+        raise MalformedLine(path, line_no, f"field {key!r} holds a lone surrogate")
     return value
 
 

@@ -70,6 +70,10 @@ class StubChatServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1" if stub.keep_alive else "HTTP/1.0"
+            # A reply goes out in two sends, headers then body. On a kept-open
+            # connection Nagle's algorithm holds the body until the client's
+            # delayed ACK of the headers, about 40 ms a request.
+            disable_nagle_algorithm = stub.keep_alive
 
             def log_message(self, *args):
                 pass

@@ -155,6 +155,18 @@ _KEYED_FAULTS = {
         lambda config: {**config, "endpoint": {**config["endpoint"], "base_url": "http://h:x"}},
         "config.endpoint.base_url",
     ),
+    # A name written into records, which no UTF-8 line can hold with a lone surrogate.
+    "model_lone_surrogate": (
+        lambda config: {**config, "models": ["sim-alpha", "m\ud800"]},
+        "config.models",
+    ),
+    "benchmark_lone_surrogate": (
+        lambda config: {
+            **config,
+            "benchmarks": {**config["benchmarks"], "b\ud800": config["benchmarks"]["toy_int"]},
+        },
+        "config.benchmarks",
+    ),
     "benchmark_answer_feild": (
         lambda config: _with_entry(config, answer_feild="solution"),
         "config.benchmarks.toy_int.answer_feild",
@@ -828,6 +840,53 @@ class TestRunCommand:
         assert len(list(config.cache_dir.rglob("*.json"))) == 3
         progress = ("run grid:", "progress:", "cell ")  # no item failed, so no traceback
         assert all(line.startswith(progress) for line in capsys.readouterr().err.splitlines())
+
+    def test_escaped_lone_surrogate_in_a_cache_entry_becomes_a_replacement_character(
+        self, tmp_path, make_stub, capsys
+    ):
+        # ``json.dumps`` escapes a lone surrogate by default, so an entry written by
+        # another tool can hold one where ``_write_cache`` never would.
+        stub = make_stub(grid_responder)
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
+            benchmarks=("toy_int",),
+        )
+        config = load_run_config(config_path)
+        cmd_run(config)
+        entries = sorted(config.cache_dir.rglob("*.json"))
+        assert len(entries) == 3
+        for entry in entries:
+            data = json.loads(entry.read_text(encoding="utf-8"))
+            entry.write_text(json.dumps({**data, "text": "x \ud83d \\boxed{42}"}), "utf-8")
+        config.records_path.unlink()
+        stub.reset_counters()
+        assert main(["run", "--config", str(config_path)]) == EXIT_OK
+        records = read_records(capsys.readouterr().out.strip())
+        assert stub.total_requests == 0
+        assert [r.completion_text for r in records] == ["x \ufffd \\boxed{42}"] * 3
+        assert [r.judgment.correct for r in records] == [True, True, False]  # gold 42, 42, 6
+
+    @pytest.mark.parametrize("field", ["problem", "answer", "id"])
+    def test_lone_surrogate_in_a_benchmark_field_is_a_malformed_line(
+        self, tmp_path, make_stub, capsys, field
+    ):
+        stub = make_stub(grid_responder)
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
+            benchmarks=("toy_int",),
+        )
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["benchmarks"]["toy_int"]["id_field"] = "id"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        rows = [{"problem": "What is 6 * 7?", "answer": "42", "id": f"p{i}"} for i in range(3)]
+        rows[1][field] += "\ud800"
+        dataset = Path(config["benchmarks"]["toy_int"]["path"])
+        dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{dataset}:2: field {field!r} holds a lone surrogate" in err
+        assert stub.total_requests == 0
+        assert not Path(config["output_dir"], "records.jsonl").exists()
 
     def test_null_content_becomes_error_record_and_is_not_cached(self, tmp_path, make_stub):
         stub = make_stub(lambda payload: StubReply(None, completion_tokens=5))

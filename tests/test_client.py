@@ -647,7 +647,9 @@ class _TunnelProxy:
 
         self._server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
         self.port = self._server.server_address[1]
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(  # a short poll, so that close() returns at once
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
 
     def close(self):
@@ -673,6 +675,18 @@ class TestTransport:
             for seed in range(3):
                 assert client.complete(_request(seed=seed)).text == "ok"
         assert (stub.total_requests, stub.connections) == (3, 3)
+
+    def test_kept_open_connection_waits_for_no_delayed_ack(self, make_stub, tmp_path):
+        # About 40 ms a request if the stub's body waits for the client's
+        # delayed ACK of its headers, so ten would take about 0.4 s.
+        stub = make_stub(lambda payload: StubReply("ok"), keep_alive=True)
+        with _client(stub, tmp_path, max_attempts=1) as client:
+            started = time.perf_counter()
+            for seed in range(10):
+                assert client.complete(_request(seed=seed)).text == "ok"
+            elapsed = time.perf_counter() - started
+        assert (stub.total_requests, stub.connections) == (10, 1)
+        assert elapsed < 0.2
 
     def test_concurrent_requests_share_at_most_concurrency_connections(
         self, make_stub, tmp_path

@@ -1,5 +1,6 @@
 """Dataset loading and evaluation-record persistence."""
 
+import copy
 import dataclasses
 import json
 import os
@@ -8,15 +9,18 @@ import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import get_type_hints
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hicot.cli import EXIT_IO, main
 from hicot.client import ChatClient, CompletionResult, Endpoint, SamplingParams, TokenSource
+from hicot import codec
 from hicot.codec import JsonMismatch, from_json_dict, parse_json, to_json_dict
 from hicot.config import BenchmarkEntry, ModelOverride, RunConfig
 from hicot.datasets import (
+    BenchmarkSpec,
     EvalRecord,
     FieldMap,
     MalformedLine,
@@ -726,6 +730,14 @@ _entries = st.builds(
     path=st.text(alphabet="ab/.", min_size=1, max_size=20).map(Path),
 )
 
+_specs = st.builds(
+    BenchmarkSpec,
+    statement_field=st.text(max_size=20),
+    answer_field=st.text(max_size=20),
+    id_field=st.one_of(st.none(), st.text(max_size=20)),
+    kind=st.sampled_from(list(AnswerKind)),
+)
+
 
 def _nested(depth: int) -> list:
     """A list nested ``depth`` deep: more than ``json.dumps`` can encode."""
@@ -798,3 +810,176 @@ class TestDecoder:
     def test_post_init_check_still_refuses(self, cls, data, refused):
         with pytest.raises(JsonMismatch, match=re.escape(f"config.{refused} ")):
             from_json_dict(cls, data, "config")
+
+
+def _decoded(cls, data):
+    """``from_json_dict(cls, data, "x")`` with its fields in ``__dict__`` order,
+    or the message of the JsonMismatch it raises."""
+    try:
+        obj = from_json_dict(cls, data, "x")
+    except JsonMismatch as exc:
+        return f"JsonMismatch: {exc}"
+    return obj, list(vars(obj).items())
+
+
+def _decoded_by_the_loop(cls, data):
+    """``_decoded`` with every compiled reader taken away, so that each class,
+    nested ones too, is read by the loop over the object's keys alone."""
+    with mock.patch.dict(codec._COMPILED, dict.fromkeys(codec._COMPILED)):
+        return _decoded(cls, data)
+
+
+def _json_form(item) -> dict:
+    data = to_json_dict(item)
+    if isinstance(data.get("path"), Path):
+        data["path"] = str(data["path"])  # a Path is written as text
+    return data
+
+
+# Another spelling of each Enum value, which the compiled reader leaves to the loop.
+_OTHER_SPELLINGS = st.sampled_from(
+    ["CoT", "HICOT", "Hi-CoT", "plan_and_solve", "API_USAGE", "Match"]
+)
+
+
+@st.composite
+def _mutated(draw, document: dict) -> dict:
+    """``document`` as it is, or with one fault of ``tests/json_faults.py`` or one
+    key dropped, added, moved or spelled otherwise, at any depth."""
+    paths = key_paths(document)
+    kind = draw(st.sampled_from(["none", "swap", "drop", "add", "move", "spelling", "not_object"]))
+    if kind == "swap":
+        return swap_one(draw(st.data()), document, paths, {})[1]
+    if kind == "not_object":
+        return draw(st.one_of(st.none(), st.lists(st.integers(), max_size=2), st.text(max_size=3)))
+    spoiled = copy.deepcopy(document)
+    path = draw(st.sampled_from(paths))
+    node = spoiled
+    for key in path[:-1]:
+        node = node[key]
+    if kind == "drop":
+        del node[path[-1]]
+    elif kind == "add":
+        node[draw(st.text(max_size=3).filter(lambda k: k not in node))] = 1
+    elif kind == "move":  # the same keys in another order: the loop names the first bad one
+        node[path[-1]] = node.pop(path[-1])
+    elif kind == "spelling":
+        node[path[-1]] = draw(_OTHER_SPELLINGS)
+    return spoiled
+
+
+class _OrderedRow(dict):
+    """A dict of another type, which only the loop reads."""
+
+
+class TestCompiledReader:
+    """A plain record class is read by a reader compiled once per class; any object
+    it does not take is read by the loop, with the same outcome as the loop alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), item=st.one_of(_records, _results, _entries, _specs))
+    def test_reads_as_the_loop_alone(self, data, item):
+        cls = type(item)
+        document = data.draw(_mutated(_json_form(item)), label="document")
+        compiled = _decoded(cls, copy.deepcopy(document))
+        assert compiled == _decoded_by_the_loop(cls, copy.deepcopy(document))
+
+    def test_only_plain_classes_are_compiled(self):
+        plain = (
+            EvalRecord, Judgment, FormatReport, CompletionResult, BenchmarkSpec, BenchmarkEntry
+        )
+        checked = (Endpoint, SamplingParams, ModelOverride, RunConfig)
+        assert all(callable(codec._prepare(cls)) for cls in plain)
+        assert all(codec._prepare(cls) is None for cls in checked)
+
+    def test_well_formed_record_is_read_by_the_compiled_reader(self):
+        record = make_record(3)
+        assert from_json_dict(EvalRecord, to_json_dict(record), "record") == record
+        assert codec._COMPILED[EvalRecord](to_json_dict(record)) == record
+
+    @pytest.mark.parametrize(
+        "cls, change, expected",
+        [
+            pytest.param(
+                EvalRecord, lambda d: [d], "JsonMismatch: x must be an object", id="not_a_dict"
+            ),
+            pytest.param(
+                EvalRecord,
+                lambda d: _OrderedRow(d),
+                make_record(0),
+                id="dict_subclass",
+            ),
+            pytest.param(
+                EvalRecord,
+                lambda d: {k: v for k, v in d.items() if k != "timestamp"},
+                make_record(0, timestamp=""),
+                id="absent_key_takes_its_default",
+            ),
+            pytest.param(
+                EvalRecord,
+                lambda d: {**d, "extra": 1},
+                "JsonMismatch: x.extra is not a known key",
+                id="unknown_key",
+            ),
+            pytest.param(
+                EvalRecord,
+                lambda d: {"extra": 1, **{k: v for k, v in d.items() if k != "compliant"}},
+                "JsonMismatch: x.extra is not a known key",
+                id="unknown_key_for_an_absent_one",
+            ),
+            pytest.param(
+                EvalRecord,
+                lambda d: {**d, "completion_tokens": True},
+                "JsonMismatch: x.completion_tokens must be an integer",
+                id="wrong_type",
+            ),
+            pytest.param(
+                EvalRecord,
+                lambda d: {**d, "client_error": None, "timestamp": None},
+                "JsonMismatch: x.timestamp must be a string",
+                id="none_for_a_required_string",
+            ),
+            pytest.param(
+                EvalRecord,
+                lambda d: {**d, "strategy": "CoT"},
+                make_record(0, strategy=PromptStrategy.COT),
+                id="other_enum_spelling",
+            ),
+            pytest.param(
+                EvalRecord,
+                lambda d: {**d, "token_source": ["api_usage"]},
+                "JsonMismatch: x.token_source: ['api_usage'] is not a valid TokenSource",
+                id="unhashable_enum_value",
+            ),
+            pytest.param(
+                EvalRecord,
+                lambda d: {**d, "judgment": {**d["judgment"], "reason": "nope"}},
+                "JsonMismatch: x.judgment.reason: 'nope' is not a valid JudgeReason",
+                id="nested_miss",
+            ),
+            pytest.param(
+                EvalRecord,
+                lambda d: {**d, "format_report": {
+                    k: v for k, v in d["format_report"].items() if k != "execution_count"
+                }},
+                make_record(0, format_report=FormatReport(True, True, True, True, 2, 0)),
+                id="nested_absent_key",
+            ),
+            pytest.param(
+                BenchmarkEntry,
+                lambda d: {**d, "path": ""},
+                "JsonMismatch: x.path must be a non-empty string",
+                id="field_of_its_own_reader",
+            ),
+        ],
+    )
+    def test_object_it_does_not_take_is_read_by_the_loop(self, cls, change, expected):
+        item = make_record(0) if cls is EvalRecord else BenchmarkEntry(path=Path("b.jsonl"))
+        data = change(_json_form(item))
+        assert _decoded(cls, data) == _decoded_by_the_loop(cls, data)
+        assert codec._COMPILED[cls](data) is codec._MISS
+        if isinstance(expected, str):
+            assert _decoded(cls, data) == expected
+        else:
+            assert from_json_dict(cls, data, "x") == expected
+
