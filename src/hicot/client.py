@@ -5,8 +5,9 @@ through the standard library's ``http.client``, and persists one JSON file
 per request hash so interrupted runs resume without re-querying the endpoint.
 Cache writes go through a temp-file + atomic rename, so a partially written
 entry is never observable. The network modules (``http.client``, ``ssl``,
-``urllib.request``) and ``hashlib`` are imported by the methods that use them,
-so a command that builds no client does not pay for loading them.
+``urllib.request``) and ``hashlib`` are imported by the methods that use them:
+a command that builds no client loads none of them, and a run whose every item
+is a cache hit loads only ``hashlib``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from json.decoder import scanstring
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping, Optional, TYPE_CHECKING
 from urllib.parse import unquote, urlsplit
@@ -124,6 +126,13 @@ class SamplingParams:
 # The request-body keys set from a ``CompletionRequest``, which ``extra_body`` may not name.
 CLIENT_KEYS = frozenset({"model", "messages", *(f.name for f in fields(SamplingParams))})
 
+# Per request shape: the SHA-256 state over its key material before the rendered
+# prompt, and the material after it (see ``CompletionRequest.cache_key``). It
+# keeps at most ``_KEY_TEMPLATES_KEPT`` shapes; a run has one per model.
+_KEY_TEMPLATES: dict = {}
+_KEY_TEMPLATES_KEPT = 64
+_EMPTY_PROMPT = '"rendered": ""'
+
 
 @dataclass(frozen=True)
 class CompletionRequest:
@@ -144,17 +153,50 @@ class CompletionRequest:
     extra_body: Optional[Mapping] = None
 
     def cache_key(self) -> str:
+        """The SHA-256 hex digest of the key material below, encoded as JSON with
+        sorted keys and non-ASCII text kept, in UTF-8.
+
+        The material of a request shape (all but the rendered prompt) is encoded
+        once, with an empty prompt, and split at the top-level ``"rendered": ""``:
+        the last one, since ``extra_body``, which may hold one too, sorts before
+        it. Each key then encodes and hashes only its prompt between the two.
+        A shape names its ``sampling`` and ``as_system`` objects by identity
+        (``0`` and ``0.0`` are equal but encode apart) and its ``extra_body``,
+        which may change, by its encoding.
+        """
         import hashlib
 
-        material = {
-            "model_id": self.model_id,
-            "rendered": self.prompt.rendered,
-            **to_json_dict(self.sampling),
-            "as_system": self.as_system,
-            "extra_body": dict(self.extra_body) if self.extra_body else None,
-        }
-        blob = json.dumps(material, sort_keys=True, ensure_ascii=False).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        extra_body = dict(self.extra_body) if self.extra_body else None
+        shape = (
+            self.model_id,
+            id(self.sampling),
+            id(self.as_system),
+            extra_body and json.dumps(extra_body, sort_keys=True, ensure_ascii=False),
+        )
+        template = _KEY_TEMPLATES.get(shape)
+        if template is None:
+            material = {
+                "model_id": self.model_id,
+                "rendered": "",
+                **to_json_dict(self.sampling),
+                "as_system": self.as_system,
+                "extra_body": extra_body,
+            }
+            text = json.dumps(material, sort_keys=True, ensure_ascii=False)
+            cut = text.rindex(_EMPTY_PROMPT) + len(_EMPTY_PROMPT) - 2  # before its ""
+            if len(_KEY_TEMPLATES) >= _KEY_TEMPLATES_KEPT:
+                _KEY_TEMPLATES.clear()
+            # The objects named by identity are kept, so that no other takes their id.
+            template = _KEY_TEMPLATES[shape] = (
+                hashlib.sha256(text[:cut].encode("utf-8")),
+                text[cut + 2:].encode("utf-8"),
+                self.sampling,
+                self.as_system,
+            )
+        digest = template[0].copy()
+        digest.update(encode_basestring(self.prompt.rendered).encode("utf-8"))
+        digest.update(template[1])
+        return digest.hexdigest()
 
     def messages(self) -> list:
         if self.as_system:
@@ -172,6 +214,12 @@ class CompletionResult:
     token_source: TokenSource
     latency_ms: int
     from_cache: bool = False
+
+
+# How a client's requests reach its endpoint: the ``(host, port)`` to connect to,
+# the request target, the headers, the TLS context (None for http) and the
+# CONNECT tunnel through a proxy, if any.
+_Route = collections.namedtuple("_Route", "address target headers tls tunnel")
 
 
 def approximate_tokens(text: str) -> int:
@@ -212,25 +260,40 @@ class ChatClient:
     """
 
     def __init__(self, endpoint: Endpoint, cache_dir: str | Path):
+        self.endpoint = endpoint
+        self.url = endpoint.base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
+        self.cache_dir = Path(cache_dir)
+        self._route = None  # how requests reach the endpoint, from the first connection on
+        self._route_lock = threading.Lock()
+        # Open connections that no request is using: at most one per calling thread.
+        self._idle = collections.deque()
+        self._model_dirs = {}  # model id -> its cache directory, worked out once
+        self._write_lock = threading.Lock()  # held to create and rename an entry's file
+
+    def _resolve_route(self) -> _Route:
+        """The route of every request, worked out once, at the first connection,
+        under a lock, so that threads connecting at once share one; a client
+        whose every lookup is a cache hit loads no network module and reads no
+        proxy setting."""
+        with self._route_lock:
+            if self._route is None:
+                self._route = self._route_from_environment()
+        return self._route
+
+    def _route_from_environment(self) -> _Route:
         import base64
         import ssl
         from urllib.request import getproxies, proxy_bypass
 
-        self.endpoint = endpoint
-        self.url = endpoint.base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
-        self.cache_dir = Path(cache_dir)
-        api_key = endpoint.api_key_env and os.environ.get(endpoint.api_key_env)
-        self._headers = {"Content-Type": "application/json", "User-Agent": USER_AGENT}
+        api_key = self.endpoint.api_key_env and os.environ.get(self.endpoint.api_key_env)
+        headers = {"Content-Type": "application/json", "User-Agent": USER_AGENT}
         if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
+            headers["Authorization"] = f"Bearer {api_key}"
         target = urlsplit(self.url)
-        self._https = target.scheme == "https"
-        # One TLS context for every connection: a new context loads the CA store
-        # again, which takes tens of milliseconds of CPU.
-        self._tls = ssl.create_default_context() if self._https else None
-        self._address = (target.hostname, target.port)
-        self._request_target = target.path
-        self._tunnel = None
+        https = target.scheme == "https"
+        address = (target.hostname, target.port)
+        request_target = target.path
+        tunnel = None
         # The proxy urllib would use: HTTP(S)_PROXY, unless NO_PROXY names the host.
         proxy = getproxies().get(target.scheme)
         if proxy and not proxy_bypass(target.netloc):
@@ -241,16 +304,16 @@ class ChatClient:
                 proxy_headers["Proxy-Authorization"] = (
                     "Basic " + base64.b64encode(login.encode("utf-8")).decode("ascii")
                 )
-            if self._https:  # a CONNECT tunnel through the proxy, TLS inside it
-                self._tunnel = (target.hostname, target.port, proxy_headers)
+            if https:  # a CONNECT tunnel through the proxy, TLS inside it
+                tunnel = (target.hostname, target.port, proxy_headers)
             else:  # the proxy forwards the request, which names the whole URL
-                self._request_target = self.url
-                self._headers.update(proxy_headers)
-            self._address = (via.hostname, via.port)
-        # Open connections that no request is using: at most one per calling thread.
-        self._idle = collections.deque()
-        self._model_dirs = {}  # model id -> its cache directory, worked out once
-        self._write_lock = threading.Lock()  # held to create and rename an entry's file
+                request_target = self.url
+                headers.update(proxy_headers)
+            address = (via.hostname, via.port)
+        # One TLS context for every connection: a new context loads the CA store
+        # again, which takes tens of milliseconds of CPU.
+        tls = ssl.create_default_context() if https else None
+        return _Route(address, request_target, headers, tls, tunnel)
 
     def close(self) -> None:
         """Close the connections kept open for later requests; call it once no
@@ -264,17 +327,17 @@ class ChatClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _connect(self) -> http.client.HTTPConnection:
+    def _connect(self, route: _Route) -> http.client.HTTPConnection:
         import http.client
 
-        host, port = self._address
-        if not self._https:
+        host, port = route.address
+        if route.tls is None:
             return http.client.HTTPConnection(host, port, timeout=self.endpoint.timeout_s)
         conn = http.client.HTTPSConnection(
-            host, port, timeout=self.endpoint.timeout_s, context=self._tls
+            host, port, timeout=self.endpoint.timeout_s, context=route.tls
         )
-        if self._tunnel:
-            tunnel_host, tunnel_port, proxy_headers = self._tunnel
+        if route.tunnel:
+            tunnel_host, tunnel_port, proxy_headers = route.tunnel
             conn.set_tunnel(tunnel_host, tunnel_port, proxy_headers)
         return conn
 
@@ -286,14 +349,15 @@ class ChatClient:
         A request that finds a kept-open connection closed by the server since is
         sent again on another connection: that is not a failed attempt.
         """
+        route = self._route or self._resolve_route()
         while True:
             try:
                 conn = self._idle.pop()
             except IndexError:
-                conn = self._connect()
+                conn = self._connect(route)
             reused = conn.sock is not None
             try:
-                conn.request("POST", self._request_target, body, self._headers)
+                conn.request("POST", route.target, body, route.headers)
                 with conn.getresponse() as response:
                     reply = response.status, response.read(), response.getheader("Retry-After")
             except ConnectionError:

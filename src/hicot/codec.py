@@ -1,18 +1,23 @@
 """The JSON codec: ``parse_json`` parses every JSON text the package reads, and
 ``to_json_dict`` and ``from_json_dict`` map dataclasses to JSON objects and back
 for every schema (the run config, benchmark registry entries, records and cache
-entries). A plain record class, one whose ``__init__`` would only assign, is
-read by a reader compiled once per class from its fields; any object that reader
-does not take is read by the one loop that fills defaults and names errors. It
-imports nothing from the package."""
+entries); ``to_json_line`` writes a dataclass as one sorted JSON line. A plain
+record class, one whose ``__init__`` would only assign, is read by a reader
+compiled from its fields, and a class of str, int, bool, Enum and nested such
+fields is written by a writer compiled from its fields, each once per class and
+only at its ``COMPILE_AT``-th use. Any object the reader does not take is read
+by the one loop that fills defaults and names errors, and any the writer does
+not take is written by ``to_json_dict`` and ``json.dumps``. It imports nothing
+from the package."""
 
 import json
 import math
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import partial
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Optional, get_args, get_origin, get_type_hints
 
 
 def parse_json(text, unique: bool = False):
@@ -66,6 +71,30 @@ def to_json_dict(obj) -> dict:
     return data
 
 
+def to_json_line(obj, spliced: Optional[str] = None, literal: Optional[str] = None) -> str:
+    """``json.dumps(to_json_dict(obj), ensure_ascii=False, sort_keys=True)`` and a
+    newline. ``literal``, when given, must be ``json.dumps(value,
+    ensure_ascii=False)`` of the str field named ``spliced``, which the
+    compiled writer copies instead of encoding that value again.
+
+    A class whose fields are str, int, bool, an Enum or a nested such dataclass,
+    or Optional ones, is written by its compiled writer (see ``_compile_writer``),
+    which takes an object whose every value is of its field's own type. Any
+    other object (a str in an Enum field, a bool in an int field, a subclass)
+    is written by ``to_json_dict`` and ``json.dumps``.
+    """
+    key = (type(obj), spliced)
+    try:
+        write = _WRITERS[key]
+    except KeyError:
+        write = _prepare_writer(key)
+    if write is not None:
+        line = write(obj, literal)
+        if line is not _MISS:
+            return line
+    return json.dumps(to_json_dict(obj), ensure_ascii=False, sort_keys=True) + "\n"
+
+
 class JsonMismatch(ValueError):
     """JSON that does not fit the dataclass it is read into: not an object, an
     unknown or missing key, a value of the wrong type, or one the class refuses."""
@@ -83,10 +112,11 @@ def from_json_dict(cls, data, where: str):
     ``__post_init__`` check begins with the field it refuses.
 
     A class that ``build`` fills without its ``__init__`` is read first by its
-    compiled reader (see ``_compile``), which takes an object naming every
-    field once, each with a value of its field's own JSON type. Any other
-    object goes through the loop over its keys below, which alone fills
-    defaults and names the first bad key in the object's order.
+    compiled reader (see ``_compile``), once it has one: from its
+    ``COMPILE_AT``-th read on. That reader takes an object naming every field
+    once, each with a value of its field's own JSON type. Any other object
+    goes through the loop over its keys below, which alone fills defaults and
+    names the first bad key in the object's order.
     """
     try:
         compiled = _COMPILED[cls]
@@ -121,19 +151,61 @@ def from_json_dict(cls, data, where: str):
 _FIELD_NAMES: dict = {}  # dataclass -> its field names, in declaration order
 _READERS: dict = {}  # dataclass -> {field name: its reader}
 _CONSTRUCTORS: dict = {}  # dataclass -> (its required field names, ``build(values)``)
-_COMPILED: dict = {}  # dataclass -> its compiled reader, or None where it has none
-_MISS = object()  # what a compiled reader returns for an object it does not take
+# dataclass -> its compiled reader, an ``_AtUse`` until then, or None where it has none
+_COMPILED: dict = {}
+# (dataclass, spliced field) -> its compiled writer, an ``_AtUse`` until then, or None
+_WRITERS: dict = {}
+_MISS = object()  # what a compiled reader or writer returns for an object it does not take
+
+# The use of a class at which its reader or writer is compiled. ``compile`` takes
+# 0.4-0.5 ms per class on a 2-core x86 VM with Python 3.11, and a compiled reader
+# saves 0.8 us (``BenchmarkSpec``) to 4 us (``EvalRecord``) per read, a compiled
+# writer about 16 us per record line: so it is worth its cost only for a class
+# used in bulk. Set-up reads each of the registry's 5 entries and each config
+# entry once, so it compiles nothing, while a grid of records pays back within
+# a few hundred reads.
+COMPILE_AT = 100
+
+
+class _AtUse:
+    """What stands in ``table[key]`` for the compiled reader or writer that
+    ``build()`` returns, until its ``COMPILE_AT``-th call: each call before it
+    returns ``_MISS``, so the loop or the fallback does the work; that call
+    compiles, puts the result in ``table[key]`` and calls it."""
+
+    def __init__(self, table: dict, key, build):
+        self.table, self.key, self.build = table, key, build
+        self.uses = 0
+
+    def __call__(self, *args):
+        self.uses += 1
+        if self.uses < COMPILE_AT:
+            return _MISS
+        compiled = self.install()
+        return _MISS if compiled is None else compiled(*args)
+
+    def install(self):
+        """Compile now, and put the result (None where there is none) in the table."""
+        self.table[self.key] = None  # meanwhile: a class nested in itself is not compiled again
+        compiled = self.table[self.key] = self.build()
+        return compiled
+
+
+def _compiled(table: dict, key, prepare):
+    """``table[key]`` (from ``prepare(key)`` on its first use), compiled now if it
+    is still an ``_AtUse``."""
+    compiled = table[key] if key in table else prepare(key)
+    return compiled.install() if isinstance(compiled, _AtUse) else compiled
 
 
 def _prepare(cls):
-    """Build the field readers, the constructor and the compiled reader of
-    ``cls`` (None for a class that ``build`` does not fill), and return the last."""
+    """Build the field readers and the constructor of ``cls``, and what stands for
+    its compiled reader (None for a class that ``build`` does not fill); return the last."""
     _CONSTRUCTORS[cls] = _constructor(cls)  # first: a class with readers has one
     hints = get_type_hints(cls)
     _READERS[cls] = {f.name: _reader(hints[f.name]) for f in fields(cls)}
-    _COMPILED[cls] = None  # until compiled: a class nested in itself is read by the loop
-    if _fills_without_init(cls):
-        _COMPILED[cls] = _compile(cls, hints)
+    compiled = _AtUse(_COMPILED, cls, partial(_compile, cls, hints))
+    _COMPILED[cls] = compiled if _fills_without_init(cls) else None
     return _COMPILED[cls]
 
 
@@ -209,10 +281,12 @@ def _compile(cls, hints: dict):
         elif not optional and isinstance(hint, type) and issubclass(hint, Enum):
             scope[f"m{i}"] = {member.value: member for member in hint}
             body.append(f"v{i} = m{i}[{value}]")  # KeyError, or TypeError if unhashable
-        elif not optional and is_dataclass(hint) and (
-            _COMPILED[hint] if hint in _COMPILED else _prepare(hint)
+        elif (
+            not optional
+            and is_dataclass(hint)
+            and (nested := _compiled(_COMPILED, hint, _prepare))
         ):
-            scope[f"r{i}"] = _COMPILED[hint]
+            scope[f"r{i}"] = nested
             body += [f"v{i} = r{i}({value})", f"if v{i} is MISS: return MISS"]
         else:
             scope[f"p{i}"], scope[f"c{i}"] = _READERS[cls][f.name]
@@ -230,6 +304,84 @@ def _compile(cls, hints: dict):
     ])
     exec(source, scope)
     return scope["read"]
+
+
+def _prepare_writer(key: tuple):
+    """What stands for the compiled writer of ``key``, ``(dataclass, spliced field)``."""
+    _WRITERS[key] = _AtUse(_WRITERS, key, partial(_compile_writer, *key))
+    return _WRITERS[key]
+
+
+def _compile_writer(cls, spliced):
+    """The compiled writer of ``cls``: ``write(obj, literal)``, the line that
+    ``to_json_line(obj, spliced, literal)`` writes, or ``_MISS``; None where a
+    field has a type it does not write.
+
+    Its one f-string holds the keys, sorted, between ``", "`` and ``": "``, and
+    each value as ``json.dumps`` writes it: a str through ``encode_basestring``,
+    an int as an f-string formats it (``int.__repr__``), a bool as ``true`` or
+    ``false``, an Enum member as its value, encoded once here, and a nested
+    dataclass inline. A value whose type is not exactly its field's type, or
+    None where the field is not Optional, makes it return ``_MISS``. Its source
+    is written once per class, from the fields and type hints of ``cls`` alone.
+    """
+    scope = {"MISS": _MISS, "enc": encode_basestring, "BOOLS": ("false", "true")}
+    body, template = [], []
+
+    def write_fields(owner, obj: str, open_classes: tuple) -> bool:
+        """Add the statements and the template of the fields of ``owner``, the
+        instance named ``obj``; False where a field has a type it does not write."""
+        hints = get_type_hints(owner)
+        template.append("{{")
+        for n, name in enumerate(sorted(f.name for f in fields(owner))):
+            hint, args = hints[name], get_args(hints[name])
+            optional = len(args) == 2 and type(None) in args
+            if optional:
+                hint = args[args[0] is type(None)]
+            v = f"v{len(body)}"
+            scope[f"t{v}"] = hint
+            template.append(f"{', ' if n else ''}{json.dumps(name, ensure_ascii=False)}: ")
+            if hint in (str, int, bool):
+                value = {str: f"enc({v})", int: v, bool: f"BOOLS[{v}]"}[hint]
+            elif isinstance(hint, type) and issubclass(hint, Enum):
+                try:
+                    scope[f"m{v}"] = {
+                        m._name_: json.dumps(m.value, ensure_ascii=False, sort_keys=True)
+                        for m in hint
+                    }
+                except (TypeError, ValueError):
+                    return False
+                value = f"m{v}[{v}._name_]"
+            elif optional or not is_dataclass(hint) or hint in open_classes:
+                return False
+            body.append(f"{v} = {obj}.{name}")
+            if optional:
+                body.append(f"if {v} is None: {v}s = 'null'")
+                body.append(f"elif type({v}) is not t{v}: return MISS")
+                body.append(f"else: {v}s = {value}")
+                value = f"{v}s"
+            else:
+                body.append(f"if type({v}) is not t{v}: return MISS")
+            if is_dataclass(hint):  # a nested object, written inline
+                if not write_fields(hint, v, (*open_classes, hint)):
+                    return False
+                continue
+            if name == spliced and owner is cls:
+                body.append(f"if literal is None: literal = {value}")
+                value = "literal"
+            template.append(f"{{{value}}}")
+        template.append("}}")
+        return True
+
+    if not write_fields(cls, "obj", (cls,)):
+        return None
+    source = "\n".join([
+        "def write(obj, literal):",
+        *(f"    {line}" for line in body),
+        f"    return f{repr(''.join(template) + chr(10))}",
+    ])
+    exec(source, scope)
+    return scope["write"]
 
 
 # The field types a JSON value of the same type passes as it is.

@@ -8,7 +8,6 @@ benchmark names to their source field names and answer kind.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .client import LONE_SURROGATE, TokenSource
-from .codec import JsonMismatch, from_json_dict, parse_json, to_json_dict
+from .codec import JsonMismatch, from_json_dict, parse_json, to_json_line
 from .judge import AnswerKind, Judgment, normalize_math, parse_int
 from .prompts import PromptStrategy
 from .traces import FormatReport
@@ -212,28 +211,18 @@ def now_timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(time.time()))
 
 
-# The ``completion_text`` member of a record line whose text is empty. It occurs
-# once in the line: a quote inside a string value is always escaped.
-_EMPTY_TEXT = '"completion_text": ""'
-
-
 def _record_line(record: EvalRecord, text_json: Optional[str] = None) -> str:
-    """The JSON line of ``record``, encoded with an empty ``completion_text`` into
-    which the text's JSON literal ``text_json`` is spliced; when it is None, the
-    text is encoded here."""
-    data = to_json_dict(record)
-    data["completion_text"] = ""
-    head, _, tail = json.dumps(data, ensure_ascii=False, sort_keys=True).partition(_EMPTY_TEXT)
-    if text_json is None:
-        text_json = json.dumps(record.completion_text, ensure_ascii=False)
-    return f'{head}"completion_text": {text_json}{tail}'
+    """The JSON line of ``record``, newline included. ``text_json``, when given, is
+    the JSON literal of its ``completion_text``, which the line copies; when it
+    is None, the text is encoded here."""
+    return to_json_line(record, "completion_text", text_json)
 
 
 def write_records(records: Iterable[EvalRecord], path: str | Path) -> None:
     """Write records as JSON lines (overwrites ``path``)."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(_record_line(record) + "\n")
+            fh.write(_record_line(record))
 
 
 def iter_records(path: str | Path) -> Iterator[EvalRecord]:
@@ -302,7 +291,7 @@ class RecordWriter:
         """Write ``record`` as one line. ``text_json``, when given, must be
         ``json.dumps(record.completion_text, ensure_ascii=False)``, which the line
         copies, as ``ChatClient.cached`` and ``fetch`` return it."""
-        self._fh.write(_record_line(record, text_json) + "\n")
+        self._fh.write(_record_line(record, text_json))
         self._fh.flush()
         self._unsynced = True
 

@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import errno
+import hashlib
 import json
 import random
 import shutil
@@ -12,6 +13,7 @@ import ssl
 import sys
 import threading
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from hicot.client import (
     TokenSource,
     approximate_tokens,
 )
-from hicot.prompts import PromptStrategy, build_prompt
+from hicot.prompts import PromptBundle, PromptStrategy, build_prompt
 
 from json_faults import key_paths, swap_one
 from stub_server import StubReply
@@ -707,6 +709,29 @@ class TestTransport:
         assert stub.total_requests == 64
         assert 1 <= stub.connections <= 4
 
+    def test_workers_connecting_at_once_share_one_route(self, make_stub, tmp_path, monkeypatch):
+        lookups = []
+        getproxies = urllib.request.getproxies
+
+        def slow_getproxies():
+            lookups.append(threading.get_ident())
+            time.sleep(0.01)  # a window in which another worker could resolve a route too
+            return getproxies()
+
+        monkeypatch.setattr(urllib.request, "getproxies", slow_getproxies)
+        stub = make_stub(lambda payload: StubReply("ok"), keep_alive=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _client(stub, tmp_path, max_attempts=1) as client:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    requests = [_request(seed=n) for n in range(16)]
+                    texts = [r.text for r in pool.map(client.complete, requests, timeout=30)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts == ["ok"] * 16
+        assert len(lookups) == 1
+
     @pytest.mark.parametrize("keep_alive", [False, True], ids=["http1.0", "keep_alive"])
     def test_https_is_verified_against_ssl_cert_file(
         self, make_stub, tmp_path, monkeypatch, keep_alive
@@ -783,9 +808,100 @@ class TestTransport:
         assert headers["proxy-authorization"] == f"Basic {login}"
 
 
+def _direct_key(request: CompletionRequest) -> str:
+    """The cache key of ``request`` from its material, encoded whole."""
+    material = {
+        "model_id": request.model_id,
+        "rendered": request.prompt.rendered,
+        **dataclasses.asdict(request.sampling),
+        "as_system": request.as_system,
+        "extra_body": dict(request.extra_body) if request.extra_body else None,
+    }
+    blob = json.dumps(material, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+# Text with quotes, backslashes, control characters and non-ASCII, none of it a
+# lone surrogate, which no UTF-8 key can hold.
+_key_texts = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\{}:, '),
+        st.characters(max_codepoint=0x1F),
+        st.characters(min_codepoint=0x7F, exclude_categories=("Cs",)),
+        st.just("\u2028"),
+    ),
+    max_size=30,
+)
+# ``int`` and ``float`` spellings of one number compare equal but encode apart.
+_numbers = st.one_of(st.floats(), st.integers(min_value=-(10**20), max_value=10**20))
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _numbers, _key_texts),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_key_texts, inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_SHARED_SAMPLING = SamplingParams()
+_extra_bodies = st.one_of(
+    st.sampled_from([None, {}, {"rendered": ""}, {"x": {"rendered": ""}}, {"a": {"b": [1, {}]}}]),
+    st.dictionaries(_key_texts, _json_values, max_size=4),
+)
+
+
 class TestCacheKey:
     def test_deterministic(self):
         assert _request().cache_key() == _request().cache_key()
+
+    @settings(deadline=None)
+    @given(
+        model_id=_key_texts,
+        prompts=st.lists(_key_texts, min_size=1, max_size=3),
+        sampling=st.builds(
+            SamplingParams,
+            temperature=_numbers,
+            top_p=_numbers,
+            max_tokens=st.integers(min_value=1, max_value=10**9),
+            seed=st.one_of(st.none(), st.integers(min_value=-(2**63), max_value=2**63)),
+        ),
+        as_system=st.booleans(),
+        extra_body=_extra_bodies,
+    )
+    def test_key_is_the_hash_of_the_encoded_material(
+        self, model_id, prompts, sampling, as_system, extra_body
+    ):
+        # The requests of one shape share its encoding: each key splices its prompt in.
+        for text in prompts:
+            prompt = PromptBundle("", text, text)
+            request = CompletionRequest(model_id, prompt, sampling, as_system, extra_body)
+            assert request.cache_key() == _direct_key(request)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((SamplingParams(temperature=0), False), (SamplingParams(temperature=0.0), False)),
+            ((SamplingParams(temperature=0.0), False), (SamplingParams(temperature=-0.0), False)),
+            ((SamplingParams(max_tokens=1), False), (SamplingParams(max_tokens=True), False)),
+            ((_SHARED_SAMPLING, True), (_SHARED_SAMPLING, 1)),
+        ],
+        ids=["int_float", "zero_negative_zero", "int_bool", "bool_int"],
+    )
+    def test_equal_shapes_spelled_apart_keep_their_own_keys(self, first, second):
+        # Equal settings that encode apart are two shapes, whichever is keyed first.
+        keys = []
+        for sampling, as_system in (first, second, first):
+            prompt = build_prompt(PromptStrategy.COT, "x")
+            request = CompletionRequest("m", prompt, sampling, as_system)
+            assert request.cache_key() == _direct_key(request)
+            keys.append(request.cache_key())
+        assert keys[0] == keys[2] != keys[1]
+
+    def test_shape_of_a_changed_extra_body_is_encoded_again(self):
+        extra_body = {"enable_thinking": False}
+        request = _request()
+        request = dataclasses.replace(request, extra_body=extra_body)
+        before = request.cache_key()
+        extra_body["enable_thinking"] = True
+        assert request.cache_key() == _direct_key(request) != before
 
     # Every cache on disk is stored under these keys: a change to the key's
     # material would leave each entry unread.

@@ -18,7 +18,7 @@ from hicot.cli import EXIT_IO, main
 from hicot.client import ChatClient, CompletionResult, Endpoint, SamplingParams, TokenSource
 from hicot import codec
 from hicot.codec import JsonMismatch, from_json_dict, parse_json, to_json_dict
-from hicot.config import BenchmarkEntry, ModelOverride, RunConfig
+from hicot.config import BenchmarkEntry, ModelOverride, RunConfig, load_run_config
 from hicot.datasets import (
     BenchmarkSpec,
     EvalRecord,
@@ -30,6 +30,7 @@ from hicot.datasets import (
     load_registry,
     load_resumable,
     now_timestamp,
+    _record_line,
     read_records,
     write_records,
 )
@@ -872,9 +873,20 @@ class _OrderedRow(dict):
     """A dict of another type, which only the loop reads."""
 
 
+# The classes that ``build`` fills without their ``__init__``.
+_PLAIN = (EvalRecord, Judgment, FormatReport, CompletionResult, BenchmarkSpec, BenchmarkEntry)
+
+
 class TestCompiledReader:
     """A plain record class is read by a reader compiled once per class; any object
     it does not take is read by the loop, with the same outcome as the loop alone."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def compiled_now(self):
+        """Every plain class's reader compiled now, not at its ``COMPILE_AT``-th read,
+        so that each case here goes through the compiled reader."""
+        for cls in _PLAIN:
+            codec._compiled(codec._COMPILED, cls, codec._prepare)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), item=st.one_of(_records, _results, _entries, _specs))
@@ -885,12 +897,37 @@ class TestCompiledReader:
         assert compiled == _decoded_by_the_loop(cls, copy.deepcopy(document))
 
     def test_only_plain_classes_are_compiled(self):
-        plain = (
-            EvalRecord, Judgment, FormatReport, CompletionResult, BenchmarkSpec, BenchmarkEntry
-        )
         checked = (Endpoint, SamplingParams, ModelOverride, RunConfig)
-        assert all(callable(codec._prepare(cls)) for cls in plain)
-        assert all(codec._prepare(cls) is None for cls in checked)
+        compiled = [codec._compiled(codec._COMPILED, cls, codec._prepare) for cls in _PLAIN]
+        assert all(callable(read) and not isinstance(read, codec._AtUse) for read in compiled)
+        assert all(
+            codec._compiled(codec._COMPILED, cls, codec._prepare) is None for cls in checked
+        )
+
+    def test_class_is_compiled_at_its_compile_at_th_read(self):
+        data = _json_form(make_record(0))
+        with mock.patch.dict(codec._COMPILED, clear=True):
+            for _ in range(codec.COMPILE_AT - 1):
+                assert from_json_dict(EvalRecord, data, "x") == make_record(0)
+            assert isinstance(codec._COMPILED[EvalRecord], codec._AtUse)
+            assert isinstance(codec._COMPILED[Judgment], codec._AtUse)
+            assert from_json_dict(EvalRecord, data, "x") == make_record(0)
+            assert not isinstance(codec._COMPILED[EvalRecord], codec._AtUse)
+            # The nested classes are compiled with it.
+            assert not isinstance(codec._COMPILED[Judgment], codec._AtUse)
+            assert not isinstance(codec._COMPILED[FormatReport], codec._AtUse)
+
+    def test_set_up_compiles_nothing(self, tmp_path):
+        path = write_config(tmp_path, "http://127.0.0.1:1")
+        with mock.patch.dict(codec._COMPILED, clear=True):
+            config = load_run_config(path)
+            load_registry()
+            assert codec._COMPILED
+            assert all(
+                read is None or isinstance(read, codec._AtUse)
+                for read in codec._COMPILED.values()
+            )
+        assert config.benchmarks
 
     def test_well_formed_record_is_read_by_the_compiled_reader(self):
         record = make_record(3)
@@ -983,3 +1020,94 @@ class TestCompiledReader:
         else:
             assert from_json_dict(cls, data, "x") == expected
 
+
+
+def _dumped(obj) -> str:
+    """``obj`` as ``to_json_dict`` and ``json.dumps`` write it, a newline after it."""
+    return json.dumps(to_json_dict(obj), ensure_ascii=False, sort_keys=True) + "\n"
+
+
+class _Str(str):
+    """A str of another type, which only the fallback writes."""
+
+
+_WRITER_KEY = (EvalRecord, "completion_text")
+
+_written_records = st.builds(
+    EvalRecord,
+    problem_id=_literal_texts,
+    benchmark=_literal_texts,
+    model_id=_literal_texts,
+    strategy=st.sampled_from(list(PromptStrategy)),
+    completion_text=_literal_texts,
+    completion_tokens=st.integers(min_value=0, max_value=10**12),
+    token_source=st.sampled_from(list(TokenSource)),
+    judgment=st.builds(
+        Judgment,
+        predicted_raw=st.one_of(st.none(), _literal_texts),
+        predicted_normalized=st.one_of(st.none(), _literal_texts),
+        correct=st.booleans(),
+        reason=st.sampled_from(list(JudgeReason)),
+        out_of_range=st.booleans(),
+    ),
+    format_report=_reports,
+    compliant=st.booleans(),
+    timestamp=_literal_texts,
+    client_error=st.one_of(st.none(), _literal_texts),
+)
+
+
+class TestCompiledWriter:
+    """A record line is written by a writer compiled once per class, byte for byte
+    as ``to_json_dict`` and ``json.dumps`` write it; any record it does not take is
+    written by those two."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def compiled_now(self):
+        """The record writer compiled now, not at its ``COMPILE_AT``-th line."""
+        codec._compiled(codec._WRITERS, _WRITER_KEY, codec._prepare_writer)
+
+    @settings(deadline=None)
+    @given(record=_written_records)
+    def test_line_is_byte_identical_to_the_json_dumps_one(self, record):
+        expected = _dumped(record)
+        literal = json.dumps(record.completion_text, ensure_ascii=False)
+        assert codec._WRITERS[_WRITER_KEY](record, None) == expected
+        assert _record_line(record) == expected
+        assert _record_line(record, literal) == expected
+        assert _record_line(record).encode("utf-8") == expected.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            # As ``bench/run.py`` builds the records of its report workload.
+            pytest.param(make_record(0, token_source="api_usage"), id="str_in_an_enum_field"),
+            pytest.param(make_record(0, completion_tokens=True), id="bool_in_an_int_field"),
+            pytest.param(make_record(0, model_id=_Str("m1")), id="str_subclass"),
+            pytest.param(
+                make_record(0, judgment=Judgment("1", "1", 1, JudgeReason.MATCH)),
+                id="int_in_a_nested_bool_field",
+            ),
+        ],
+    )
+    def test_record_it_does_not_take_is_written_by_json_dumps(self, record):
+        assert codec._WRITERS[_WRITER_KEY](record, None) is codec._MISS
+        with mock.patch.object(codec, "to_json_dict", wraps=codec.to_json_dict) as fallback:
+            line = _record_line(record, json.dumps(record.completion_text, ensure_ascii=False))
+        assert fallback.called
+        assert line == _dumped(record)
+
+    def test_writer_is_compiled_at_its_compile_at_th_line(self):
+        record = make_record(0)
+        with mock.patch.dict(codec._WRITERS, clear=True):
+            for _ in range(codec.COMPILE_AT - 1):
+                assert _record_line(record) == _dumped(record)
+            assert isinstance(codec._WRITERS[_WRITER_KEY], codec._AtUse)
+            assert _record_line(record) == _dumped(record)
+            assert codec._WRITERS[_WRITER_KEY](record, None) == _dumped(record)
+
+    def test_class_with_a_field_it_cannot_write_has_no_writer(self):
+        summary = MetricsSummary("m", PromptStrategy.COT, "b", 3, 50.0, None, 100.0, None, 1.5)
+        key = (MetricsSummary, None)
+        assert codec._compiled(codec._WRITERS, key, codec._prepare_writer) is None
+        assert codec.to_json_line(summary) == _dumped(summary)

@@ -6,9 +6,10 @@ form no cycle, and no module imports another's private name. Imports under
 nothing from the package, the client nothing but the codec and prompts, and
 metrics nothing of the record schema. Importing a module loads exactly the
 package modules its imports reach. Importing the command line loads the
-standard library only, and it and the commands that build no client leave
-the network stack unloaded. Standard-library modules that only one command
-or a harness fault uses load with that command, not with the import.
+standard library only; it, the commands that build no client and a run
+whose every item is a cache hit leave the network stack unloaded.
+Standard-library modules that only one command or a harness fault uses load
+with that command, not with the import.
 """
 
 import ast
@@ -22,8 +23,10 @@ from pathlib import Path
 import pytest
 
 import hicot
-from hicot.cli import EXIT_OK, EXIT_VALIDATION, score_completion
-from hicot.datasets import EvalRecord, Problem, write_records
+from hicot.cli import EXIT_OK, EXIT_VALIDATION, _request, score_completion
+from hicot.client import ChatClient, CompletionResult, TokenSource
+from hicot.config import load_run_config
+from hicot.datasets import EvalRecord, Problem, load_dataset, write_records
 from hicot.judge import AnswerKind
 from hicot.prompts import PromptStrategy
 from hicot.traces import (
@@ -228,11 +231,10 @@ codes = [cli.main(["validate", sys.argv[1]])]
 loaded["validate"] = set(sys.modules) - before
 codes.append(cli.main(["score", sys.argv[2]]))
 loaded["score"] = set(sys.modules) - before
-from hicot.client import ChatClient, Endpoint
-ChatClient(Endpoint("http://127.0.0.1:1"), sys.argv[3])
-loaded["client"] = set(sys.modules) - before
 codes.append(cli.main(["report", sys.argv[2], "--format", "csv", "--output-dir", sys.argv[3]]))
 loaded["report"] = set(sys.modules) - before
+codes.append(cli.main(["run", "--config", sys.argv[5]]))
+loaded["warm_run"] = set(sys.modules) - before
 codes.append(cli.main(["run", "--config", sys.argv[4]]))
 loaded["run"] = set(sys.modules) - before
 print(json.dumps({"codes": codes, **{stage: sorted(names) for stage, names in loaded.items()}}))
@@ -272,15 +274,29 @@ def startup(tmp_path_factory) -> dict:
     dataset.write_text(
         json.dumps({"problem": "What is 1 + 1?", "answer": "2"}) + "\n", encoding="utf-8"
     )
-    config = root / "run_config.json"
-    config.write_text(json.dumps({
-        "endpoint": {"base_url": "http://127.0.0.1:1", "max_attempts": 1},
-        "models": ["m"],
-        "strategies": ["standard"],
-        "benchmarks": {"toy": {"path": str(dataset), "kind": "integer_exact"}},
-        "output_dir": str(root / "run"),
-    }), encoding="utf-8")
-    return _fresh_interpreter(_STARTUP_PROBE, completion, records, root / "out", config)
+    configs = {}
+    for name in ("run", "warm_run"):
+        configs[name] = root / f"{name}_config.json"
+        configs[name].write_text(json.dumps({
+            "endpoint": {"base_url": "http://127.0.0.1:1", "max_attempts": 1},
+            "models": ["m"],
+            "strategies": ["standard"],
+            "benchmarks": {"toy": {"path": str(dataset), "kind": "integer_exact"}},
+            "output_dir": str(root / name),
+        }), encoding="utf-8")
+    # The same grid over a cache that holds its one completion: the run sends nothing.
+    config = load_run_config(configs["warm_run"])
+    path, spec = config.benchmarks["toy"]
+    [problem] = load_dataset(path, "toy", spec.field_map, spec.kind)
+    request = _request(config, "m", PromptStrategy.STANDARD, problem)
+    client = ChatClient(config.endpoint, config.cache_dir)
+    client._write_cache(
+        client._cache_path(request, request.cache_key()),
+        CompletionResult("\\boxed{2}", 3, TokenSource.API_USAGE, 1),
+    )
+    return _fresh_interpreter(
+        _STARTUP_PROBE, completion, records, root / "out", configs["run"], configs["warm_run"]
+    )
 
 
 def test_commands_without_a_client_leave_the_network_stack_unloaded(startup):
@@ -288,8 +304,14 @@ def test_commands_without_a_client_leave_the_network_stack_unloaded(startup):
     assert startup["codes"][1] == EXIT_OK
     assert sorted(set(startup["validate"]) & set(NETWORK_STACK)) == []
     assert sorted(set(startup["score"]) & set(NETWORK_STACK)) == []
-    # The control: building a client is what loads the network stack.
-    assert "http.client" in startup["client"]
+
+
+def test_run_that_sends_no_request_leaves_the_network_stack_unloaded(startup):
+    # Every item of the warm run is a cache hit; it hashes its keys, so it loads hashlib.
+    assert startup["codes"][3] == EXIT_OK
+    assert sorted(set(startup["warm_run"]) & set(NETWORK_STACK) - {"hashlib"}) == []
+    # The control: sending a request is what loads the network stack.
+    assert {"http.client", "ssl", "urllib.request"} <= set(startup["run"])
 
 
 def test_start_up_leaves_the_deferred_modules_unloaded(startup):
@@ -308,6 +330,6 @@ def test_start_up_leaves_the_deferred_modules_unloaded(startup):
     assert sorted((set(startup["validate"]) - parser) & deferred) == []
     assert sorted((set(startup["score"]) - parser) & deferred) == []
     # The controls: the commands that use them load them.
-    assert startup["codes"][2:] == [EXIT_OK, EXIT_OK]
+    assert startup["codes"][2:] == [EXIT_OK, EXIT_OK, EXIT_OK]
     assert {"csv", "decimal"} <= set(startup["report"])
     assert "concurrent.futures" in startup["run"]
