@@ -18,7 +18,14 @@ import threading
 from pathlib import Path
 from typing import Optional, Tuple, TYPE_CHECKING
 
-from .client import ChatClient, ClientError, CompletionRequest, CompletionResult, TokenSource
+from .client import (
+    ChatClient,
+    ClientError,
+    CompletionRequest,
+    CompletionResult,
+    TokenSource,
+    replace_lone_surrogates,
+)
 from .config import NO_OVERRIDE, ConfigInvalid, RunConfig, load_run_config
 from .datasets import (
     EvalRecord,
@@ -131,7 +138,12 @@ def _evaluate_one(
         format_report=report,
         compliant=compliant,
         timestamp=now_timestamp(),
-        client_error=None if error is None else f"{type(error).__name__}: {error}",
+        # An exception's text may spell a lone surrogate (an endpoint's error
+        # message, say), which no UTF-8 record line can hold.
+        client_error=(
+            None if error is None
+            else replace_lone_surrogates(f"{type(error).__name__}: {error}")
+        ),
     )
 
 

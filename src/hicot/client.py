@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from json.decoder import scanstring
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping, Optional, TYPE_CHECKING
 from urllib.parse import unquote, urlsplit
@@ -48,6 +47,9 @@ _CONTEXT_OVERFLOW_HINTS = ("context_length", "maximum context length", "prompt i
 # A surrogate code point that is not half of a pair, as a server that cuts an
 # emoji's pair at ``max_tokens`` may send; no UTF-8 file can hold it.
 LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
+# Every token count is below this bound, 2**53, so that a float holds it exactly:
+# a reply's count at or above it is not taken, and a record holding one is refused.
+TOKEN_COUNT_BOUND = 2**53
 # How ``_write_cache`` begins an entry: its text's JSON literal comes first.
 _ENTRY_HEAD = '{"text": '
 # An escape that ``json.dumps(text, ensure_ascii=False)`` may not have written:
@@ -126,14 +128,6 @@ class SamplingParams:
 # The request-body keys set from a ``CompletionRequest``, which ``extra_body`` may not name.
 CLIENT_KEYS = frozenset({"model", "messages", *(f.name for f in fields(SamplingParams))})
 
-# Per request shape: the SHA-256 state over its key material before the rendered
-# prompt, and the material after it (see ``CompletionRequest.cache_key``). It
-# keeps at most ``_KEY_TEMPLATES_KEPT`` shapes; a run has one per model.
-_KEY_TEMPLATES: dict = {}
-_KEY_TEMPLATES_KEPT = 64
-_EMPTY_PROMPT = '"rendered": ""'
-
-
 @dataclass(frozen=True)
 class CompletionRequest:
     """One chat completion to perform.
@@ -154,49 +148,18 @@ class CompletionRequest:
 
     def cache_key(self) -> str:
         """The SHA-256 hex digest of the key material below, encoded as JSON with
-        sorted keys and non-ASCII text kept, in UTF-8.
-
-        The material of a request shape (all but the rendered prompt) is encoded
-        once, with an empty prompt, and split at the top-level ``"rendered": ""``:
-        the last one, since ``extra_body``, which may hold one too, sorts before
-        it. Each key then encodes and hashes only its prompt between the two.
-        A shape names its ``sampling`` and ``as_system`` objects by identity
-        (``0`` and ``0.0`` are equal but encode apart) and its ``extra_body``,
-        which may change, by its encoding.
-        """
+        sorted keys and non-ASCII text kept, in UTF-8."""
         import hashlib
 
-        extra_body = dict(self.extra_body) if self.extra_body else None
-        shape = (
-            self.model_id,
-            id(self.sampling),
-            id(self.as_system),
-            extra_body and json.dumps(extra_body, sort_keys=True, ensure_ascii=False),
-        )
-        template = _KEY_TEMPLATES.get(shape)
-        if template is None:
-            material = {
-                "model_id": self.model_id,
-                "rendered": "",
-                **to_json_dict(self.sampling),
-                "as_system": self.as_system,
-                "extra_body": extra_body,
-            }
-            text = json.dumps(material, sort_keys=True, ensure_ascii=False)
-            cut = text.rindex(_EMPTY_PROMPT) + len(_EMPTY_PROMPT) - 2  # before its ""
-            if len(_KEY_TEMPLATES) >= _KEY_TEMPLATES_KEPT:
-                _KEY_TEMPLATES.clear()
-            # The objects named by identity are kept, so that no other takes their id.
-            template = _KEY_TEMPLATES[shape] = (
-                hashlib.sha256(text[:cut].encode("utf-8")),
-                text[cut + 2:].encode("utf-8"),
-                self.sampling,
-                self.as_system,
-            )
-        digest = template[0].copy()
-        digest.update(encode_basestring(self.prompt.rendered).encode("utf-8"))
-        digest.update(template[1])
-        return digest.hexdigest()
+        material = {
+            "model_id": self.model_id,
+            "rendered": self.prompt.rendered,
+            **to_json_dict(self.sampling),
+            "as_system": self.as_system,
+            "extra_body": dict(self.extra_body) if self.extra_body else None,
+        }
+        blob = json.dumps(material, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        return hashlib.sha256(blob).hexdigest()
 
     def messages(self) -> list:
         if self.as_system:
@@ -395,10 +358,14 @@ class ChatClient:
             result = from_json_dict(CompletionResult, data, "cache entry")
         except (FileNotFoundError, ValueError):  # ValueError: not UTF-8, not JSON, a JsonMismatch
             return None
+        if not 0 <= result.completion_tokens < TOKEN_COUNT_BOUND:
+            return None  # as ``_parse_success`` would not take that count
         # Only an escaped literal, which ``_parse_entry`` does not keep, can spell a
         # lone surrogate; it is replaced as in a fetched completion.
-        if text_json is None and LONE_SURROGATE.search(result.text):
-            result = replace(result, text=LONE_SURROGATE.sub("\ufffd", result.text))
+        if text_json is None:
+            text = replace_lone_surrogates(result.text)
+            if text is not result.text:
+                result = replace(result, text=text)
         return result, text_json
 
     def _write_cache(self, path: str, result: CompletionResult) -> str:
@@ -513,14 +480,20 @@ class ChatClient:
             raise EndpointUnreachable(
                 f"malformed completion response: content is {type(text).__name__}"
             )
-        text = LONE_SURROGATE.sub("\ufffd", text)  # U+FFFD, the replacement character
+        text = replace_lone_surrogates(text)
         usage = body.get("usage")
         tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
-        if type(tokens) is int and tokens >= 0:  # a JSON true is not a count
+        if type(tokens) is int and 0 <= tokens < TOKEN_COUNT_BOUND:  # a JSON true is not a count
             return CompletionResult(text, tokens, TokenSource.API_USAGE, latency_ms)
         return CompletionResult(
             text, approximate_tokens(text), TokenSource.APPROXIMATE, latency_ms
         )
+
+
+def replace_lone_surrogates(text: str) -> str:
+    """``text`` with each lone surrogate replaced by U+FFFD, the replacement
+    character; ``text`` itself where it holds none, as ASCII text never does."""
+    return text if text.isascii() else LONE_SURROGATE.sub("\ufffd", text)
 
 
 def _parse_entry(raw: str) -> tuple:

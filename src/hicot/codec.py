@@ -4,11 +4,11 @@ for every schema (the run config, benchmark registry entries, records and cache
 entries); ``to_json_line`` writes a dataclass as one sorted JSON line. A plain
 record class, one whose ``__init__`` would only assign, is read by a reader
 compiled from its fields, and a class of str, int, bool, Enum and nested such
-fields is written by a writer compiled from its fields, each once per class and
-only at its ``COMPILE_AT``-th use. Any object the reader does not take is read
-by the one loop that fills defaults and names errors, and any the writer does
-not take is written by ``to_json_dict`` and ``json.dumps``. It imports nothing
-from the package."""
+fields is written by a writer compiled from its fields, each once per class, at
+its first use. Any object the reader does not take is read by the one loop that
+fills defaults and names errors, and builds it through its class, and any the
+writer does not take is written by ``to_json_dict`` and ``json.dumps``. It
+imports nothing from the package."""
 
 import json
 import math
@@ -111,12 +111,12 @@ def from_json_dict(cls, data, where: str):
     JsonMismatch naming its key below ``where``; the ``ValueError`` of a
     ``__post_init__`` check begins with the field it refuses.
 
-    A class that ``build`` fills without its ``__init__`` is read first by its
-    compiled reader (see ``_compile``), once it has one: from its
-    ``COMPILE_AT``-th read on. That reader takes an object naming every field
-    once, each with a value of its field's own JSON type. Any other object
-    goes through the loop over its keys below, which alone fills defaults and
-    names the first bad key in the object's order.
+    A class whose ``__init__`` would only assign (see ``_fills_without_init``)
+    is read first by its compiled reader (see ``_compile``), built at its first
+    read. That reader takes an object naming every field once, each with a
+    value of its field's own JSON type. Any other object goes through the loop
+    over its keys below, which alone fills defaults and names the first bad
+    key in the object's order, and builds the instance through ``cls``.
     """
     try:
         compiled = _COMPILED[cls]
@@ -136,13 +136,12 @@ def from_json_dict(cls, data, where: str):
         except KeyError:
             raise JsonMismatch(f"{where}.{key} is not a known key") from None
         values[key] = value if type(value) in passes else read(value, f"{where}.{key}")
-    required, build = _CONSTRUCTORS[cls]
     if len(values) < len(readers):  # a key is absent: it must have a default
-        for name in required:
+        for name in _REQUIRED[cls]:
             if name not in values:
                 raise JsonMismatch(f"{where}.{name} is missing")
     try:
-        return build(values)
+        return cls(**values)
     except ValueError as exc:
         raise JsonMismatch(f"{where}.{exc}") from exc
 
@@ -150,103 +149,40 @@ def from_json_dict(cls, data, where: str):
 # Built once per class, on its first encode or decode.
 _FIELD_NAMES: dict = {}  # dataclass -> its field names, in declaration order
 _READERS: dict = {}  # dataclass -> {field name: its reader}
-_CONSTRUCTORS: dict = {}  # dataclass -> (its required field names, ``build(values)``)
-# dataclass -> its compiled reader, an ``_AtUse`` until then, or None where it has none
+_REQUIRED: dict = {}  # dataclass -> the names of its fields without a default
+# dataclass -> its compiled reader, or None where it has none
 _COMPILED: dict = {}
-# (dataclass, spliced field) -> its compiled writer, an ``_AtUse`` until then, or None
+# (dataclass, spliced field) -> its compiled writer, or None where it has none
 _WRITERS: dict = {}
 _MISS = object()  # what a compiled reader or writer returns for an object it does not take
 
-# The use of a class at which its reader or writer is compiled. ``compile`` takes
-# 0.4-0.5 ms per class on a 2-core x86 VM with Python 3.11, and a compiled reader
-# saves 0.8 us (``BenchmarkSpec``) to 4 us (``EvalRecord``) per read, a compiled
-# writer about 16 us per record line: so it is worth its cost only for a class
-# used in bulk. Set-up reads each of the registry's 5 entries and each config
-# entry once, so it compiles nothing, while a grid of records pays back within
-# a few hundred reads.
-COMPILE_AT = 100
-
-
-class _AtUse:
-    """What stands in ``table[key]`` for the compiled reader or writer that
-    ``build()`` returns, until its ``COMPILE_AT``-th call: each call before it
-    returns ``_MISS``, so the loop or the fallback does the work; that call
-    compiles, puts the result in ``table[key]`` and calls it."""
-
-    def __init__(self, table: dict, key, build):
-        self.table, self.key, self.build = table, key, build
-        self.uses = 0
-
-    def __call__(self, *args):
-        self.uses += 1
-        if self.uses < COMPILE_AT:
-            return _MISS
-        compiled = self.install()
-        return _MISS if compiled is None else compiled(*args)
-
-    def install(self):
-        """Compile now, and put the result (None where there is none) in the table."""
-        self.table[self.key] = None  # meanwhile: a class nested in itself is not compiled again
-        compiled = self.table[self.key] = self.build()
-        return compiled
-
-
-def _compiled(table: dict, key, prepare):
-    """``table[key]`` (from ``prepare(key)`` on its first use), compiled now if it
-    is still an ``_AtUse``."""
-    compiled = table[key] if key in table else prepare(key)
-    return compiled.install() if isinstance(compiled, _AtUse) else compiled
-
 
 def _prepare(cls):
-    """Build the field readers and the constructor of ``cls``, and what stands for
-    its compiled reader (None for a class that ``build`` does not fill); return the last."""
-    _CONSTRUCTORS[cls] = _constructor(cls)  # first: a class with readers has one
+    """Build the field readers, the required fields and the compiled reader of
+    ``cls`` (None for a class that ``_fills_without_init`` does not pick); return
+    the last."""
+    _REQUIRED[cls] = tuple(
+        f.name
+        for f in fields(cls)
+        if f.init and f.default is MISSING and f.default_factory is MISSING
+    )
     hints = get_type_hints(cls)
     _READERS[cls] = {f.name: _reader(hints[f.name]) for f in fields(cls)}
-    compiled = _AtUse(_COMPILED, cls, partial(_compile, cls, hints))
-    _COMPILED[cls] = compiled if _fills_without_init(cls) else None
+    _COMPILED[cls] = None  # meanwhile: a class nested in itself is not compiled again
+    if _fills_without_init(cls):
+        _COMPILED[cls] = _compile(cls, hints)
     return _COMPILED[cls]
 
 
 def _fills_without_init(cls) -> bool:
-    """Whether the generated ``__init__`` of ``cls`` would only assign: there is
-    no ``__post_init__``, ``default_factory``, ``init=False`` field or ``__slots__``."""
+    """Whether the generated ``__init__`` of ``cls`` would only assign, so that its
+    compiled reader may fill a bare instance instead: there is no
+    ``__post_init__``, ``default_factory``, ``init=False`` field or ``__slots__``."""
     return not (
         hasattr(cls, "__post_init__")
         or hasattr(cls, "__slots__")
         or any(not f.init or f.default_factory is not MISSING for f in fields(cls))
     )
-
-
-def _constructor(cls) -> tuple:
-    """``(required, build)`` for the dataclass ``cls``: the fields a JSON object
-    must name, and ``build(values)``, the instance from a dict of field values.
-
-    Where ``_fills_without_init``, ``build`` skips the ``__init__``, as ``copy``
-    and ``pickle`` do: it fills a bare instance's ``__dict__`` in field order,
-    taking absent fields from their defaults. That is several times cheaper
-    than a frozen ``__init__``, which sets each field through
-    ``object.__setattr__``. Any other class is called, so its checks run.
-    """
-    cls_fields = fields(cls)
-    required = tuple(
-        f.name
-        for f in cls_fields
-        if f.init and f.default is MISSING and f.default_factory is MISSING
-    )
-    if not _fills_without_init(cls):
-        return required, lambda values: cls(**values)
-    defaults = {f.name: f.default for f in cls_fields}
-
-    def build(values: dict):
-        obj = object.__new__(cls)
-        state = obj.__dict__
-        state.update(defaults)  # every field, in field order
-        state.update(values)  # a key already set keeps its place
-        return obj
-
-    return required, build
 
 
 def _compile(cls, hints: dict):
@@ -258,7 +194,7 @@ def _compile(cls, hints: dict):
     passes when ``type(value)`` is its type, an Enum field maps its value
     through ``{value: member}``, a nested dataclass goes through that class's
     compiled reader, and any other field through its ``_reader``. It then
-    fills a bare instance's ``__dict__`` in field order, as ``build`` does.
+    fills a bare instance's ``__dict__`` in field order, as ``__init__`` would.
     Whatever it does not take (an absent or unknown key, a value of another
     type, an Enum spelling other than its value) is ``_MISS``, for the loop to
     read or refuse. Its source is written once per class, from the fields and
@@ -284,7 +220,7 @@ def _compile(cls, hints: dict):
         elif (
             not optional
             and is_dataclass(hint)
-            and (nested := _compiled(_COMPILED, hint, _prepare))
+            and (nested := _COMPILED[hint] if hint in _COMPILED else _prepare(hint))
         ):
             scope[f"r{i}"] = nested
             body += [f"v{i} = r{i}({value})", f"if v{i} is MISS: return MISS"]
@@ -307,9 +243,10 @@ def _compile(cls, hints: dict):
 
 
 def _prepare_writer(key: tuple):
-    """What stands for the compiled writer of ``key``, ``(dataclass, spliced field)``."""
-    _WRITERS[key] = _AtUse(_WRITERS, key, partial(_compile_writer, *key))
-    return _WRITERS[key]
+    """Compile the writer of ``key``, ``(dataclass, spliced field)``, and return it;
+    a nested class is written inline, so no other writer is compiled meanwhile."""
+    write = _WRITERS[key] = _compile_writer(*key)
+    return write
 
 
 def _compile_writer(cls, spliced):

@@ -26,6 +26,7 @@ from hicot.client import (
     Endpoint,
     SamplingParams,
     TokenSource,
+    approximate_tokens,
 )
 from hicot.codec import to_json_dict
 from hicot.config import ConfigInvalid, ModelOverride, RunConfig, load_run_config
@@ -822,6 +823,47 @@ class TestRunCommand:
         assert all("HTTP 404: model not found" in r.client_error for r in records)
         assert stub.total_requests == 3
 
+    def test_lone_surrogate_in_an_error_message_becomes_a_replacement_character(
+        self, tmp_path, make_stub, capsys
+    ):
+        # The escape as JSON text: the client decodes it to a lone surrogate.
+        refusal = StubReply(status=400, error_body='{"error": {"message": "bad \\ud83d input"}}')
+        stub = make_stub(
+            lambda payload: refusal
+            if "first" in payload["messages"][0]["content"]
+            else StubReply("\\boxed{42}")
+        )
+        dataset = tmp_path / "two.jsonl"
+        rows = [{"problem": "the first", "answer": "42"}, {"problem": "the second", "answer": "42"}]
+        dataset.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        config = {
+            "endpoint": {"base_url": stub.base_url, "max_attempts": 1},
+            "models": ["sim-alpha"],
+            "strategies": ["cot"],
+            "benchmarks": {"two": str(dataset)},
+            "output_dir": str(tmp_path / "out"),
+        }
+        config_path = _dump(tmp_path, config)
+        assert main(["run", "--config", str(config_path)]) == EXIT_OK
+        failed, judged = read_records(capsys.readouterr().out.strip())
+        assert failed.client_error == "EndpointUnreachable: HTTP 400: bad \ufffd input"
+        assert not failed.judgment.correct
+        assert judged.client_error is None and judged.judgment.correct
+
+    def test_token_count_no_float_holds_is_approximated(self, tmp_path, make_stub, capsys):
+        stub = make_stub(lambda payload: StubReply("\\boxed{42}", completion_tokens=10**400))
+        config_path = write_config(
+            tmp_path, stub.base_url, models=("sim-alpha",), strategies=("cot",),
+            benchmarks=("toy_int",),
+        )
+        assert main(["run", "--config", str(config_path)]) == EXIT_OK
+        records_path = capsys.readouterr().out.strip()
+        records = read_records(records_path)
+        assert [r.token_source for r in records] == [TokenSource.APPROXIMATE] * 3
+        assert [r.completion_tokens for r in records] == [approximate_tokens("\\boxed{42}")] * 3
+        assert main(["score", records_path]) == EXIT_OK
+        assert main(["report", records_path]) == EXIT_OK
+
     def test_lone_surrogate_becomes_a_replacement_character(self, tmp_path, make_stub, capsys):
         # A server that cuts an emoji's surrogate pair at max_tokens sends half of
         # it; a whole pair (the leading emoji) decodes to one character.
@@ -1443,6 +1485,17 @@ class TestScoreAndReport:
             assert main(["report", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_IO
             assert f"benchmark {name!r} is reserved" in capsys.readouterr().err
             assert main(["score", str(path)]) == EXIT_OK
+
+    def test_token_count_no_float_holds_is_a_malformed_line(self, records_path, capsys):
+        path = Path(records_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[1])
+        lines[1] = json.dumps({**record, "completion_tokens": 2**53}) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(["score", records_path]) == EXIT_IO
+        assert f"{records_path}:2: record.completion_tokens is not below 2**53" in (
+            capsys.readouterr().err
+        )
 
     def test_corrupt_records_is_io_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"

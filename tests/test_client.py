@@ -34,6 +34,7 @@ from hicot.client import (
     SamplingParams,
     TokenSource,
     approximate_tokens,
+    replace_lone_surrogates,
 )
 from hicot.prompts import PromptBundle, PromptStrategy, build_prompt
 
@@ -379,10 +380,13 @@ class TestComplete:
             "\ufeff" + _ENTRY,
             _ENTRY.encode("utf-16"),
             _TOO_DEEP,
+            # A count no float holds exactly, which a fetch would not have taken.
+            '{"text": "old", "completion_tokens": 9007199254740992, "token_source": "api_usage", '
+            '"latency_ms": 1}',
         ],
         ids=[
             "null_text", "broken_json", "missing_key", "string_tokens", "utf8_bom", "utf16",
-            "too_deep",
+            "too_deep", "tokens_at_the_bound",
         ],
     )
     def test_unreadable_cache_entry_is_fetched_again(self, make_stub, tmp_path, entry):
@@ -511,7 +515,9 @@ class TestComplete:
     @pytest.mark.parametrize(
         "usage",
         ["n/a", [1], 5, None, {}, {"completion_tokens": True}, {"completion_tokens": -1},
-         {"completion_tokens": 7.0}, {"completion_tokens": "7"}],
+         {"completion_tokens": 7.0}, {"completion_tokens": "7"},
+         # Counts no float holds exactly: 2**53, and 401 digits.
+         {"completion_tokens": 2**53}, {"completion_tokens": 10**400}],
     )
     def test_usage_without_a_count_falls_back_to_approximate(self, tmp_path, usage):
         client = ChatClient(Endpoint("http://127.0.0.1:1"), tmp_path / "cache")
@@ -522,6 +528,20 @@ class TestComplete:
         reply["usage"] = {"completion_tokens": 7}
         result = client._parse_success(json.dumps(reply).encode(), time.monotonic())
         assert (result.completion_tokens, result.token_source) == (7, TokenSource.API_USAGE)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("plain \\boxed{7}", "plain \\boxed{7}"),
+            ("é \U0001f600", "é \U0001f600"),
+            ("é \ud83d x \udc00", "é \ufffd x \ufffd"),
+        ],
+        ids=["ascii", "pair", "lone"],
+    )
+    def test_replace_lone_surrogates(self, text, expected):
+        assert replace_lone_surrogates(text) == expected
+        if text.isascii():
+            assert replace_lone_surrogates(text) is text
 
     def test_sends_single_user_message_by_default(self, make_stub, tmp_path):
         seen = {}
@@ -869,7 +889,7 @@ class TestCacheKey:
     def test_key_is_the_hash_of_the_encoded_material(
         self, model_id, prompts, sampling, as_system, extra_body
     ):
-        # The requests of one shape share its encoding: each key splices its prompt in.
+        # Several prompts of one request shape, as a grid keys them.
         for text in prompts:
             prompt = PromptBundle("", text, text)
             request = CompletionRequest(model_id, prompt, sampling, as_system, extra_body)
@@ -886,7 +906,7 @@ class TestCacheKey:
         ids=["int_float", "zero_negative_zero", "int_bool", "bool_int"],
     )
     def test_equal_shapes_spelled_apart_keep_their_own_keys(self, first, second):
-        # Equal settings that encode apart are two shapes, whichever is keyed first.
+        # Equal settings that encode apart keep their own keys, whichever is keyed first.
         keys = []
         for sampling, as_system in (first, second, first):
             prompt = build_prompt(PromptStrategy.COT, "x")

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import time
+import types
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import get_type_hints
@@ -507,6 +508,14 @@ class TestRecordsRoundTrip:
         with pytest.raises(MalformedLine, match=":1: unknown record version 99"):
             read_records(path)
 
+    def test_token_count_no_float_holds_is_a_malformed_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records([make_record(0, completion_tokens=2**53 - 1), make_record(1)], path)
+        assert [r.completion_tokens for r in read_records(path)] == [2**53 - 1, 11]
+        write_records([make_record(0), make_record(1, completion_tokens=2**53)], path)
+        with pytest.raises(MalformedLine, match=re.escape(":2: record.completion_tokens")):
+            read_records(path)
+
     def test_unknown_token_source_is_schema_mismatch(self, tmp_path, capsys):
         # The client sets one of two token sources: any other is a bad line, not a third.
         path = tmp_path / "records.jsonl"
@@ -883,10 +892,11 @@ class TestCompiledReader:
 
     @pytest.fixture(autouse=True, scope="class")
     def compiled_now(self):
-        """Every plain class's reader compiled now, not at its ``COMPILE_AT``-th read,
-        so that each case here goes through the compiled reader."""
+        """Every plain class's reader compiled before any case here, so that each
+        has a table entry for ``_decoded_by_the_loop`` to take away."""
         for cls in _PLAIN:
-            codec._compiled(codec._COMPILED, cls, codec._prepare)
+            if cls not in codec._COMPILED:
+                codec._prepare(cls)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), item=st.one_of(_records, _results, _entries, _specs))
@@ -898,36 +908,18 @@ class TestCompiledReader:
 
     def test_only_plain_classes_are_compiled(self):
         checked = (Endpoint, SamplingParams, ModelOverride, RunConfig)
-        compiled = [codec._compiled(codec._COMPILED, cls, codec._prepare) for cls in _PLAIN]
-        assert all(callable(read) and not isinstance(read, codec._AtUse) for read in compiled)
-        assert all(
-            codec._compiled(codec._COMPILED, cls, codec._prepare) is None for cls in checked
-        )
+        with mock.patch.dict(codec._COMPILED, clear=True):
+            assert all(isinstance(codec._prepare(cls), types.FunctionType) for cls in _PLAIN)
+            assert all(codec._prepare(cls) is None for cls in checked)
 
-    def test_class_is_compiled_at_its_compile_at_th_read(self):
+    def test_class_is_compiled_at_its_first_read(self):
         data = _json_form(make_record(0))
         with mock.patch.dict(codec._COMPILED, clear=True):
-            for _ in range(codec.COMPILE_AT - 1):
-                assert from_json_dict(EvalRecord, data, "x") == make_record(0)
-            assert isinstance(codec._COMPILED[EvalRecord], codec._AtUse)
-            assert isinstance(codec._COMPILED[Judgment], codec._AtUse)
             assert from_json_dict(EvalRecord, data, "x") == make_record(0)
-            assert not isinstance(codec._COMPILED[EvalRecord], codec._AtUse)
             # The nested classes are compiled with it.
-            assert not isinstance(codec._COMPILED[Judgment], codec._AtUse)
-            assert not isinstance(codec._COMPILED[FormatReport], codec._AtUse)
-
-    def test_set_up_compiles_nothing(self, tmp_path):
-        path = write_config(tmp_path, "http://127.0.0.1:1")
-        with mock.patch.dict(codec._COMPILED, clear=True):
-            config = load_run_config(path)
-            load_registry()
-            assert codec._COMPILED
-            assert all(
-                read is None or isinstance(read, codec._AtUse)
-                for read in codec._COMPILED.values()
-            )
-        assert config.benchmarks
+            for cls in (EvalRecord, Judgment, FormatReport):
+                assert isinstance(codec._COMPILED[cls], types.FunctionType)
+            assert codec._COMPILED[EvalRecord](data) == make_record(0)
 
     def test_well_formed_record_is_read_by_the_compiled_reader(self):
         record = make_record(3)
@@ -1064,8 +1056,9 @@ class TestCompiledWriter:
 
     @pytest.fixture(autouse=True, scope="class")
     def compiled_now(self):
-        """The record writer compiled now, not at its ``COMPILE_AT``-th line."""
-        codec._compiled(codec._WRITERS, _WRITER_KEY, codec._prepare_writer)
+        """The record writer compiled before any case here, which calls it directly."""
+        if _WRITER_KEY not in codec._WRITERS:
+            codec._prepare_writer(_WRITER_KEY)
 
     @settings(deadline=None)
     @given(record=_written_records)
@@ -1097,17 +1090,15 @@ class TestCompiledWriter:
         assert fallback.called
         assert line == _dumped(record)
 
-    def test_writer_is_compiled_at_its_compile_at_th_line(self):
+    def test_writer_is_compiled_at_its_first_line(self):
         record = make_record(0)
         with mock.patch.dict(codec._WRITERS, clear=True):
-            for _ in range(codec.COMPILE_AT - 1):
-                assert _record_line(record) == _dumped(record)
-            assert isinstance(codec._WRITERS[_WRITER_KEY], codec._AtUse)
             assert _record_line(record) == _dumped(record)
+            assert isinstance(codec._WRITERS[_WRITER_KEY], types.FunctionType)
             assert codec._WRITERS[_WRITER_KEY](record, None) == _dumped(record)
 
     def test_class_with_a_field_it_cannot_write_has_no_writer(self):
         summary = MetricsSummary("m", PromptStrategy.COT, "b", 3, 50.0, None, 100.0, None, 1.5)
-        key = (MetricsSummary, None)
-        assert codec._compiled(codec._WRITERS, key, codec._prepare_writer) is None
-        assert codec.to_json_line(summary) == _dumped(summary)
+        with mock.patch.dict(codec._WRITERS, clear=True):
+            assert codec._prepare_writer((MetricsSummary, None)) is None
+            assert codec.to_json_line(summary) == _dumped(summary)
