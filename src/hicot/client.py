@@ -50,6 +50,9 @@ LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 # Every token count is below this bound, 2**53, so that a float holds it exactly:
 # a reply's count at or above it is not taken, and a record holding one is refused.
 TOKEN_COUNT_BOUND = 2**53
+# Encodes a cache key's material as ``json.dumps(material, sort_keys=True,
+# ensure_ascii=False)`` does, without building an encoder per key.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 # How ``_write_cache`` begins an entry: its text's JSON literal comes first.
 _ENTRY_HEAD = '{"text": '
 # An escape that ``json.dumps(text, ensure_ascii=False)`` may not have written:
@@ -158,7 +161,7 @@ class CompletionRequest:
             "as_system": self.as_system,
             "extra_body": dict(self.extra_body) if self.extra_body else None,
         }
-        blob = json.dumps(material, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        blob = _KEY_ENCODER.encode(material).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
     def messages(self) -> list:
@@ -351,7 +354,7 @@ class ChatClient:
         the atomic write replaces the entry.
         """
         try:
-            with open(path, "rb") as fh:
+            with open(path, "rb", buffering=0) as fh:  # one read() takes it all
                 data, text_json = _parse_entry(fh.read().decode("utf-8"))
             if isinstance(data, dict) and type(data.get("from_cache", False)) is bool:
                 data["from_cache"] = True  # a stored flag of another type is refused below

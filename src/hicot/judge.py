@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
 from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -99,94 +99,107 @@ def _balanced_content(text: str, start: int) -> Optional[str]:
 def normalize_math(s: str) -> str:
     """Canonicalize an answer string for comparison.
 
-    Single pass, in order: trim; strip enclosing ``$``; drop ``\\left`` and
-    ``\\right``; unwrap one whole-string ``\\text{}``/``\\mathrm{}``; drop
-    thousands separators in integers; drop a trailing period; remove
-    whitespace; rewrite ``\\dfrac`` to ``\\frac``; strip a leading currency
-    dollar. The pass repeats until the string is stable, which makes the
-    whole function idempotent by construction.
+    Each pass applies these rules, in order: trim; strip enclosing ``$``;
+    drop ``\\left`` and ``\\right``; unwrap one whole-string
+    ``\\text{}``/``\\mathrm{}``; drop thousands separators in integers; drop a
+    trailing period; remove whitespace; rewrite ``\\dfrac`` to ``\\frac``;
+    strip a leading currency dollar. The pass repeats until the string is
+    stable, which makes the whole function idempotent by construction.
 
-    The first two passes run on whole strings, and real answers are stable
-    by then: on the benchmark's generated completions none needs a third.
-    Only an answer that peels one layer per pass, the worst case, reaches
-    ``_later_passes``, where each pass costs time in proportion to what it
-    removes, so the whole function is linear in the answer in that case too.
+    Every pass runs on one doubly linked list over the characters, so a pass
+    costs time in proportion to what it takes, and the whole function is
+    linear in the answer even when each pass peels only one layer; an answer
+    that no rule changes leaves after one pass. Some rules drop characters
+    from anywhere: ``\\left`` and ``\\right``, which can join a new
+    occurrence for a later pass, and whitespace, all of which goes in the
+    first pass. The others peel at the ends. A peel joins no neighbours and
+    takes no character a drop could take: ``$``, ``.`` and braces are in no
+    pattern, the trim takes only whitespace, and the ``\\`` and letters of a
+    leading ``\\$``, ``\\text{`` or ``\\mathrm{`` could only go in a pattern
+    after a neighbour there went first. So ``_drop_passes`` finds up front
+    the pass that drops each character. Each drop keeps its pass, as drops
+    and peels do not commute: in ``$\\$5$\\le\\leftft`` the first pass joins
+    a ``\\left`` and peels a ``$``, and the second drops the ``\\left`` and
+    then peels ``\\$``, which leaves ``5$``.
+
+    Two rules apply once, to the final string. No other rule looks at the
+    letters of ``\\dfrac``. Thousands separators go only from a string of
+    nothing but digits, commas and signs, on which no other rule acts, so
+    the string is final by then either way. ``closing`` maps each ``{`` to
+    its matching ``}``, which stays so while both are left, as no rule takes
+    a brace from inside.
     """
-    once = _normalize_pass(s)
-    if once == s:
-        return once
-    twice = _normalize_pass(once)
-    if twice == once:
-        return twice
-    return _later_passes(twice)
+    text = f"\0{s}\0"  # a sentinel at each end; no rule matches "\0"
+    head, tail = 0, len(text) - 1
+    # The links of a doubly linked list over text, where they differ from i + 1 and i - 1.
+    nxt, prv = {head: 1, tail: tail}, {head: head, tail: tail - 1}
+    drops, spaces = _drop_passes(text)
+    taken = 0
+    closing = None  # built when a wrapper's prefix first shows at the start
+    p = 0
+    while True:
+        p += 1
+        before = taken
+        while text[nxt[head]].isspace():
+            taken += _unlink(nxt, prv, nxt[head])
+        while text[prv[tail]].isspace():
+            taken += _unlink(nxt, prv, prv[tail])
+        while nxt[head] < prv[tail] and text[nxt[head]] == "$" == text[prv[tail]]:
+            taken += _unlink(nxt, prv, nxt[head]) + _unlink(nxt, prv, prv[tail])
+        for node in drops.get(p, ()):
+            taken += _unlink(nxt, prv, node)
+        for prefix in _WRAPPERS:
+            node = nxt[head]
+            for c in prefix:
+                if text[node] != c:
+                    break
+                node = nxt.get(node, node + 1)
+            else:  # the prefix is there, and node follows its "{"
+                if closing is None:
+                    closing = _closing_braces(text)
+                if closing.get(prv.get(node, node - 1)) == prv[tail]:
+                    while nxt[head] != node:
+                        taken += _unlink(nxt, prv, nxt[head])
+                    taken += _unlink(nxt, prv, prv[tail])
+                break
+        if text[prv[tail]] == ".":
+            taken += _unlink(nxt, prv, prv[tail])
+        for node in spaces if p == 1 else ():  # no whitespace outlives the first pass
+            if nxt[head] <= node <= prv[tail]:  # not taken by the trim
+                taken += _unlink(nxt, prv, node)
+        first = nxt[head]
+        if text[first] == "\\" and text[nxt.get(first, first + 1)] == "$":
+            taken += _unlink(nxt, prv, first) + _unlink(nxt, prv, nxt[head])
+        elif text[first] == "$":
+            taken += _unlink(nxt, prv, first)
+        if taken == before:
+            break
+    s = text[nxt[head]:prv[tail] + 1]
+    if drops or spaces:
+        kept = bytearray([1]) * len(text)
+        for node in chain(spaces, *drops.values()):
+            kept[node] = 0
+        s = "".join(compress(s, kept[nxt[head]:prv[tail] + 1]))
+    s = s.replace("\\dfrac", "\\frac")
+    return s.replace(",", "") if _THOUSANDS_RE.fullmatch(s) else s
+
+
+def _unlink(nxt: dict, prv: dict, node: int) -> int:
+    """Take ``node`` out of the linked list; 1, the count of nodes taken."""
+    before, after = prv.get(node, node - 1), nxt.get(node, node + 1)
+    nxt[before], prv[after] = after, before
+    return 1
 
 
 _THOUSANDS_RE = re.compile(r"[+-]?\d{1,3}(?:,\d{3})+")
-# A character that no string matching _THOUSANDS_RE holds.
-_NOT_THOUSANDS_RE = re.compile(r"[^\d,+-]")
+_WRAPPERS = ("\\text{", "\\mathrm{")
+_DROPPED = ("\\left", "\\right")
+_SPACE_RE = re.compile(r"\s")  # the characters str.split splits at and str.strip trims
+_DROPPED_OR_SPACE_RE = re.compile("|".join([_SPACE_RE.pattern, *map(re.escape, _DROPPED)]))
 
 
-def _normalize_pass(s: str) -> str:
-    s = s.strip()
-    while len(s) >= 2 and s.startswith("$") and s.endswith("$"):
-        s = s[1:-1]
-    s = s.replace("\\left", "").replace("\\right", "")
-    s = _unwrap_text_like(s)
-    if _THOUSANDS_RE.fullmatch(s):
-        s = s.replace(",", "")
-    if s.endswith("."):
-        s = s[:-1]
-    s = "".join(s.split())
-    s = s.replace("\\dfrac", "\\frac")
-    if s.startswith("\\$"):
-        s = s[2:]
-    elif s.startswith("$"):
-        s = s[1:]
-    return s
-
-
-def _unwrap_text_like(s: str) -> str:
-    for prefix in ("\\text{", "\\mathrm{"):
-        if s.startswith(prefix) and s.endswith("}"):
-            inner = _balanced_content(s, len(prefix))
-            if inner is not None and len(prefix) + len(inner) + 1 == len(s):
-                return inner
-    return s
-
-
-def _later_passes(t: str) -> str:
-    """``_normalize_pass`` repeated on ``t``, the output of a pass, until stable.
-
-    Such a string has no whitespace and no ``\\dfrac``. What is left are
-    rewrites anywhere (drop ``\\left`` and ``\\right``, which can join a new
-    occurrence for a later pass, and ``\\dfrac`` to ``\\frac``) and peels at
-    the ends (enclosing ``$``, a whole-string ``\\text{}``/``\\mathrm{}``,
-    the trailing period, the leading dollar). A peel joins no neighbours and
-    takes no character a rewrite could take: ``$``, ``.`` and braces are in
-    no pattern, and the ``\\`` and letters of a leading ``\\$``, ``\\text{``
-    or ``\\mathrm{`` could only go in one after a neighbour there went
-    first. So the rewrites go as if no peel ran: ``_drop_passes`` finds the
-    pass that drops each character up front, and ``\\dfrac``, which no peel
-    looks at, is rewritten once at the end.
-
-    The passes run on a linked list over the characters, and a peel looks
-    only at the ends. ``closing`` maps each ``{`` to its matching ``}``,
-    which stays so while both are left, as no step takes a brace from
-    inside. No step takes a digit, comma or sign, so the length falls to
-    their count in ``t`` exactly when nothing else is left: only then can
-    thousands separators go, and the string is final. Each pass that changes
-    the string takes at least one character and looks at a fixed number of
-    others, so all the passes together are linear in ``t``.
-    """
-    text = f"\0{t}\0"  # a sentinel at each end; no step matches "\0"
-    head, tail = 0, len(text) - 1
-    nxt = list(range(1, len(text) + 1))
-    prv = list(range(-1, len(text) - 1))
-    nxt[tail], prv[head] = tail, head
-    alive = bytearray([1]) * len(text)
-    alive[head] = alive[tail] = 0
-    size = len(t)
-    numeral_chars = len(_NOT_THOUSANDS_RE.sub("", t))
+def _closing_braces(text: str) -> dict:
+    """The index of the ``}`` that closes each ``{`` of ``text`` that closes."""
     closing = {}
     opened = []
     for brace in _BRACES.finditer(text):
@@ -194,81 +207,49 @@ def _later_passes(t: str) -> str:
             opened.append(brace.start())
         elif opened:
             closing[opened.pop()] = brace.start()
-    drops = _drop_passes(t)
-
-    def drop(node: int) -> None:
-        nonlocal size
-        before, after = prv[node], nxt[node]
-        nxt[before], prv[after] = after, before
-        alive[node] = 0
-        size -= 1
-
-    p = 0
-    while True:
-        p += 1
-        before = size
-        while size >= 2 and text[nxt[head]] == "$" == text[prv[tail]]:
-            drop(nxt[head])
-            drop(prv[tail])
-        for i in drops.get(p, ()):
-            drop(i + 1)  # t[i] is node i + 1, after the sentinel
-        if text[nxt[head]] == "\\" and text[prv[tail]] == "}":
-            for prefix in ("\\text{", "\\mathrm{"):
-                nodes = [nxt[head]]
-                while len(nodes) < len(prefix):
-                    nodes.append(nxt[nodes[-1]])
-                if (
-                    "".join([text[node] for node in nodes]) == prefix
-                    and closing.get(nodes[-1]) == prv[tail]
-                ):
-                    for node in (prv[tail], *nodes):
-                        drop(node)
-                    break
-        if size == numeral_chars:
-            s = "".join(compress(text, alive))
-            return s.replace(",", "") if _THOUSANDS_RE.fullmatch(s) else s
-        if text[prv[tail]] == ".":
-            drop(prv[tail])
-        first = nxt[head]
-        if text[first] == "\\" and text[nxt[first]] == "$":
-            drop(first)
-            drop(nxt[head])
-        elif text[first] == "$":
-            drop(first)
-        if size == before:
-            return "".join(compress(text, alive)).replace("\\dfrac", "\\frac")
+    return closing
 
 
-def _drop_passes(t: str) -> dict:
-    """The indices of the characters of ``t`` that each pass of
-    ``_later_passes`` drops in a ``\\left`` or ``\\right``, by pass.
+def _drop_passes(s: str) -> tuple:
+    """The indices of the characters of ``s`` that ``normalize_math`` drops in a
+    ``\\left`` or ``\\right``, by pass, and those of its whitespace.
 
-    Pass p drops every ``\\left`` there is at step 2p, then every ``\\right``
-    at step 2p + 1. Neither pattern overlaps itself or the other, so once
-    the characters of an occurrence are neighbours, the next step of its kind
-    drops it. The stack holds the characters read so far that no drop takes,
-    each with the step from which it neighbours the one below: 0, or one past
-    the step that dropped the last character between them.
+    Pass p drops every ``\\left`` there is at step 3p, then every ``\\right``
+    at step 3p + 1, then whitespace at step 3p + 2, all of it in the first
+    pass (step 5). Neither pattern overlaps itself or the other, so once the
+    characters of an occurrence are neighbours, the next step of its kind
+    drops it. A pattern forms only from an occurrence in ``s`` with its
+    whitespace gone. The stack holds the characters read so far that no drop
+    takes, each with the step from which it neighbours the one below: 0, or
+    one past the step that dropped the last character between them.
     """
+    if not _DROPPED_OR_SPACE_RE.search(s):
+        return {}, ()
     passes = {}
-    stack, joined = [], []  # indices into t, and the step each joined the one below
+    spaces = [space.start() for space in _SPACE_RE.finditer(s)]
+    if not _DROPPED_OR_SPACE_RE.search("".join(s.split())):
+        return passes, spaces
+    stack, joined = [], []  # indices into s, and the step each joined the one below
     since = 0
-    for i, c in enumerate(t):
+    for i, c in enumerate(s):
+        if c.isspace():
+            since = max(since, 6)  # one past the whitespace step
+            continue
         stack.append(i)
         joined.append(since)
         since = 0
         if c != "t":  # both patterns end in "t"
             continue
-        for pattern, parity in (("\\left", 0), ("\\right", 1)):
+        for kind, pattern in enumerate(_DROPPED):
             n = len(pattern)
-            if "".join([t[j] for j in stack[-n:]]) == pattern:
-                ready = max(2, *joined[-n + 1:])
-                step = ready + (parity - ready) % 2
-                passes.setdefault(step // 2, []).extend(stack[-n:])
+            if "".join([s[j] for j in stack[-n:]]) == pattern:
+                ready = max(3, *joined[-n + 1:])
+                step = ready + (kind - ready) % 3
+                passes.setdefault(step // 3, []).extend(stack[-n:])
                 since = max(joined[-n], step + 1)
                 del stack[-n:], joined[-n:]
                 break
-    return passes
+    return passes, spaces
 
 
 _INT_RE = re.compile(r"[+-]?\d+")

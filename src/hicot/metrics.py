@@ -30,6 +30,8 @@ if TYPE_CHECKING:
 
 # Marks a macro average over fewer benchmarks or cells than a full row has.
 PARTIAL_MARK = "†"
+# Marks a cell over fewer items than another strategy's of its model and benchmark.
+SHORT_MARK = "‡"
 # The report's own column and row names, which no benchmark may take: the CSV
 # table's header names around its benchmark columns, the average column and the
 # macro row. A benchmark named as a header would give ``csv.DictReader`` two
@@ -208,40 +210,49 @@ def macro_average(summaries: Sequence[MetricsSummary]) -> list:
 def _table_rows(summaries, macros):
     """Columns (the benchmarks, then ``AVG_COLUMN``) and one row per (model, strategy).
 
-    Each row is ``(model, strategy, values, best)``: ``values`` holds Pass@1
-    per benchmark, then the macro Avg, with ``None`` for an absent cell;
-    ``best`` lists the columns holding the model's best shown value. Best is
-    decided on displayed (rounded) values so flags match what the table
-    shows; all tied maxima are flagged. The Avg of a row that misses a
-    benchmark averages over fewer columns, so it takes no part in the Avg
-    comparison.
+    Each row is ``(model, strategy, values, best, marks)``: ``values`` holds
+    Pass@1 per benchmark, then the macro Avg, with ``None`` for an absent
+    cell; ``best`` lists the columns holding the model's best shown value, and
+    ``marks`` maps a column to its value's mark. Best is decided on displayed
+    (rounded) values so flags match what the table shows; all tied maxima are
+    flagged. A cell over fewer items than its model and benchmark's largest
+    carries ``SHORT_MARK``, the Avg of a row that misses a benchmark
+    ``PARTIAL_MARK``, and neither, nor the Avg of a row with a mark, is compared.
     """
     models = sorted({s.model_id for s in summaries})
     benchmarks = sorted({s.benchmark for s in summaries})
     strategies = [s for s in _STRATEGY_ORDER if any(x.strategy is s for x in summaries)]
     columns = benchmarks + [AVG_COLUMN]
-    cells = {(s.model_id, s.strategy, s.benchmark): s.pass_at_1 for s in summaries}
+    cells = {(s.model_id, s.strategy, s.benchmark): s for s in summaries}
     macro_cells = {(m.model_id, m.strategy): m for m in macros}
     rows = []
     for model in models:
+        grid = [[cells.get((model, strategy, b)) for b in benchmarks] for strategy in strategies]
+        most = [max((cell.n for cell in column if cell), default=0) for column in zip(*grid)]
         block = []
-        for strategy in strategies:
-            values = [cells.get((model, strategy, benchmark)) for benchmark in benchmarks]
+        for strategy, row_cells in zip(strategies, grid):
+            values = [None if cell is None else cell.pass_at_1 for cell in row_cells]
+            marks = {b: SHORT_MARK for b, c, n in zip(benchmarks, row_cells, most) if c and c.n < n}
             macro = macro_cells.get((model, strategy))
             values.append(macro.avg_over_benchmarks if macro else None)
-            shown = [None if value is None else float(display_round(value)) for value in values]
             if macro and macro.missing:
+                marks[AVG_COLUMN] = PARTIAL_MARK
+            shown = [
+                None if value is None or column in marks else float(display_round(value))
+                for column, value in zip(columns, values)
+            ]
+            if marks:
                 shown[-1] = None
-            block.append((strategy, values, shown))
-        by_column = zip(*(shown for _, _, shown in block))
+            block.append((strategy, values, shown, marks))
+        by_column = zip(*(shown for _, _, shown, _ in block))
         tops = [max((v for v in column if v is not None), default=None) for column in by_column]
-        for strategy, values, shown in block:
+        for strategy, values, shown, marks in block:
             best = [
                 column
                 for column, value, top in zip(columns, shown, tops)
                 if value is not None and value == top
             ]
-            rows.append((model, strategy, values, best))
+            rows.append((model, strategy, values, best, marks))
     return columns, rows
 
 
@@ -270,8 +281,9 @@ def emit_table(
     """Render the accuracy table: one row per strategy, grouped by model.
 
     Markdown shows one-decimal values with the best value per (model, column)
-    in bold, and escapes ``|`` in model ids and benchmark names; the Avg of a
-    row that misses a benchmark carries ``PARTIAL_MARK``. CSV keeps
+    in bold, and escapes ``|`` in model ids and benchmark names; a short cell
+    carries ``SHORT_MARK`` and the Avg of a row that misses a benchmark
+    ``PARTIAL_MARK`` (see ``_table_rows``). CSV keeps
     full precision and lists flagged columns in a ``best`` column. JSON
     carries the summary and macro dicts verbatim (round-trip safe) plus the
     flagged cells.
@@ -280,31 +292,28 @@ def emit_table(
     columns, rows = _table_rows(summaries, macro)
 
     if format is TableFormat.MARKDOWN:
-        partial = {(m.model_id, m.strategy) for m in macro if m.missing}
         header = ["Model", "Prompting"] + [b.replace("|", "\\|") for b in columns[:-1]] + ["Avg."]
         lines = [
             "| " + " | ".join(header) + " |",
             "| " + " | ".join(["---", "---"] + ["---:"] * len(columns)) + " |",
         ]
-        for model, strategy, values, best in rows:
+        for model, strategy, values, best, marks in rows:
             row = [model.replace("|", "\\|"), strategy.label]
             for column, value in zip(columns, values):
                 shown = "-" if value is None else display_round(value)
-                row.append(f"**{shown}**" if column in best else shown)
-            if (model, strategy) in partial:
-                row[-1] += PARTIAL_MARK
+                row.append((f"**{shown}**" if column in best else shown) + marks.get(column, ""))
             lines.append("| " + " | ".join(row) + " |")
         return "\n".join(lines) + "\n"
 
     if format is TableFormat.CSV:
         table = [[MODEL_COLUMN, STRATEGY_COLUMN] + columns + [BEST_COLUMN]]
-        for model, strategy, values, best in rows:
+        for model, strategy, values, best, _ in rows:
             table.append([model, strategy.value] + values + [";".join(best)])
         return _csv_text(table)
 
     payload = summary_payload(summaries, macro)
     payload["best"] = sorted(
-        [model, column, strategy.value] for model, strategy, _, best in rows for column in best
+        [model, column, strategy.value] for model, strategy, _, best, _ in rows for column in best
     )
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 

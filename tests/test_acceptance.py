@@ -357,8 +357,12 @@ def test_c9_extract_boxed_growth(tail):
         (lambda n: "\\$" * n + "5", 2_000, "5"),
         (lambda n: "\\text{" * n + "x" + "}" * n, 250, "x"),
         (lambda k: "\\le" * k + "\\left" + "ft" * k, 500, ""),
+        (lambda k: "\\le " * k + "ft" * k, 500, ""),
     ],
-    ids=["leading_currency_dollars", "nested_text", "left_rebuilt_by_its_removal"],
+    ids=[
+        "leading_currency_dollars", "nested_text", "left_rebuilt_by_its_removal",
+        "left_joined_by_whitespace",
+    ],
 )
 def test_c9_normalize_math_growth(answer, size, normalized):
     # Each pass peels one layer, so 4x the layers take 4x the passes.

@@ -17,6 +17,7 @@ from hicot.metrics import (
     DuplicateKey,
     MetricsSummary,
     PlotKind,
+    SHORT_MARK,
     TableFormat,
     aggregate,
     display_round,
@@ -308,6 +309,27 @@ class TestEmitTable:
         assert ["m", "avg", "hicot"] not in best and ["m", "avg", "cot"] in best
         rows = emit_table(summaries, macro, TableFormat.CSV).splitlines()
         assert rows[1].endswith(",easy;hard;avg") and rows[2].endswith(",easy")
+
+    def test_short_cell_is_not_compared(self):
+        # Hi-CoT has run 3 of aime24's 30 items; its 100.0 there must not beat
+        # the 50.0 of CoT, which has run all 30, in aime24 or in Avg.
+        summaries = [
+            MetricsSummary("m", strategy, benchmark, n, value, 1.0, 1.0, None, None)
+            for strategy, benchmark, n, value in (
+                (PromptStrategy.COT, "aime24", 30, 50.0),
+                (PromptStrategy.COT, "math500", 10, 40.0),
+                (PromptStrategy.HICOT, "aime24", 3, 100.0),
+                (PromptStrategy.HICOT, "math500", 10, 60.0),
+            )
+        ]
+        macro = macro_average(summaries)
+        table = emit_table(summaries, macro, TableFormat.MARKDOWN)
+        assert "| m | CoT | **50.0** | 40.0 | **45.0** |" in table
+        assert f"| m | Hi-CoT | 100.0{SHORT_MARK} | **60.0** | 80.0 |" in table
+        best = json.loads(emit_table(summaries, macro, TableFormat.JSON))["best"]
+        assert best == [["m", "aime24", "cot"], ["m", "avg", "cot"], ["m", "math500", "hicot"]]
+        rows = emit_table(summaries, macro, TableFormat.CSV).splitlines()
+        assert rows[1].endswith(",aime24;avg") and rows[2].endswith(",math500")
 
     def test_sparse_grid_row_is_empty_in_every_format(self):
         # m2 lacks the Hi-CoT strategy that m1 has; its Hi-CoT row is shown
