@@ -148,20 +148,21 @@ def _evaluate_one(
 
 
 def cmd_run(config: RunConfig) -> Path:
-    """Run the (model x strategy x benchmark x problem) grid, resume-safe.
+    """Run the (benchmark x problem x model x strategy) grid, resume-safe.
 
-    Existing records (matched by their uniqueness key) are skipped, so an
-    interrupted run picks up where it stopped. They are folded into a
-    ``Tally``, as is each new record when it is appended, so the run keeps
-    keys and per-cell counts, not records; a key the records file repeats
-    raises DuplicateKey before any request is sent. The main thread builds
-    each item's request in task order and hands one fetch per cache key with
-    no entry to a pool of ``config.concurrency`` workers, which only send
-    requests: the pool alone bounds the requests in flight. It then makes the
-    records in task order, each from its key's fetch, else from its key's entry,
-    read then (a hit is pure Python work, so it is never pooled), else from a
-    late fetch. A key's later items read the entry its fetch wrote, or share
-    its failure. A record line copies the text's JSON literal from either.
+    In that order, any prefix of a run holds a record under every (model,
+    strategy) for each problem before the one in progress. Existing records
+    (matched by their uniqueness key) are skipped and folded into a ``Tally``,
+    as is each new record when it is appended, so the run keeps each key's
+    outcome, not records; a key the records file repeats raises DuplicateKey
+    before any request is sent. The main thread builds each item's request in
+    task order and hands one fetch per cache key with no entry to a pool of
+    ``config.concurrency`` workers, which only send requests: the pool alone
+    bounds the requests in flight. It then makes the records in task order,
+    each from its key's fetch, else from its key's entry, read then (a hit is
+    pure Python work, so it is never pooled), else from a late fetch. A key's
+    later items read the entry its fetch wrote, or share its failure. A record
+    line copies the text's JSON literal from either.
 
     Per-item failures are recorded as incorrect rather than aborting the
     grid; a cache that cannot be read or written aborts it with the
@@ -179,18 +180,18 @@ def cmd_run(config: RunConfig) -> Path:
     tally = Tally(load_resumable(config.records_path))
 
     tasks = []
-    for model_id in config.models:
-        for strategy in config.strategies:
-            for benchmark in config.benchmarks:
-                for problem in problems[benchmark]:
-                    if record_key(problem.id, benchmark, model_id, strategy) not in tally.keys:
+    for benchmark in config.benchmarks:
+        for problem in problems[benchmark]:
+            for model_id in config.models:
+                for strategy in config.strategies:
+                    if record_key(problem.id, benchmark, model_id, strategy) not in tally.outcomes:
                         tasks.append((model_id, strategy, problem))
 
     total = len(tasks)
     _progress(
         f"run grid: {len(config.models)} models x {len(config.strategies)} strategies x "
         f"{sum(len(p) for p in problems.values())} problems; "
-        f"{len(tally.keys)} records resumed, {total} to do"
+        f"{len(tally.outcomes)} records resumed, {total} to do"
     )
 
     client = ChatClient(config.endpoint, config.cache_dir)

@@ -47,9 +47,16 @@ _CONTEXT_OVERFLOW_HINTS = ("context_length", "maximum context length", "prompt i
 # A surrogate code point that is not half of a pair, as a server that cuts an
 # emoji's pair at ``max_tokens`` may send; no UTF-8 file can hold it.
 LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
-# Every token count is below this bound, 2**53, so that a float holds it exactly:
-# a reply's count at or above it is not taken, and a record holding one is refused.
+# Every token count is below this bound, 2**53, so that a float holds it exactly.
+# A reply's, a cache entry's and a record's count are all taken by ``is_token_count``.
 TOKEN_COUNT_BOUND = 2**53
+
+
+def is_token_count(value) -> bool:
+    """Whether ``value`` is an int, not a bool, from 0 to below ``TOKEN_COUNT_BOUND``."""
+    return type(value) is int and 0 <= value < TOKEN_COUNT_BOUND
+
+
 # Encodes a cache key's material as ``json.dumps(material, sort_keys=True,
 # ensure_ascii=False)`` does, without building an encoder per key.
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
@@ -361,7 +368,7 @@ class ChatClient:
             result = from_json_dict(CompletionResult, data, "cache entry")
         except (FileNotFoundError, ValueError):  # ValueError: not UTF-8, not JSON, a JsonMismatch
             return None
-        if not 0 <= result.completion_tokens < TOKEN_COUNT_BOUND:
+        if not is_token_count(result.completion_tokens):
             return None  # as ``_parse_success`` would not take that count
         # Only an escaped literal, which ``_parse_entry`` does not keep, can spell a
         # lone surrogate; it is replaced as in a fetched completion.
@@ -486,7 +493,7 @@ class ChatClient:
         text = replace_lone_surrogates(text)
         usage = body.get("usage")
         tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
-        if type(tokens) is int and 0 <= tokens < TOKEN_COUNT_BOUND:  # a JSON true is not a count
+        if is_token_count(tokens):
             return CompletionResult(text, tokens, TokenSource.API_USAGE, latency_ms)
         return CompletionResult(
             text, approximate_tokens(text), TokenSource.APPROXIMATE, latency_ms

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .client import LONE_SURROGATE, TOKEN_COUNT_BOUND, TokenSource
+from .client import LONE_SURROGATE, TokenSource, is_token_count
 from .codec import JsonMismatch, from_json_dict, parse_json, to_json_line
 from .judge import AnswerKind, Judgment, normalize_math, parse_int
 from .prompts import PromptStrategy
@@ -228,7 +228,7 @@ def write_records(records: Iterable[EvalRecord], path: str | Path) -> None:
 def iter_records(path: str | Path) -> Iterator[EvalRecord]:
     """The records of a records file, read one line at a time, in file order; a
     line that is not a record of this schema version, or whose token count is not
-    below ``TOKEN_COUNT_BOUND``, raises MalformedLine."""
+    one (``client.is_token_count``), raises MalformedLine."""
     for line_no, data in _json_lines(path):
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
@@ -237,8 +237,9 @@ def iter_records(path: str | Path) -> Iterator[EvalRecord]:
             record = from_json_dict(EvalRecord, data, "record")
         except JsonMismatch as exc:
             raise MalformedLine(path, line_no, str(exc)) from exc
-        if record.completion_tokens >= TOKEN_COUNT_BOUND:  # no fold could average it
-            raise MalformedLine(path, line_no, "record.completion_tokens is not below 2**53")
+        if not is_token_count(record.completion_tokens):  # no length, or one no float holds
+            problem = "negative" if record.completion_tokens < 0 else "not below 2**53"
+            raise MalformedLine(path, line_no, f"record.completion_tokens is {problem}")
         yield record
 
 

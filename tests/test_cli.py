@@ -612,10 +612,10 @@ def _task_keys(config) -> list:
     """The record keys of ``config``'s grid, in task order."""
     return [
         (problem.id, benchmark, model_id, strategy.value)
-        for model_id in config.models
-        for strategy in config.strategies
         for benchmark, (path, spec) in config.benchmarks.items()
         for problem in load_dataset(path, benchmark, spec.field_map, spec.kind)
+        for model_id in config.models
+        for strategy in config.strategies
     ]
 
 
@@ -1112,6 +1112,33 @@ class TestRunCommand:
             ("1", "toy_int", "sim-alpha", "standard")
         ]
 
+    def test_a_stopped_run_is_a_paired_sample(self, tmp_path, monkeypatch):
+        # Stopped after any k records, a run has a record under every (model,
+        # strategy) for each problem before the one in progress, so its cells
+        # compare the strategies on the same problems.
+        config = load_run_config(write_config(tmp_path, "http://127.0.0.1:1", concurrency=1))
+        grid = {(model, s.value) for model in config.models for s in config.strategies}
+        fetched = []
+
+        def fetch(self, request, key):  # one worker: fetches run in task order
+            fetched.append(request)
+            if len(fetched) > k:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return CompletionResult("\\boxed{42}", 3, TokenSource.API_USAGE, 0), None
+
+        monkeypatch.setattr(ChatClient, "fetch", fetch)
+        for k in range(len(_task_keys(config))):
+            fetched.clear()
+            config.records_path.unlink(missing_ok=True)
+            with pytest.raises(OSError, match="No space left"):
+                cmd_run(config)
+            records = read_records(config.records_path)
+            assert len(records) == k
+            done = {}  # (problem, benchmark) -> its (model, strategy) pairs, in record order
+            for record in records:
+                done.setdefault(record.key()[:2], set()).add(record.key()[2:])
+            assert all(pairs == grid for pairs in list(done.values())[:-1]), k
+
     def test_fetch_skipped_before_a_failed_one_writes_no_record(self, tmp_path, monkeypatch):
         # The grid's second fetch starts only once its third has failed, so the
         # grid is ending when it starts: it sends nothing and writes no record,
@@ -1138,7 +1165,7 @@ class TestRunCommand:
                 return super().submit(staggered)
 
         def fetch(self, request, key):
-            fetched.append(request.prompt.problem_text)
+            fetched.append(request.prompt.rendered)
             if len(fetched) == 2:
                 raise OSError(errno.ENOSPC, "No space left on device")
             return CompletionResult("\\boxed{42}", 3, TokenSource.API_USAGE, 0), None
@@ -1148,7 +1175,13 @@ class TestRunCommand:
         monkeypatch.setattr(ChatClient, "fetch", fetch)
         with pytest.raises(OSError, match="No space left"):
             cmd_run(config)
-        assert fetched == [TOY_INT_PROBLEMS[0][0], TOY_INT_PROBLEMS[2][0]]
+        # The grid's first and third items: its first problem under its first and
+        # third strategies.
+        first, _, third = [
+            build_prompt(strategy, TOY_INT_PROBLEMS[0][0]).rendered
+            for strategy in config.strategies[:3]
+        ]
+        assert fetched == [first, third]
         assert [record.key() for record in read_records(config.records_path)] == [
             ("1", "toy_int", "sim-alpha", "standard")
         ]
@@ -1496,6 +1529,19 @@ class TestScoreAndReport:
         assert f"{records_path}:2: record.completion_tokens is not below 2**53" in (
             capsys.readouterr().err
         )
+
+    def test_negative_token_count_is_a_malformed_line(self, records_path, tmp_path, capsys):
+        # Taken, counts of -1000 and 10 in one cell would score a mean of -495.0.
+        record = json.loads(Path(records_path).read_text(encoding="utf-8").splitlines()[0])
+        path = tmp_path / "negative.jsonl"
+        path.write_text(
+            json.dumps({**record, "client_error": None, "completion_tokens": -1000}) + "\n"
+            + json.dumps({**record, "problem_id": "other", "completion_tokens": 10}) + "\n",
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["score", str(path)]) == EXIT_IO
+        assert f"{path}:1: record.completion_tokens is negative" in capsys.readouterr().err
 
     def test_corrupt_records_is_io_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -3,8 +3,9 @@
 Each command runs under ``tracemalloc`` over a records file of N and then 4N
 records of about 8 KB of completion text each. A command that kept its
 records, completion text included, would peak above the size of the file; one
-that folds each record into per-cell counts keeps only a key per record, so
-at 4N its peak stays under a tenth of the file.
+that folds each record keeps only its key and its outcome, so at 4N its peak
+stays under a tenth of the file. Records that large hide what each key costs,
+so a last gate counts the bytes the fold holds per key.
 """
 
 import shutil
@@ -22,9 +23,13 @@ from hicot.traces import FormatReport
 N = 500
 TEXT_BYTES = 8000
 PEAK_SHARE = 0.10
+# A Tally of KEYS records held 133.5 B per key (126-137 B from 2,500 to 40,000
+# records; CPython 3.11), and 166 B with a tuple for each outcome.
+KEYS = 10_000
+KEY_BYTES = 150
 
 
-def _records(count: int):
+def _records(count: int, text_bytes: int = TEXT_BYTES):
     strategies = list(PromptStrategy)
     for i in range(count):
         correct = i % 3 != 0
@@ -33,7 +38,7 @@ def _records(count: int):
             benchmark=f"bench{i % 4}",
             model_id=f"model{i % 2}",
             strategy=strategies[i % len(strategies)],
-            completion_text=f"{i}: " + "step " * (TEXT_BYTES // 5) + f"\\boxed{{{i}}}",
+            completion_text=f"{i}: " + "step " * (text_bytes // 5) + f"\\boxed{{{i}}}",
             completion_tokens=2000 + i,
             token_source="api_usage",
             judgment=Judgment(str(i), str(i), correct, JudgeReason.MATCH),
@@ -95,3 +100,16 @@ def test_resume_folds_the_records(records_files, tmp_path):
         peaks[count] = _peak(lambda: Tally(load_resumable(path)))
         assert path.read_bytes() == source.read_bytes()
     _assert_folded(peaks, records_files)
+
+
+def test_tally_holds_one_compact_outcome_per_key():
+    # The records exist before tracing starts, so only what the fold adds counts.
+    records = list(_records(KEYS, text_bytes=0))
+    tracemalloc.start()
+    try:
+        tally = Tally(records)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tally.outcomes) == KEYS
+    assert held / KEYS < KEY_BYTES, held / KEYS

@@ -5,13 +5,17 @@ import io
 import json
 import random
 import re
+import tempfile
+from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hicot.cli import cmd_report, cmd_score
 from hicot.codec import from_json_dict
-from hicot.datasets import EvalRecord
+from hicot.datasets import EvalRecord, write_records
 from hicot.judge import JudgeReason, Judgment
 from hicot.metrics import (
     DuplicateKey,
@@ -19,7 +23,9 @@ from hicot.metrics import (
     PlotKind,
     SHORT_MARK,
     TableFormat,
+    Tally,
     aggregate,
+    cell_order,
     display_round,
     emit_plot_data,
     emit_table,
@@ -528,3 +534,98 @@ class TestEndToEndDeterminism:
         payload = json.loads(emit_table(summaries, macro, TableFormat.JSON))
         json_best = {tuple(entry) for entry in payload["best"]}
         assert md_best and md_best == csv_best == json_best
+
+
+@dataclass(slots=True)
+class ReferenceCellCounts:
+    """The per-cell counters that ``metrics.Tally`` folded records into before
+    it kept each key's outcome, verbatim: the reference its summaries must equal."""
+
+    n: int = 0
+    correct: int = 0
+    scored: int = 0
+    tokens: int = 0
+    compliant: int = 0
+    compliant_correct: int = 0
+    compliant_tokens: int = 0
+
+    def add(self, record: EvalRecord) -> None:
+        self.n += 1
+        self.correct += record.judgment.correct
+        if record.client_error is None:
+            self.scored += 1
+            self.tokens += record.completion_tokens
+        if record.compliant:  # an error record never is: an empty completion has no boxed answer
+            self.compliant += 1
+            self.compliant_correct += record.judgment.correct
+            self.compliant_tokens += record.completion_tokens
+
+    def summary(self, model_id: str, strategy: PromptStrategy, benchmark: str) -> MetricsSummary:
+        """The cell's metrics; each mean is one division."""
+        compliant = self.compliant
+        return MetricsSummary(
+            model_id=model_id,
+            strategy=strategy,
+            benchmark=benchmark,
+            n=self.n,
+            pass_at_1=100.0 * self.correct / self.n,
+            avg_completion_tokens=self.tokens / self.scored if self.scored else None,
+            compliance_rate=100.0 * compliant / self.n,
+            conditional_pass_at_1=100.0 * self.compliant_correct / compliant if compliant else None,
+            conditional_avg_tokens=self.compliant_tokens / compliant if compliant else None,
+        )
+
+
+def reference_aggregate(records) -> list:
+    """The summaries of ``records`` as the per-cell counters fold them."""
+    cells = defaultdict(ReferenceCellCounts)
+    for r in records:
+        cells[r.model_id, r.strategy, r.benchmark].add(r)
+    return sorted((counts.summary(*cell) for cell, counts in cells.items()), key=cell_order)
+
+
+@st.composite
+def _drawn_record(draw):
+    """A record as ``cli._evaluate_one`` writes it: an error record is scored as
+    an empty completion, so it is incorrect and not compliant."""
+    error = draw(st.booleans())
+    return record(
+        draw(st.integers(0, 5)),
+        correct=not error and draw(st.booleans()),
+        compliant=not error and draw(st.booleans()),
+        tokens=draw(st.integers(0, 300) | st.integers(0, 2**53 - 1)),
+        benchmark=draw(st.sampled_from(["a", "b", "c"])),
+        model=draw(st.sampled_from(["m1", "m2"])),
+        strategy=draw(st.sampled_from(list(PromptStrategy))),
+        client_error="EndpointUnreachable: gave up" if error else None,
+    )
+
+
+_drawn_records = st.lists(_drawn_record(), min_size=1, max_size=40, unique_by=lambda r: r.key())
+
+
+class TestFoldAgainstReference:
+    @given(records=_drawn_records)
+    def test_summaries_equal_the_reference(self, records):
+        assert Tally(records).summaries() == reference_aggregate(records)
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=_drawn_records, data=st.data())
+    def test_emissions_do_not_depend_on_the_line_order(self, records, data):
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(root)
+            write_records(records, root / "records.jsonl")
+            lines = (root / "records.jsonl").read_text(encoding="utf-8").splitlines(True)
+            shuffled = data.draw(st.permutations(lines))
+            (root / "shuffled.jsonl").write_text("".join(shuffled), encoding="utf-8")
+            emitted = {}
+            for name in ("records", "shuffled"):
+                path = root / f"{name}.jsonl"
+                score = json.dumps(cmd_score(path), indent=2, sort_keys=True)
+                files = [
+                    written.read_bytes()
+                    for fmt in TableFormat
+                    for written in cmd_report(path, fmt, root / name / fmt.value)
+                ]
+                emitted[name] = score, files
+            assert emitted["records"] == emitted["shuffled"]
